@@ -50,7 +50,7 @@ from .lorentz import (
     sample_sl2c,
     spin_hom,
 )
-from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from .linalg import MAX_QUBITS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from .seeding import SEED_SPLIT_NAME, rng_from_seed, split_seed
 from .states import (
     QubitState,
@@ -146,6 +146,8 @@ def _assemble(command: str, config: dict, trials: list, checks: dict, extra: dic
 def cmd_invariants(args) -> tuple[dict, bool]:
     started = time.perf_counter()
     check = partial(_check, override=args.tolerance)
+    if args.trials < 0:
+        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     state, source_cfg = _load_state(args, args.seed)
     base = invariant_report(state)
 
@@ -186,8 +188,10 @@ def cmd_invariants(args) -> tuple[dict, bool]:
 def cmd_oracle(args) -> tuple[dict, bool]:
     started = time.perf_counter()
     check = partial(_check, override=args.tolerance)
-    if not 1 <= args.n <= 6:
-        raise ValueError(f"oracle supports n in 1..6, got {args.n}")
+    if not 1 <= args.n <= MAX_QUBITS:
+        raise ValueError(f"oracle supports n in 1..{MAX_QUBITS}, got {args.n}")
+    if args.trials <= 0:
+        raise ValueError(f"--trials must be positive, got {args.trials}")
     state_seed = split_seed(args.seed, STREAM_STATE)
     scale_seed = split_seed(args.seed, STREAM_SCALE)
 
@@ -376,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.set_defaults(func=cmd_invariants)
 
     p_orc = sub.add_parser("oracle", help="subset-sum vs trace-formula agreement")
-    p_orc.add_argument("--n", type=int, default=3)
+    p_orc.add_argument("--n", type=int, default=3,
+                       help=f"qubit count of the random states, 1..{MAX_QUBITS}")
     p_orc.add_argument("--trials", type=int, default=200)
     p_orc.set_defaults(func=cmd_oracle)
 

@@ -54,32 +54,12 @@ def _check_observable(o, name: str) -> np.ndarray:
     return require_hermitian(a, atol=HERMITIAN_TOL, what=name)
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    """One correlator evaluation together with its inputs in Pauli coordinates."""
-
-    value: float
-    o1: MinkowskiVector
-    o2: MinkowskiVector
-
-
 def singlet_correlation(o1, o2) -> float:
     """<psi-| o1 (x) o2 |psi-> on the normalized singlet, for Hermitian 2x2 inputs."""
     a = _check_observable(o1, "o1")
     b = _check_observable(o2, "o2")
     value = SINGLET_KET.conj() @ kron(a, b) @ SINGLET_KET
     return float(value.real)
-
-
-def correlate(o1, o2) -> CorrelationResult:
-    """singlet_correlation plus the Pauli coordinates of both observables."""
-    a = _check_observable(o1, "o1")
-    b = _check_observable(o2, "o2")
-    return CorrelationResult(
-        value=singlet_correlation(a, b),
-        o1=vector_from_herm(a),
-        o2=vector_from_herm(b),
-    )
 
 
 def polarized_determinant(o1, o2) -> float:

@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import SizeError
-from .states import MAX_QUBITS, QubitState, reduce, spin_flip, w_spectrum
+from .linalg import MAX_QUBITS, trace_out_qubit
+from .states import QubitState, spin_flip, w_spectrum
 
 __all__ = [
     "InvariantSet",
@@ -27,11 +28,15 @@ __all__ = [
 ]
 
 
+def _linear_entropy(rho: np.ndarray) -> float:
+    tr = np.trace(rho).real
+    tr_sq = np.einsum("ij,ji->", rho, rho).real
+    return float(tr * tr - tr_sq)
+
+
 def linear_entropy(s: QubitState) -> float:
     """Tr(rho)^2 - Tr(rho^2), without normalizing; zero iff pure up to scale."""
-    tr = np.trace(s.rho).real
-    tr_sq = np.einsum("ij,ji->", s.rho, s.rho).real
-    return float(tr * tr - tr_sq)
+    return _linear_entropy(s.rho)
 
 
 def spectral_invariants(s: QubitState) -> np.ndarray:
@@ -75,11 +80,24 @@ def linear_mutual_info_subsets(s: QubitState) -> float:
     """
     if s.n > MAX_QUBITS:
         raise SizeError(f"subset sum needs 2^n-1 terms; n={s.n} exceeds {MAX_QUBITS}")
-    total = 0.0
-    for mask in range(1, 2**s.n):
-        subset = [q + 1 for q in range(s.n) if (mask >> q) & 1]
-        sign = 1.0 if len(subset) % 2 == 1 else -1.0
-        total += sign * linear_entropy(reduce(s, subset))
+    n = s.n
+    total = _linear_entropy(s.rho) * (1.0 if n % 2 == 1 else -1.0)
+    # Reduced states keyed by qubit mask (bit q is qubit q+1), one level at a
+    # time. Each is traced once, from the parent that sets its lowest clear
+    # bit q; all lower bits are set in both, so that qubit sits at tensor
+    # position q. Only two levels are ever alive.
+    level = {2**n - 1: s.rho.reshape((2,) * (2 * n))}
+    for k in range(n - 1, 0, -1):
+        sign = 1.0 if k % 2 == 1 else -1.0
+        below = {}
+        for parent, t in level.items():
+            q = 0
+            while parent >> q & 1:
+                child = trace_out_qubit(t, q)
+                below[parent ^ 1 << q] = child
+                total += sign * _linear_entropy(child.reshape(2**k, 2**k))
+                q += 1
+        level = below
     return total
 
 

@@ -10,15 +10,15 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import string
-
 import numpy as np
 
 from .errors import ContractError, PositivityError, SizeError
 
-#: Hard cap on matrix dimension (2**12); subset sums are exponential in the
-#: qubit count anyway, so nothing useful lives beyond this.
-MAX_DIM = 4096
+#: The one qubit-count cap of the package: the state builders, the subset
+#: route of I_L and ``oracle`` stop here, and no Kronecker product grows past
+#: its dimension.
+MAX_QUBITS = 10
+MAX_DIM = 2**MAX_QUBITS
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -101,23 +101,22 @@ def partial_trace(rho, n: int, keep) -> np.ndarray:
         raise ValueError(f"keep indices {kept} outside 1..{n}")
     if len(kept) == n:
         return rho.copy()
-
-    letters = iter(string.ascii_letters)
-    row, col, out_row, out_col = [], [], [], []
-    kept_set = set(kept)
-    for q in range(1, n + 1):
-        if q in kept_set:
-            r, c = next(letters), next(letters)
-            out_row.append(r)
-            out_col.append(c)
-        else:
-            r = c = next(letters)
-        row.append(r)
-        col.append(c)
-    subscript = "".join(row + col) + "->" + "".join(out_row + out_col)
-    reduced = np.einsum(subscript, rho.reshape((2,) * (2 * n)))
+    t = rho.reshape((2,) * (2 * n))
+    # trace the highest positions first so the lower ones keep their place
+    for j in reversed(range(n)):
+        if j + 1 not in kept:
+            t = trace_out_qubit(t, j)
     d = 2 ** len(kept)
-    return reduced.reshape(d, d)
+    return t.reshape(d, d)
+
+
+def trace_out_qubit(t: np.ndarray, j: int) -> np.ndarray:
+    """Trace out position ``j`` (0-based) of a k-qubit operator held as a (2,)*2k tensor.
+
+    Row axes come first, column axes last; the result is a (2,)*2(k-1) tensor
+    with the other qubits in their order.
+    """
+    return np.trace(t, axis1=j, axis2=j + t.ndim // 2)
 
 
 def herm_eig(m, atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:

@@ -18,10 +18,6 @@ from .seeding import rng_from_seed
 #: Minkowski metric in (t, x, y, z) coordinates.
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
-#: Spatial inversion (t, x, y, z) -> (t, -x, -y, -z); preserves the metric
-#: but is not in the restricted group.
-PARITY4 = np.diag([1.0, -1.0, -1.0, -1.0])
-
 SL2C_DET_TOL = 1e-10
 ETA_TOL = 1e-9
 MAX_RAPIDITY = 20.0

@@ -8,6 +8,7 @@ import pytest
 
 from qlorentz import state_to_json_dict, random_state
 from qlorentz.cli import main
+from qlorentz.linalg import MAX_QUBITS
 
 
 def run_report(tmp_path, args, name="report.json"):
@@ -64,7 +65,31 @@ def test_oracle_runs_and_reports(tmp_path):
 
 
 def test_oracle_rejects_large_n(tmp_path):
-    assert main(["oracle", "--n", "7", "--trials", "2"]) == 2
+    assert main(["oracle", "--n", str(MAX_QUBITS + 1), "--trials", "2"]) == 2
+
+
+def test_oracle_runs_at_the_qubit_cap(tmp_path):
+    code, report = run_report(
+        tmp_path, ["oracle", "--n", str(MAX_QUBITS), "--trials", "2", "--seed", "3"]
+    )
+    assert code == 0
+    assert report["checks"]["trace_formula"]["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--trials", "0"],
+        ["oracle", "--trials", "-1"],
+        ["invariants", "--trials", "-3"],
+    ],
+    ids=["oracle-zero", "oracle-negative", "invariants-negative"],
+)
+def test_vacuous_trial_counts_exit_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_metric_default_run(tmp_path):

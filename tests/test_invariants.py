@@ -28,6 +28,7 @@ from qlorentz import (
     w_matrix,
     wstate,
 )
+from qlorentz.linalg import MAX_QUBITS
 from qlorentz.seeding import split_seed
 
 
@@ -123,9 +124,35 @@ def test_subset_sum_frozen_cases():
 
 
 def test_subset_sum_size_guard():
-    s = QubitState(9, np.eye(512, dtype=complex) / 512.0, validate=False)
+    n = MAX_QUBITS + 1
+    s = QubitState(n, np.eye(2**n, dtype=complex), validate=False)
     with pytest.raises(SizeError):
         linear_mutual_info_subsets(s)
+
+
+def subset_sum_reference(s, flipped_mask=0):
+    """Each subset reduced from the full rho; the subset at flipped_mask gets the wrong sign."""
+    total = 0.0
+    for mask in range(1, 2**s.n):
+        subset = [q + 1 for q in range(s.n) if mask >> q & 1]
+        sign = 1.0 if len(subset) % 2 == 1 else -1.0
+        if mask == flipped_mask:
+            sign = -sign
+        total += sign * linear_entropy(reduce(s, subset))
+    return total
+
+
+def test_subset_route_matches_per_subset_reference():
+    for n in range(2, 9):
+        for kind in ("pure", "mixed"):
+            base = random_state(n, kind, split_seed(310, n))
+            for c in (0.2, 5.0):
+                s = base.scaled(c)
+                tol = 1e-12 * s.trace() ** 2
+                route = linear_mutual_info_subsets(s)
+                assert abs(route - subset_sum_reference(s)) <= tol, (n, kind, c)
+                # negative control: one sign wrong (qubit 1 alone) must show
+                assert abs(route - subset_sum_reference(s, flipped_mask=1)) > tol, (n, kind, c)
 
 
 def test_trace_route_frozen_cases():

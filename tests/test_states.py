@@ -1,5 +1,7 @@
 """State construction, the spin flip, W-matrices, local actions, serialization."""
 
+from functools import reduce as fold
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from qlorentz import (
     w_spectrum,
     wstate,
 )
+from qlorentz.linalg import MAX_QUBITS, PAULI_Y
 from qlorentz.seeding import split_seed
 
 
@@ -76,6 +79,15 @@ def test_spin_flip_fixed_points_and_involution():
 def test_spin_flip_preserves_trace():
     s = random_state(2, "mixed", 32).scaled(2.5)
     assert abs(spin_flip(s).trace() - s.trace()) < 1e-12
+
+
+def test_spin_flip_bit_identical_to_dense_sandwich():
+    for n in range(1, 9):
+        y = fold(np.kron, [PAULI_Y] * n)
+        for kind in ("pure", "mixed"):
+            s = random_state(n, kind, split_seed(320, n))
+            dense = y @ np.conj(s.rho) @ y
+            assert np.array_equal(spin_flip(s).rho.view(np.uint64), dense.view(np.uint64)), (n, kind)
 
 
 def test_w_matrix_frozen_cases():
@@ -251,7 +263,7 @@ def test_random_state_contracts():
     with pytest.raises(ValueError):
         random_state(0, "pure", 1)
     with pytest.raises(ValueError):
-        random_state(9, "pure", 1)
+        random_state(MAX_QUBITS + 1, "pure", 1)
     with pytest.raises(ValueError):
         random_state(2, "thermal", 1)
 
