@@ -233,6 +233,8 @@ def cmd_oracle(args) -> tuple[dict, bool]:
 def cmd_metric(args) -> tuple[dict, bool]:
     started = time.perf_counter()
     check = partial(_check, override=args.tolerance)
+    if args.trials <= 0:
+        raise ValueError(f"--trials must be positive, got {args.trials}")
     table = pauli_correlation_table()
     checks = {"pauli_table": check(float(np.abs(table - ETA).max()), 1e-12)}
 

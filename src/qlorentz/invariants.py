@@ -42,21 +42,12 @@ def linear_entropy(s: QubitState) -> float:
 def spectral_invariants(s: QubitState) -> np.ndarray:
     """Elementary symmetric polynomials e_1..e_d of the W-spectrum.
 
-    Computed by Newton's identities from the power sums of w_spectrum;
-    e_1 is Tr(W) and e_d is det(W). Each entry is separately invariant
-    under local SL(2,C) actions.
+    The coefficients of prod_i (x + l_i) over w_spectrum, expanded one factor
+    at a time; every l_i is non-negative, so no term cancels another. e_1 is
+    Tr(W) and e_d is det(W). Each entry is separately invariant under local
+    SL(2,C) actions.
     """
-    lam = w_spectrum(s)
-    d = lam.size
-    powers = np.array([np.sum(lam**k) for k in range(1, d + 1)])
-    elem = np.zeros(d + 1)
-    elem[0] = 1.0
-    for k in range(1, d + 1):
-        acc = 0.0
-        for i in range(1, k + 1):
-            acc += (-1.0) ** (i - 1) * elem[k - i] * powers[i - 1]
-        elem[k] = acc / k
-    return elem[1:]
+    return np.poly(-w_spectrum(s))[1:]
 
 
 def concurrence(s: QubitState) -> float:

@@ -135,7 +135,8 @@ def mat_sqrt_psd(m, atol: float = 1e-10) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues down to -1e-10 * max_abs(m) are treated as floating-point
-    drift and clamped to zero; anything lower raises PositivityError.
+    drift and clamped to zero; anything lower raises PositivityError. The
+    tests build their reference W-spectrum, sqrt(rho) rho* sqrt(rho), on it.
     """
     h = require_hermitian(m, atol=atol)
     evals, vecs = herm_eig(h, atol=atol)

@@ -90,9 +90,6 @@ class LorentzMatrix4:
         object.__setattr__(self, "entries", _freeze(a))
         object.__setattr__(self, "eta_defect", defect)
 
-    def __matmul__(self, other: "LorentzMatrix4") -> "LorentzMatrix4":
-        return LorentzMatrix4(self.entries @ other.entries)
-
     def apply(self, v: MinkowskiVector) -> MinkowskiVector:
         return MinkowskiVector.from_array(self.entries @ v.as_array())
 

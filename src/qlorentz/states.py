@@ -7,22 +7,21 @@ the trace, and nothing here ever renormalizes behind your back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce as _fold
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, PositivityError
 from .linalg import (
     MAX_QUBITS,
     as_matrix,
     hermiticity_defect,
     kron,
     kron_all,
-    mat_sqrt_psd,
     max_abs,
     partial_trace,
+    require_hermitian,
 )
 from .lorentz import SL2C
 from .seeding import rng_from_seed
@@ -86,31 +85,9 @@ class QubitState:
         return f"QubitState(n={self.n}, trace={self.trace():.6g})"
 
 
-@dataclass(frozen=True)
-class LocalAction:
-    """One SL(2,C) factor per qubit; acts on states by conjugation with their product."""
-
-    factors: tuple[SL2C, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
-            raise ValueError("need at least one factor")
-
-    def __len__(self):
-        return len(self.factors)
-
-    def matrix(self) -> np.ndarray:
-        return kron_all([f.m for f in self.factors])
-
-
-ActionLike = Union[LocalAction, Sequence[SL2C]]
-
-
-def _as_action(a: ActionLike) -> LocalAction:
-    if isinstance(a, LocalAction):
-        return a
-    return LocalAction(tuple(a))
+def _parity_signs(n: int) -> np.ndarray:
+    """s_x = (-1)^popcount(x) for x = 0..2**n - 1."""
+    return _fold(np.kron, [np.array([1.0, -1.0])] * n)
 
 
 def spin_flip(s: QubitState) -> QubitState:
@@ -121,7 +98,7 @@ def spin_flip(s: QubitState) -> QubitState:
     conj(rho) with both indices complemented (reversed), times s_x s_y with
     s_x = (-1)^popcount(x): O(d^2), and bit-identical to the dense products.
     """
-    sign = _fold(np.kron, [np.array([1.0, -1.0])] * s.n)
+    sign = _parity_signs(s.n)
     return QubitState(s.n, np.outer(sign, sign) * np.conj(s.rho)[::-1, ::-1], validate=False)
 
 
@@ -131,34 +108,44 @@ def w_matrix(s: QubitState) -> np.ndarray:
 
 
 def w_spectrum(s: QubitState) -> np.ndarray:
-    """Eigenvalues of the W-matrix, descending, clamped at zero.
+    """Eigenvalues of the W-matrix rho * spin_flip(rho), descending, length 2**n.
 
-    Obtained from the positive semidefinite surrogate
-    sqrt(rho) * spin_flip(rho) * sqrt(rho), which shares the spectrum of
-    rho * spin_flip(rho) but admits a Hermitian eigensolver.
+    Factor rho = A A^dag with A = V sqrt(L) over the eigenpairs of rho above
+    1e-14 of the largest. Then spin_flip(rho) = C C^dag with C = Y^(x)n conj(A),
+    so the nonzero spectrum of W is that of (A^dag C)(A^dag C)^dag: the squared
+    singular values of the r x r matrix A^T Y^(x)n A, up to a phase. Y^(x)n
+    maps |x> to i^n s_x |~x>, so that matrix is A^T (s * A[::-1]), with
+    s_x = (-1)^popcount(x) as in spin_flip. For a pure state it is Wootters'
+    preconcurrence psi^T Y^(x)n psi. The squares are non-negative by
+    construction; the remaining entries are exact zeros.
+
+    Raises ContractError for a non-Hermitian rho and PositivityError for an
+    eigenvalue below -1e-10 * max|rho|.
     """
-    root = mat_sqrt_psd(s.rho)
-    star = spin_flip(s).rho
-    surrogate = root @ star @ root
-    surrogate = 0.5 * (surrogate + surrogate.conj().T)
-    evals = np.clip(np.linalg.eigvalsh(surrogate)[::-1], 0.0, None)
-    # eigensolver noise sits at 1e-16 relative; downstream square roots would
-    # amplify it to 1e-8, so values below noise scale are reported as zero
-    if evals.size and evals[0] > 0.0:
-        evals[evals < 1e-14 * evals[0]] = 0.0
-    return evals
+    rho = require_hermitian(s.rho, what="state")
+    evals, vecs = np.linalg.eigh(rho)
+    floor = -1e-10 * max_abs(rho)
+    if evals[0] < floor:
+        raise PositivityError(
+            f"state is not positive semidefinite: eigenvalue {evals[0]:.3e} below {floor:.3e}"
+        )
+    keep = evals > 1e-14 * evals[-1]
+    a = vecs[:, keep] * np.sqrt(evals[keep])
+    b = a.T @ (_parity_signs(s.n)[:, None] * a[::-1])
+    lam = np.zeros(s.dim)
+    lam[: b.shape[0]] = np.linalg.svd(b, compute_uv=False) ** 2
+    return lam
 
 
-def apply_local(s: QubitState, a: ActionLike) -> QubitState:
+def apply_local(s: QubitState, factors: Sequence[SL2C]) -> QubitState:
     """Conjugate the state by the Kronecker product of the per-qubit factors.
 
     Positive but not trace-preserving; the output is intentionally left
     un-normalized.
     """
-    action = _as_action(a)
-    if len(action) != s.n:
-        raise ValueError(f"action has {len(action)} factors but state has {s.n} qubits")
-    m = action.matrix()
+    if len(factors) != s.n:
+        raise ValueError(f"action has {len(factors)} factors but state has {s.n} qubits")
+    m = kron_all([f.m for f in factors])
     out = m @ s.rho @ m.conj().T
     out = 0.5 * (out + out.conj().T)
     return QubitState(s.n, out, validate=False)

@@ -82,8 +82,10 @@ def test_oracle_runs_at_the_qubit_cap(tmp_path):
         ["oracle", "--trials", "0"],
         ["oracle", "--trials", "-1"],
         ["invariants", "--trials", "-3"],
+        ["metric", "--trials", "0"],
+        ["metric", "--trials", "-1"],
     ],
-    ids=["oracle-zero", "oracle-negative", "invariants-negative"],
+    ids=["oracle-zero", "oracle-negative", "invariants-negative", "metric-zero", "metric-negative"],
 )
 def test_vacuous_trial_counts_exit_two(argv, capsys):
     assert main(argv) == 2

@@ -81,6 +81,37 @@ def test_spectral_invariants_match_char_poly_route():
             assert abs(elem[k - 1] - expected) < 1e-8
 
 
+def newton_elementary(lam):
+    """e_1..e_d from the power sums by Newton's identities, which cancel catastrophically."""
+    powers = [np.sum(lam**k) for k in range(1, lam.size + 1)]
+    elem = [1.0]
+    for k in range(1, lam.size + 1):
+        elem.append(sum((-1.0) ** (i - 1) * elem[k - i] * powers[i - 1] for i in range(1, k + 1)) / k)
+    return np.array(elem[1:])
+
+
+def test_spectral_invariants_match_eigvals_route():
+    # Independent of w_spectrum: eigenvalues of the non-Hermitian W itself.
+    # Error model: e_k is a sum of products of k non-negative l_i, so its
+    # relative error is at most the sum of the relative errors of the l_i
+    # (the expansion cancels nothing). An eigensolver gets each l_i to about
+    # eps * l_1 absolute, so the budget is eps * sum(l_1 / l_i), taken with a
+    # factor 16 of margin: 1e-10 to 2e-8 on these states.
+    eps = np.finfo(float).eps
+    for n in (4, 5, 6):
+        for trial in range(3):
+            s = random_state(n, "mixed", split_seed(72, 10 * n + trial))
+            lam = np.clip(np.linalg.eigvals(w_matrix(s)).real, 0.0, None)
+            assert lam.min() > 0.0, (n, trial)
+            rtol = 16 * eps * np.sum(lam.max() / lam)
+            reference = np.poly(-lam)[1:]
+            rel = np.abs(spectral_invariants(s) - reference) / reference
+            assert rel.max() <= rtol, (n, trial)
+            # negative control: Newton's identities on the same spectrum miss it
+            newton = np.abs(newton_elementary(lam) - reference) / reference
+            assert newton.max() > rtol, (n, trial)
+
+
 def test_spectral_invariants_under_local_actions():
     for trial in range(10):
         n = 1 + trial % 3

@@ -7,6 +7,7 @@ import pytest
 
 from qlorentz import (
     ContractError,
+    PositivityError,
     QubitState,
     apply_local,
     basis0,
@@ -14,6 +15,7 @@ from qlorentz import (
     depolarize,
     ghz,
     kron,
+    mat_sqrt_psd,
     maximally_mixed,
     preset,
     product_of_singlets,
@@ -125,9 +127,37 @@ def test_w_spectrum_matches_direct_eigenvalues():
         np.testing.assert_allclose(w_spectrum(s), direct.real, atol=1e-9)
 
 
+def surrogate_w_spectrum(s):
+    """The square-root route: eigenvalues of sqrt(rho) rho* sqrt(rho), clipped at zero."""
+    root = mat_sqrt_psd(s.rho)
+    sandwich = root @ spin_flip(s).rho @ root
+    return np.clip(np.linalg.eigvalsh(0.5 * (sandwich + sandwich.conj().T))[::-1], 0.0, None)
+
+
+def test_w_spectrum_matches_square_root_surrogate():
+    # both routes are backward stable on rho, so they agree to a few eps * Tr(rho)^2
+    for n in range(1, 9):
+        for kind in ("pure", "mixed"):
+            base = random_state(n, kind, split_seed(47, n))
+            factors = [random_sl2c(split_seed(48, 10 * n + j), 2.0) for j in range(n)]
+            for s in (base, base.scaled(3.7), apply_local(base, factors)):
+                tol = 1e-13 * s.trace() ** 2
+                assert np.abs(w_spectrum(s) - surrogate_w_spectrum(s)).max() <= tol, (n, kind)
+
+
 def test_w_spectrum_of_pure_odd_is_zero():
-    s = random_state(3, "pure", 38)
-    assert w_spectrum(s).max() <= 1e-9
+    # psi^T Y^(x)n psi vanishes exactly for odd n; the square-root route leaves ~1e-17
+    for n in (1, 3, 5, 7):
+        s = random_state(n, "pure", split_seed(38, n))
+        assert w_spectrum(s).max() <= 1e-25 * s.trace() ** 2, n
+
+
+def test_w_spectrum_rejects_invalid_input():
+    # states built with validate=False still meet the input checks
+    with pytest.raises(PositivityError):
+        w_spectrum(QubitState(1, np.diag([1.0, -0.5]), validate=False))
+    with pytest.raises(ContractError):
+        w_spectrum(QubitState(1, np.array([[1.0, 1.0], [0.0, 1.0]]), validate=False))
 
 
 def test_w_spectrum_descending_and_clamped():
