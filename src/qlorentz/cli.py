@@ -41,15 +41,7 @@ from .invariants import (
     linear_mutual_info_trace,
     spectral_invariants,
 )
-from .lorentz import (
-    ETA,
-    MinkowskiVector,
-    boost_z,
-    herm_from_vector,
-    rotation_z,
-    sample_sl2c,
-    spin_hom,
-)
+from .lorentz import ETA, boost_z, herm_from_vector, rotation_z, sample_sl2c
 from .linalg import MAX_QUBITS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from .seeding import SEED_SPLIT_NAME, rng_from_seed, split_seed
 from .states import (
@@ -110,14 +102,14 @@ def _parse_observable(text: str, rng: np.random.Generator) -> np.ndarray:
     if upper in _PAULI_BY_NAME:
         return _PAULI_BY_NAME[upper].copy()
     if token.lower() == "random":
-        return herm_from_vector(MinkowskiVector(*rng.standard_normal(4)))
+        return herm_from_vector(rng.standard_normal(4))
     parts = token.split(",")
     if len(parts) == 4:
         try:
             coords = [float(p) for p in parts]
         except ValueError:
             raise ValueError(f"bad observable coordinates {text!r}") from None
-        return herm_from_vector(MinkowskiVector(*coords))
+        return herm_from_vector(coords)
     raise ValueError(
         f"observable {text!r} not understood; use I, X, Y, Z, random, or t,x,y,z"
     )
@@ -235,6 +227,8 @@ def cmd_metric(args) -> tuple[dict, bool]:
     check = partial(_check, override=args.tolerance)
     if args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
+    if args.sym_trials <= 0:
+        raise ValueError(f"--sym-trials must be positive, got {args.sym_trials}")
     table = pauli_correlation_table()
     checks = {"pauli_table": check(float(np.abs(table - ETA).max()), 1e-12)}
 
@@ -242,8 +236,8 @@ def cmd_metric(args) -> tuple[dict, bool]:
     trials = []
     worst = 0.0
     for i in range(args.trials):
-        o1 = herm_from_vector(MinkowskiVector(*obs_rng.standard_normal(4)))
-        o2 = herm_from_vector(MinkowskiVector(*obs_rng.standard_normal(4)))
+        o1 = herm_from_vector(obs_rng.standard_normal(4))
+        o2 = herm_from_vector(obs_rng.standard_normal(4))
         corr = singlet_correlation(o1, o2)
         pol = polarized_determinant(o1, o2)
         dev = _rel_dev(corr, pol)
@@ -255,33 +249,24 @@ def cmd_metric(args) -> tuple[dict, bool]:
     sym_seed = split_seed(args.seed, STREAM_SYMMETRY)
     sym_rng = rng_from_seed(sym_seed)
 
-    if args.boost is not None:
-        lor = spin_hom(boost_z(args.boost))
-        dev = correlator_symmetry_check(lor, args.sym_trials, split_seed(sym_seed, 0))
-        checks["boost_symmetry"] = check(dev, 1e-8)
-    elif not explicit:
-        worst_boost = 0.0
-        for i in range(args.sym_trials):
-            lor = spin_hom(boost_z(float(sym_rng.uniform(-2.0, 2.0))))
-            worst_boost = max(
-                worst_boost,
-                correlator_symmetry_check(lor, 5, split_seed(sym_seed, i)),
+    # name, fixed value, SL(2,C) builder, sampling range, sub-seed offset
+    families = (
+        ("boost", args.boost, boost_z, (-2.0, 2.0), 0),
+        ("rotation", args.rotation, rotation_z, (0.0, 2.0 * np.pi), 10_000),
+    )
+    for name, fixed, build, (low, high), offset in families:
+        if fixed is not None:
+            dev = correlator_symmetry_check(
+                build(fixed), args.sym_trials, split_seed(sym_seed, offset)
             )
-        checks["boost_symmetry"] = check(worst_boost, 1e-8)
-
-    if args.rotation is not None:
-        lor = spin_hom(rotation_z(args.rotation))
-        dev = correlator_symmetry_check(lor, args.sym_trials, split_seed(sym_seed, 10_000))
-        checks["rotation_symmetry"] = check(dev, 1e-8)
-    elif not explicit:
-        worst_rot = 0.0
-        for i in range(args.sym_trials):
-            lor = spin_hom(rotation_z(float(sym_rng.uniform(0.0, 2.0 * np.pi))))
-            worst_rot = max(
-                worst_rot,
-                correlator_symmetry_check(lor, 5, split_seed(sym_seed, 10_000 + i)),
-            )
-        checks["rotation_symmetry"] = check(worst_rot, 1e-8)
+        elif explicit:
+            continue
+        else:
+            dev = 0.0
+            for i in range(args.sym_trials):
+                lam = build(float(sym_rng.uniform(low, high)))
+                dev = max(dev, correlator_symmetry_check(lam, 5, split_seed(sym_seed, offset + i)))
+        checks[f"{name}_symmetry"] = check(dev, 1e-8)
 
     if args.parity or not explicit:
         dev = correlator_symmetry_check("parity", args.sym_trials, split_seed(sym_seed, 20_000))

@@ -17,13 +17,7 @@ from typing import Union
 import numpy as np
 
 from .linalg import PAULIS, as_matrix, det, kron, require_hermitian
-from .lorentz import (
-    LorentzMatrix4,
-    MinkowskiVector,
-    SL2C,
-    herm_from_vector,
-    vector_from_herm,
-)
+from .lorentz import ETA, LorentzMatrix4, SL2C, herm_from_vector, spin_hom
 from .seeding import rng_from_seed
 
 HERMITIAN_TOL = 1e-10
@@ -179,33 +173,18 @@ def haar_twirl_mc(o1, o2, samples: int, rng_seed: int) -> TwirlEstimate:
 MapLike = Union[SL2C, LorentzMatrix4, np.ndarray, str]
 
 
-def _as_coordinate_map(mapping: MapLike):
-    """Normalize the supported map forms to a callable on Hermitian 2x2 matrices."""
+def _coordinate_matrix(mapping: MapLike) -> np.ndarray:
+    """The real 4x4 matrix by which a supported map form acts on Pauli coordinates."""
     if isinstance(mapping, SL2C):
-        lam = mapping.m
-
-        def conjugation(o: np.ndarray) -> np.ndarray:
-            return lam @ o @ lam.conj().T
-
-        return conjugation
+        return spin_hom(mapping).entries
     if isinstance(mapping, str):
         if mapping != "parity":
             raise ValueError(f"unknown named map {mapping!r}; only 'parity' is recognized")
-
-        def parity(o: np.ndarray) -> np.ndarray:
-            v = vector_from_herm(o)
-            return herm_from_vector(MinkowskiVector(v.t, -v.x, -v.y, -v.z))
-
-        return parity
+        return ETA
     if isinstance(mapping, np.ndarray):
         mapping = LorentzMatrix4(mapping)
     if isinstance(mapping, LorentzMatrix4):
-        lor = mapping
-
-        def coordinate(o: np.ndarray) -> np.ndarray:
-            return herm_from_vector(lor.apply(vector_from_herm(o)))
-
-        return coordinate
+        return mapping.entries
     raise TypeError(f"unsupported map type {type(mapping).__name__}")
 
 
@@ -220,16 +199,14 @@ def correlator_symmetry_check(mapping: MapLike, trials: int, rng_seed: int) -> f
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
-    apply_map = _as_coordinate_map(mapping)
+    lam = _coordinate_matrix(mapping)
     rng = rng_from_seed(rng_seed)
     worst = 0.0
     for _ in range(trials):
-        o1 = herm_from_vector(MinkowskiVector(*rng.standard_normal(4)))
-        o2 = herm_from_vector(MinkowskiVector(*rng.standard_normal(4)))
-        before = singlet_correlation(o1, o2)
-        m1 = require_hermitian(apply_map(o1), atol=1e-8, what="mapped o1")
-        m2 = require_hermitian(apply_map(o2), atol=1e-8, what="mapped o2")
-        after = singlet_correlation(m1, m2)
+        v1 = rng.standard_normal(4)
+        v2 = rng.standard_normal(4)
+        before = singlet_correlation(herm_from_vector(v1), herm_from_vector(v2))
+        after = singlet_correlation(herm_from_vector(lam @ v1), herm_from_vector(lam @ v2))
         worst = max(worst, abs(before - after) / max(1.0, abs(before)))
     return worst
 

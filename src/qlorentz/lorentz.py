@@ -7,7 +7,7 @@ on these coordinates as a restricted Lorentz transformation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class LorentzMatrix4:
     """Real 4x4 matrix acting on (t, x, y, z) that preserves the Minkowski form."""
 
     entries: np.ndarray
-    eta_defect: float = field(init=False)
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -88,7 +87,6 @@ class LorentzMatrix4:
                 f"matrix does not preserve the Minkowski form: defect {defect:.3e} exceeds {ETA_TOL:.1e}"
             )
         object.__setattr__(self, "entries", _freeze(a))
-        object.__setattr__(self, "eta_defect", defect)
 
     def apply(self, v: MinkowskiVector) -> MinkowskiVector:
         return MinkowskiVector.from_array(self.entries @ v.as_array())
@@ -127,15 +125,14 @@ def minkowski_form(v) -> float:
 def spin_hom(lam: SL2C) -> LorentzMatrix4:
     """Image of an SL(2,C) element in the restricted Lorentz group.
 
-    Column mu holds the Pauli coordinates of L s_mu L† for s_mu ranging over
-    (I, X, Y, Z), so the result maps the coordinates of h to those of L h L†.
+    Entry (mu, nu) is 1/2 Re Tr(s_mu L s_nu L†) for s ranging over (I, X, Y, Z),
+    so column nu holds the Pauli coordinates of L s_nu L† and the result maps
+    the coordinates of h to those of L h L†.
     """
     lm = lam.m
-    cols = []
-    for sigma in PAULIS:
-        image = lm @ sigma @ lm.conj().T
-        cols.append(vector_from_herm(image, atol=1e-9).as_array())
-    out = LorentzMatrix4(np.column_stack(cols))
+    sigma = np.stack(PAULIS)
+    traces = np.einsum("mab,bc,ncd,ad->mn", sigma, lm, sigma, lm.conj())
+    out = LorentzMatrix4(0.5 * traces.real)
     d = float(np.linalg.det(out.entries))
     if abs(d - 1.0) > ETA_TOL or out.entries[0, 0] < 1.0 - ETA_TOL:
         raise ContractError(

@@ -292,7 +292,9 @@ def state_from_json_dict(payload: dict) -> QubitState:
     """Load and fully validate a state from its JSON form."""
     if not isinstance(payload, dict) or "n" not in payload or "matrix" not in payload:
         raise ValueError("state JSON must be an object with 'n' and 'matrix' keys")
-    n = int(payload["n"])
+    n = payload["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"state JSON field 'n' must be an integer, got {n!r}")
     raw = payload["matrix"]
     try:
         arr = np.asarray(raw, dtype=float)

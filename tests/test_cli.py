@@ -84,13 +84,23 @@ def test_oracle_runs_at_the_qubit_cap(tmp_path):
         ["invariants", "--trials", "-3"],
         ["metric", "--trials", "0"],
         ["metric", "--trials", "-1"],
+        ["metric", "--sym-trials", "0"],
+        ["metric", "--sym-trials", "-1"],
     ],
-    ids=["oracle-zero", "oracle-negative", "invariants-negative", "metric-zero", "metric-negative"],
+    ids=[
+        "oracle-zero",
+        "oracle-negative",
+        "invariants-negative",
+        "metric-zero",
+        "metric-negative",
+        "metric-sym-zero",
+        "metric-sym-negative",
+    ],
 )
 def test_vacuous_trial_counts_exit_two(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith(f"error: {argv[1]} must be ")
     assert captured.out == ""
 
 
@@ -118,6 +128,14 @@ def test_metric_explicit_families(tmp_path):
     assert code == 0
     assert "parity_symmetry" in report["checks"]
     assert "boost_symmetry" not in report["checks"]
+    code, report = run_report(
+        tmp_path,
+        ["metric", "--boost", "1.5", "--rotation", "0.9", "--sym-trials", "10", "--trials", "10"],
+    )
+    assert code == 0
+    assert "boost_symmetry" in report["checks"]
+    assert "rotation_symmetry" in report["checks"]
+    assert "parity_symmetry" not in report["checks"]
 
 
 def test_twirl_zz(tmp_path):
@@ -188,6 +206,8 @@ def test_malformed_state_file_exits_two(tmp_path, capsys):
     path.write_text('{"n": 1, "matrix": "nope"}')
     assert main(["invariants", "--input", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+    path.write_text('{"n": null, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}')
+    assert main(["invariants", "--input", str(path)]) == 2
     path.write_text("{not json")
     assert main(["invariants", "--input", str(path)]) == 2
     assert main(["invariants", "--input", str(tmp_path / "missing.json")]) == 2

@@ -6,6 +6,7 @@ import pytest
 from qlorentz import (
     ContractError,
     ETA,
+    LorentzMatrix4,
     MinkowskiVector,
     PAULI_I,
     PAULI_X,
@@ -185,6 +186,14 @@ def test_symmetry_check_rejects_bad_maps():
         correlator_symmetry_check(np.diag([1.0, 1.0, 1.0, 2.0]), 5, 94)
     with pytest.raises(ValueError):
         correlator_symmetry_check("mirror", 5, 95)
+
+
+def test_symmetry_check_applies_the_map():
+    # negative control: a map that does not preserve the form, admitted without
+    # validation, must move the correlator; a check that skips the map reads 0
+    stretch = object.__new__(LorentzMatrix4)
+    object.__setattr__(stretch, "entries", np.diag([1.0, 1.0, 1.0, 2.0]))
+    assert correlator_symmetry_check(stretch, 20, 97) > 1e-2
 
 
 def test_singlet_invariant_under_unit_determinant_family():

@@ -322,6 +322,11 @@ def test_json_rejects_malformed_payloads():
         state_from_json_dict({"n": 1, "matrix": [[1.0, 0.0], [0.0, 0.0]]})
     with pytest.raises(ValueError):
         state_from_json_dict({"n": 1, "matrix": [[[1.0, 0.0]], [[0.0, 0.0]]]})
+    # "n" must be a JSON integer: null, a fraction, a boolean or a string is refused by name
+    basis0 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    for n in (None, 1.7, True, "1"):
+        with pytest.raises(ValueError, match="'n'"):
+            state_from_json_dict({"n": n, "matrix": basis0})
     # valid shape but not a state
     with pytest.raises(ContractError):
         state_from_json_dict(
