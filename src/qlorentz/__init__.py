@@ -5,80 +5,17 @@ of the product of the state with its spin flip. This package computes those
 spectral invariants (linear entropy, concurrence, linear n-partite mutual
 information), realizes the SL(2,C) -> SO+(1,3) spin homomorphism, and
 identifies the singlet correlation function with the Minkowski metric.
+
+The names below are the README's Quick start; everything else is imported
+from its module (``qlorentz.linalg``, ``qlorentz.lorentz``, ``qlorentz.states``,
+``qlorentz.invariants``, ``qlorentz.correlation``, ``qlorentz.seeding``).
 """
 
 from .errors import ContractError, PositivityError, SizeError
-from .linalg import (
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    PAULIS,
-    char_poly_coeffs,
-    det,
-    herm_eig,
-    kron,
-    kron_all,
-    mat_sqrt_psd,
-    partial_trace,
-    require_hermitian,
-)
-from .lorentz import (
-    ETA,
-    LorentzMatrix4,
-    MinkowskiVector,
-    SL2C,
-    boost_z,
-    herm_from_vector,
-    minkowski_form,
-    random_sl2c,
-    rotation_z,
-    sample_sl2c,
-    spin_hom,
-    vector_from_herm,
-)
-from .states import (
-    QubitState,
-    apply_local,
-    basis0,
-    depolarize,
-    ghz,
-    maximally_mixed,
-    preset,
-    product_of_singlets,
-    random_state,
-    reduce,
-    singlet,
-    spin_flip,
-    state_from_json_dict,
-    state_to_json_dict,
-    w_matrix,
-    w_spectrum,
-    wstate,
-)
-from .invariants import (
-    InvariantSet,
-    concurrence,
-    invariant_report,
-    linear_entropy,
-    linear_mutual_info_subsets,
-    linear_mutual_info_trace,
-    spectral_invariants,
-)
-from .correlation import (
-    SINGLET_KET,
-    SWAP,
-    TwirlEstimate,
-    correlator_symmetry_check,
-    haar_twirl_mc,
-    haar_unitaries,
-    pauli_correlation_table,
-    polarized_determinant,
-    singlet_correlation,
-    singlet_swap_expectation,
-    twirl_coefficients,
-)
-from .seeding import rng_from_seed, split_seed
+from .lorentz import boost_z, random_sl2c, spin_hom
+from .states import apply_local, preset
+from .invariants import concurrence, invariant_report
+from .correlation import pauli_correlation_table
 
 __version__ = "0.1.0"
 
@@ -86,67 +23,13 @@ __all__ = [
     "ContractError",
     "PositivityError",
     "SizeError",
-    "PAULI_I",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "PAULIS",
-    "char_poly_coeffs",
-    "det",
-    "herm_eig",
-    "kron",
-    "kron_all",
-    "mat_sqrt_psd",
-    "partial_trace",
-    "require_hermitian",
-    "ETA",
-    "LorentzMatrix4",
-    "MinkowskiVector",
-    "SL2C",
     "boost_z",
-    "herm_from_vector",
-    "minkowski_form",
     "random_sl2c",
-    "rotation_z",
-    "sample_sl2c",
     "spin_hom",
-    "vector_from_herm",
-    "QubitState",
     "apply_local",
-    "basis0",
-    "depolarize",
-    "ghz",
-    "maximally_mixed",
     "preset",
-    "product_of_singlets",
-    "random_state",
-    "reduce",
-    "singlet",
-    "spin_flip",
-    "state_from_json_dict",
-    "state_to_json_dict",
-    "w_matrix",
-    "w_spectrum",
-    "wstate",
-    "InvariantSet",
     "concurrence",
     "invariant_report",
-    "linear_entropy",
-    "linear_mutual_info_subsets",
-    "linear_mutual_info_trace",
-    "spectral_invariants",
-    "SINGLET_KET",
-    "SWAP",
-    "TwirlEstimate",
-    "correlator_symmetry_check",
-    "haar_twirl_mc",
-    "haar_unitaries",
     "pauli_correlation_table",
-    "polarized_determinant",
-    "singlet_correlation",
-    "singlet_swap_expectation",
-    "twirl_coefficients",
-    "rng_from_seed",
-    "split_seed",
     "__version__",
 ]

@@ -42,37 +42,40 @@ SWAP.setflags(write=False)
 
 
 def _check_observable(o, name: str) -> np.ndarray:
-    a = as_matrix(o)
-    if a.shape != (2, 2):
+    """A Hermitian 2x2 observable, or a (..., 2, 2) stack of them checked element by element."""
+    a = require_hermitian(o, atol=HERMITIAN_TOL, what=name)
+    if a.shape[-1] != 2:
         raise ValueError(f"{name} must be 2x2, got shape {a.shape}")
-    return require_hermitian(a, atol=HERMITIAN_TOL, what=name)
+    return a
 
 
-def singlet_correlation(o1, o2) -> float:
-    """<psi-| o1 (x) o2 |psi-> on the normalized singlet, for Hermitian 2x2 inputs."""
+def singlet_correlation(o1, o2):
+    """<psi-| o1 (x) o2 |psi-> on the normalized singlet, for Hermitian 2x2 inputs.
+
+    The inputs may be broadcastable (..., 2, 2) stacks; the result then has
+    their broadcast stack shape. With psi- held as its 2x2 coefficient matrix
+    S (psi_{2i+j} = S_ij), the value is sum conj(S_ij) o1_ik o2_jl S_kl.
+    """
     a = _check_observable(o1, "o1")
     b = _check_observable(o2, "o2")
-    value = SINGLET_KET.conj() @ kron(a, b) @ SINGLET_KET
-    return float(value.real)
+    s = SINGLET_KET.reshape(2, 2)
+    return np.einsum("ij,...ik,...jl,kl->...", s.conj(), a, b, s).real
 
 
-def polarized_determinant(o1, o2) -> float:
-    """(det(o1 + o2) - det(o1) - det(o2)) / 2: the bilinear form whose diagonal is det."""
-    a = as_matrix(o1)
-    b = as_matrix(o2)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError("polarized determinant is defined for 2x2 matrices")
-    value = 0.5 * (det(a + b) - det(a) - det(b))
-    return float(value.real)
+def polarized_determinant(o1, o2):
+    """(det(o1 + o2) - det(o1) - det(o2)) / 2: the bilinear form whose diagonal is det.
+
+    The inputs may be broadcastable (..., 2, 2) stacks, like singlet_correlation.
+    """
+    a = np.asarray(o1, dtype=complex)
+    b = np.asarray(o2, dtype=complex)
+    return (0.5 * (det(a + b) - det(a) - det(b))).real
 
 
 def pauli_correlation_table() -> np.ndarray:
     """The 4x4 matrix of correlators between Pauli observables; diag(1,-1,-1,-1)."""
-    table = np.empty((4, 4))
-    for i, p in enumerate(PAULIS):
-        for j, q in enumerate(PAULIS):
-            table[i, j] = singlet_correlation(p, q)
-    return table
+    sigma = np.stack(PAULIS)
+    return singlet_correlation(sigma[:, None], sigma[None, :])
 
 
 def haar_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -113,8 +116,8 @@ class TwirlEstimate:
 
 def twirl_coefficients(o1, o2) -> tuple[float, float]:
     """Closed-form (chi, zeta) of the twirl: chi*I - zeta*F is the exact average."""
-    a = _check_observable(o1, "o1")
-    b = _check_observable(o2, "o2")
+    a = _check_observable(as_matrix(o1), "o1")
+    b = _check_observable(as_matrix(o2), "o2")
     t1 = np.trace(a).real
     t2 = np.trace(b).real
     t12 = np.trace(a @ b).real
@@ -133,8 +136,8 @@ def haar_twirl_mc(o1, o2, samples: int, rng_seed: int) -> TwirlEstimate:
     samples = int(samples)
     if samples < MIN_TWIRL_SAMPLES:
         raise ValueError(f"need at least {MIN_TWIRL_SAMPLES} samples, got {samples}")
-    a = _check_observable(o1, "o1")
-    b = _check_observable(o2, "o2")
+    a = _check_observable(as_matrix(o1), "o1")
+    b = _check_observable(as_matrix(o2), "o2")
     chi, zeta = twirl_coefficients(a, b)
     target = chi * np.eye(4, dtype=complex) - zeta * SWAP
 
@@ -200,17 +203,10 @@ def correlator_symmetry_check(mapping: MapLike, trials: int, rng_seed: int) -> f
     if trials < 1:
         raise ValueError("trials must be positive")
     lam = _coordinate_matrix(mapping)
-    rng = rng_from_seed(rng_seed)
-    worst = 0.0
-    for _ in range(trials):
-        v1 = rng.standard_normal(4)
-        v2 = rng.standard_normal(4)
-        before = singlet_correlation(herm_from_vector(v1), herm_from_vector(v2))
-        after = singlet_correlation(herm_from_vector(lam @ v1), herm_from_vector(lam @ v2))
-        worst = max(worst, abs(before - after) / max(1.0, abs(before)))
-    return worst
-
-
-def singlet_swap_expectation() -> float:
-    """<psi-|F|psi->; equals -1 and is asserted as a unit check."""
-    return float((SINGLET_KET.conj() @ SWAP @ SINGLET_KET).real)
+    # one (v1, v2) coordinate pair per trial, drawn in the order of 4-vector by 4-vector
+    v = rng_from_seed(rng_seed).standard_normal((trials, 2, 4))
+    h = herm_from_vector(v)
+    moved = herm_from_vector(v @ lam.T)
+    before = singlet_correlation(h[:, 0], h[:, 1])
+    after = singlet_correlation(moved[:, 0], moved[:, 1])
+    return float((np.abs(before - after) / np.maximum(1.0, np.abs(before))).max())

@@ -31,9 +31,17 @@ PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
 def as_matrix(m) -> np.ndarray:
     """Coerce input to a square complex matrix with finite entries."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _as_square_stack(m)
+    if a.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _as_square_stack(m) -> np.ndarray:
+    """Coerce input to a square complex matrix, or a (..., d, d) stack of them, with finite entries."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
@@ -45,22 +53,23 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-norm distance between a matrix and its conjugate transpose."""
-    return max_abs(m - m.conj().T)
+    """Max-norm distance between a matrix, or every matrix of a stack, and its conjugate transpose."""
+    return max_abs(m - np.swapaxes(m, -1, -2).conj())
 
 
 def require_hermitian(m, atol: float = 1e-10, what: str = "matrix") -> np.ndarray:
     """Check Hermiticity within ``atol`` and return the symmetrized matrix.
 
-    Raises ContractError naming the max asymmetry when the check fails.
+    ``m`` may be a (..., d, d) stack; every matrix in it is checked. Raises
+    ContractError naming the max asymmetry when the check fails.
     """
-    a = as_matrix(m)
+    a = _as_square_stack(m)
     defect = hermiticity_defect(a)
     if defect > atol:
         raise ContractError(
             f"{what} is not Hermitian: max asymmetry {defect:.3e} exceeds atol {atol:.1e}"
         )
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
 def kron(a, b) -> np.ndarray:
@@ -119,48 +128,37 @@ def trace_out_qubit(t: np.ndarray, j: int) -> np.ndarray:
     return np.trace(t, axis1=j, axis2=j + t.ndim // 2)
 
 
-def herm_eig(m, atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, V)`` with real eigenvalues sorted descending and
-    matching eigenvector columns, so that ``m ~ V @ diag(eigenvalues) @ V†``.
-    Non-Hermitian input beyond ``atol`` raises ContractError.
-    """
-    h = require_hermitian(m, atol=atol)
-    evals, vecs = np.linalg.eigh(h)
-    return evals[::-1].copy(), vecs[:, ::-1].copy()
-
-
 def mat_sqrt_psd(m, atol: float = 1e-10) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues down to -1e-10 * max_abs(m) are treated as floating-point
-    drift and clamped to zero; anything lower raises PositivityError. The
-    tests build their reference W-spectrum, sqrt(rho) rho* sqrt(rho), on it.
+    drift and clamped to zero; anything lower raises PositivityError, and
+    non-Hermitian input beyond ``atol`` raises ContractError. The tests build
+    their reference W-spectrum, sqrt(rho) rho* sqrt(rho), on it.
     """
-    h = require_hermitian(m, atol=atol)
-    evals, vecs = herm_eig(h, atol=atol)
+    h = require_hermitian(as_matrix(m), atol=atol)
+    evals, vecs = np.linalg.eigh(h)
     clamp = -1e-10 * max_abs(h)
-    low = float(evals.min()) if evals.size else 0.0
+    low = float(evals[0]) if evals.size else 0.0
     if low < clamp:
         raise PositivityError(
             f"matrix is not positive semidefinite: eigenvalue {low:.3e} below clamp {clamp:.3e}"
         )
     evals = np.clip(evals, 0.0, None)
     # zero out eigensolver noise at 1e-16 scale: sqrt would amplify it to 1e-8
-    if evals.size and evals[0] > 0.0:
-        evals[evals < 1e-14 * evals[0]] = 0.0
+    if evals.size and evals[-1] > 0.0:
+        evals[evals < 1e-14 * evals[-1]] = 0.0
     roots = np.sqrt(evals)
     s = (vecs * roots) @ vecs.conj().T
     return 0.5 * (s + s.conj().T)
 
 
-def det(m) -> complex:
-    """Determinant; closed form ad - bc for dim 2, pivoted LU otherwise."""
-    a = as_matrix(m)
-    if a.shape[0] == 2:
-        return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    return complex(np.linalg.det(a))
+def det(m):
+    """Closed form ad - bc of a 2x2 matrix, or of each matrix in a (..., 2, 2) stack."""
+    a = _as_square_stack(m)
+    if a.shape[-1] != 2:
+        raise ValueError(f"det is the 2x2 closed form, got shape {a.shape}")
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
 
 
 def char_poly_coeffs(m) -> np.ndarray:

@@ -1,8 +1,9 @@
 """SL(2,C) elements, their 4x4 Lorentz images, and the Minkowski form on Herm(2).
 
 A Hermitian 2x2 matrix h = t*I + x*X + y*Y + z*Z is identified with the
-4-vector (t, x, y, z); conjugation h -> L h L† by a unit-determinant L acts
-on these coordinates as a restricted Lorentz transformation.
+4-vector (t, x, y, z), held as the last axis of a plain (..., 4) float array;
+conjugation h -> L h L† by a unit-determinant L acts on these coordinates as
+a restricted Lorentz transformation.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, PAULIS, as_matrix, det, require_hermitian
+from .linalg import PAULIS, as_matrix, det
 from .seeding import rng_from_seed
 
 #: Minkowski metric in (t, x, y, z) coordinates.
@@ -27,26 +28,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = a.copy()
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class MinkowskiVector:
-    """Pauli-basis coordinates (t, x, y, z) of a 2x2 Hermitian matrix."""
-
-    t: float
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y, self.z])
-
-    @classmethod
-    def from_array(cls, v) -> "MinkowskiVector":
-        arr = np.asarray(v, dtype=float).reshape(-1)
-        if arr.shape != (4,):
-            raise ValueError(f"expected 4 real coordinates, got shape {arr.shape}")
-        return cls(*(float(c) for c in arr))
 
 
 @dataclass(frozen=True)
@@ -88,38 +69,14 @@ class LorentzMatrix4:
             )
         object.__setattr__(self, "entries", _freeze(a))
 
-    def apply(self, v: MinkowskiVector) -> MinkowskiVector:
-        return MinkowskiVector.from_array(self.entries @ v.as_array())
-
-
-def _vec4(v) -> np.ndarray:
-    if isinstance(v, MinkowskiVector):
-        return v.as_array()
-    return MinkowskiVector.from_array(v).as_array()
-
 
 def herm_from_vector(v) -> np.ndarray:
-    """The Hermitian matrix t*I + x*X + y*Y + z*Z."""
-    t, x, y, z = _vec4(v)
-    return np.array([[t + z, x - 1j * y], [x + 1j * y, t - z]], dtype=complex)
-
-
-def vector_from_herm(h, atol: float = 1e-10) -> MinkowskiVector:
-    """Pauli coordinates of a Hermitian 2x2 matrix: t = Tr(h)/2, x = Tr(hX)/2, ..."""
-    a = require_hermitian(h, atol=atol, what="observable")
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got {a.shape}")
-    t = 0.5 * np.trace(a).real
-    x = 0.5 * np.trace(a @ PAULI_X).real
-    y = 0.5 * np.trace(a @ PAULI_Y).real
-    z = 0.5 * np.trace(a @ PAULI_Z).real
-    return MinkowskiVector(float(t), float(x), float(y), float(z))
-
-
-def minkowski_form(v) -> float:
-    """The quadratic form t**2 - x**2 - y**2 - z**2."""
-    t, x, y, z = _vec4(v)
-    return float(t * t - x * x - y * y - z * z)
+    """The Hermitian matrices t*I + x*X + y*Y + z*Z of a (..., 4) coordinate array, as (..., 2, 2)."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0 or v.shape[-1] != 4:
+        raise ValueError(f"expected 4 real coordinates on the last axis, got shape {v.shape}")
+    t, x, y, z = np.moveaxis(v, -1, 0)
+    return np.stack([t + z, x - 1j * y, x + 1j * y, t - z], axis=-1).reshape(v.shape[:-1] + (2, 2))
 
 
 def spin_hom(lam: SL2C) -> LorentzMatrix4:

@@ -10,38 +10,36 @@ import json
 import numpy as np
 
 from qlorentz import (
-    ETA,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    MinkowskiVector,
-    QubitState,
     apply_local,
     boost_z,
     concurrence,
-    correlator_symmetry_check,
+    pauli_correlation_table,
+    random_sl2c,
+    spin_hom,
+)
+from qlorentz.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron
+from qlorentz.lorentz import ETA, herm_from_vector, rotation_z, sample_sl2c
+from qlorentz.states import (
+    QubitState,
     depolarize,
     ghz,
-    haar_twirl_mc,
-    herm_from_vector,
-    kron,
+    product_of_singlets,
+    random_state,
+    singlet,
+    wstate,
+)
+from qlorentz.invariants import (
     linear_entropy,
     linear_mutual_info_subsets,
     linear_mutual_info_trace,
-    pauli_correlation_table,
-    polarized_determinant,
-    product_of_singlets,
-    random_sl2c,
-    random_state,
-    rotation_z,
-    sample_sl2c,
-    singlet,
-    singlet_correlation,
     spectral_invariants,
-    spin_hom,
-    wstate,
+)
+from qlorentz.correlation import (
     SWAP,
+    correlator_symmetry_check,
+    haar_twirl_mc,
+    polarized_determinant,
+    singlet_correlation,
 )
 from qlorentz.cli import main
 from qlorentz.seeding import rng_from_seed, split_seed
@@ -175,8 +173,8 @@ def test_criterion_06_minkowski_metric():
     rng = rng_from_seed(split_seed(MASTER_SEED + 10, 0))
     pair_dev = 0.0
     for i in range(1000):
-        o1 = herm_from_vector(MinkowskiVector(*rng.standard_normal(4)))
-        o2 = herm_from_vector(MinkowskiVector(*rng.standard_normal(4)))
+        o1 = herm_from_vector(rng.standard_normal(4))
+        o2 = herm_from_vector(rng.standard_normal(4))
         pair_dev = max(pair_dev, abs(singlet_correlation(o1, o2) - polarized_determinant(o1, o2)))
     sym_dev = 0.0
     map_rng = rng_from_seed(split_seed(MASTER_SEED + 11, 0))
@@ -197,8 +195,8 @@ def test_criterion_06_minkowski_metric():
 
 def test_criterion_07_haar_twirl():
     rng = rng_from_seed(split_seed(MASTER_SEED + 15, 0))
-    o_rand_1 = herm_from_vector(MinkowskiVector(*rng.standard_normal(4)))
-    o_rand_2 = herm_from_vector(MinkowskiVector(*rng.standard_normal(4)))
+    o_rand_1 = herm_from_vector(rng.standard_normal(4))
+    o_rand_2 = herm_from_vector(rng.standard_normal(4))
     pairs = {
         "(I,I)": (PAULI_I, PAULI_I),
         "(Z,Z)": (PAULI_Z, PAULI_Z),
@@ -298,7 +296,7 @@ def test_criterion_10_cli_determinism(tmp_path):
 
 def test_swap_unit_check():
     # anchor for the twirl target: the swap expectation on the singlet is -1
-    from qlorentz import SINGLET_KET
+    from qlorentz.correlation import SINGLET_KET
 
     value = (SINGLET_KET.conj() @ SWAP @ SINGLET_KET).real
     report("swap anchor", abs(value + 1.0) < 1e-12, f"<psi-|F|psi-> = {value:.12f}")

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from qlorentz import state_to_json_dict, random_state
+from qlorentz.states import random_state, state_to_json_dict
 from qlorentz.cli import main
 from qlorentz.linalg import MAX_QUBITS
 

@@ -3,41 +3,26 @@
 import numpy as np
 import pytest
 
-from qlorentz import (
-    ContractError,
-    ETA,
-    LorentzMatrix4,
-    MinkowskiVector,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+from qlorentz import ContractError, apply_local, boost_z, pauli_correlation_table, spin_hom
+from qlorentz.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from qlorentz.lorentz import ETA, SL2C, LorentzMatrix4, herm_from_vector, rotation_z, sample_sl2c
+from qlorentz.states import singlet
+from qlorentz.correlation import (
     SINGLET_KET,
-    SL2C,
     SWAP,
-    apply_local,
-    boost_z,
     correlator_symmetry_check,
     haar_twirl_mc,
     haar_unitaries,
-    herm_from_vector,
-    minkowski_form,
-    pauli_correlation_table,
     polarized_determinant,
-    rotation_z,
-    sample_sl2c,
-    singlet,
     singlet_correlation,
-    singlet_swap_expectation,
-    spin_hom,
     twirl_coefficients,
 )
 from qlorentz.seeding import rng_from_seed, split_seed
 
 
 def random_pair(rng):
-    o1 = herm_from_vector(MinkowskiVector(*rng.standard_normal(4)))
-    o2 = herm_from_vector(MinkowskiVector(*rng.standard_normal(4)))
+    o1 = herm_from_vector(rng.standard_normal(4))
+    o2 = herm_from_vector(rng.standard_normal(4))
     return o1, o2
 
 
@@ -55,11 +40,25 @@ def test_singlet_correlation_trace_identity():
             np.trace(o1) * np.trace(o2) - np.trace(o1 @ o2)
         ).real
         assert abs(singlet_correlation(o1, o2) - expected) < 1e-10
+    # one call on a (50, 2, 2) stack of pairs, checked element by element
+    a, b = herm_from_vector(rng.standard_normal((2, 50, 4)))
+    expected = 0.5 * (
+        np.trace(a, axis1=1, axis2=2) * np.trace(b, axis1=1, axis2=2)
+        - np.trace(a @ b, axis1=1, axis2=2)
+    ).real
+    got = singlet_correlation(a, b)
+    assert got.shape == (50,)
+    assert np.abs(got - expected).max() < 1e-10
 
 
 def test_singlet_correlation_rejects_non_hermitian():
     with pytest.raises(ContractError):
         singlet_correlation(np.array([[0.0, 1.0], [0.0, 0.0]]), PAULI_I)
+    # only element 3 of the stack is off: every element must be checked
+    stack = herm_from_vector(np.random.default_rng(80).standard_normal((6, 4)))
+    stack[3, 0, 1] += 1e-3
+    with pytest.raises(ContractError):
+        singlet_correlation(stack, PAULI_Z)
 
 
 def test_polarized_determinant_frozen_values():
@@ -67,14 +66,19 @@ def test_polarized_determinant_frozen_values():
     assert abs(polarized_determinant(PAULI_X, PAULI_Y)) < 1e-12
 
 
-def test_polarized_determinant_diagonal_is_minkowski_form():
+def test_polarized_determinant_diagonal_is_minkowski_quadratic_form():
     rng = np.random.default_rng(82)
     for trial in range(50):
-        v = MinkowskiVector(*rng.standard_normal(4))
+        v = rng.standard_normal(4)
         o = herm_from_vector(v)
         diag = polarized_determinant(o, o)
         assert abs(diag - np.linalg.det(o).real) < 1e-10
-        assert abs(diag - minkowski_form(v)) < 1e-10
+        assert abs(diag - v @ ETA @ v) < 1e-10
+    # one call on a (50, 2, 2) stack, checked element by element
+    o = herm_from_vector(rng.standard_normal((50, 4)))
+    diag = polarized_determinant(o, o)
+    assert diag.shape == (50,)
+    assert np.abs(diag - np.linalg.det(o).real).max() < 1e-10
 
 
 def test_correlator_equals_polarized_determinant():
@@ -101,7 +105,7 @@ def test_pauli_correlation_table_is_minkowski_metric():
 
 
 def test_swap_operator_unit_checks():
-    assert abs(singlet_swap_expectation() + 1.0) < 1e-12
+    assert abs((SINGLET_KET.conj() @ SWAP @ SINGLET_KET).real + 1.0) < 1e-12
     np.testing.assert_allclose(SWAP @ SWAP, np.eye(4), atol=0)
     psi = SINGLET_KET
     assert abs(psi.conj() @ psi - 1.0) < 1e-14
@@ -130,11 +134,16 @@ def test_twirl_coefficients_closed_forms():
     assert abs(chi + 1.0 / 3.0) < 1e-14
     assert abs(zeta + 2.0 / 3.0) < 1e-14
     assert twirl_coefficients(PAULI_X, PAULI_Y) == (0.0, 0.0)
+    # one pair only: a stack of observables is refused, not broadcast
+    with pytest.raises(ValueError):
+        twirl_coefficients(np.stack([PAULI_Z, PAULI_Z, PAULI_Z]), PAULI_Z)
 
 
 def test_twirl_requires_minimum_samples():
     with pytest.raises(ValueError):
         haar_twirl_mc(PAULI_Z, PAULI_Z, 500, 1)
+    with pytest.raises(ValueError):
+        haar_twirl_mc(np.stack([PAULI_Z, PAULI_Z, PAULI_Z]), PAULI_Z, 1000, 1)
 
 
 def test_twirl_identity_pair_is_exact():

@@ -3,30 +3,26 @@
 import numpy as np
 import pytest
 
-from qlorentz import (
+from qlorentz import SizeError, apply_local, concurrence, invariant_report, preset, random_sl2c
+from qlorentz.linalg import char_poly_coeffs, kron
+from qlorentz.states import (
     QubitState,
-    SizeError,
-    apply_local,
-    char_poly_coeffs,
-    concurrence,
     depolarize,
     ghz,
-    invariant_report,
-    kron,
-    linear_entropy,
-    linear_mutual_info_subsets,
-    linear_mutual_info_trace,
     maximally_mixed,
-    preset,
     product_of_singlets,
-    random_sl2c,
     random_state,
     reduce,
     singlet,
-    spectral_invariants,
     spin_flip,
     w_matrix,
     wstate,
+)
+from qlorentz.invariants import (
+    linear_entropy,
+    linear_mutual_info_subsets,
+    linear_mutual_info_trace,
+    spectral_invariants,
 )
 from qlorentz.linalg import MAX_QUBITS
 from qlorentz.seeding import split_seed
@@ -257,7 +253,8 @@ def test_conjugation_preserves_entropy_depolarizing_does_not():
 def test_wstate_vanishing_survives_local_unitaries():
     # the W-type class includes the local-unitary orbit of the canonical state
     rng = np.random.default_rng(79)
-    from qlorentz import SL2C, haar_unitaries
+    from qlorentz.lorentz import SL2C
+    from qlorentz.correlation import haar_unitaries
 
     for trial in range(5):
         us = haar_unitaries(rng, 4)

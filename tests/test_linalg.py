@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
-from qlorentz import (
-    ContractError,
+from qlorentz import ContractError, PositivityError, SizeError
+from qlorentz.linalg import (
     PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    PositivityError,
-    SizeError,
     char_poly_coeffs,
     det,
-    herm_eig,
     kron,
     kron_all,
     mat_sqrt_psd,
@@ -119,23 +116,6 @@ def test_require_hermitian():
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_herm_eig_descending_and_reconstructs():
-    rng = np.random.default_rng(7)
-    for trial in range(20):
-        m = random_hermitian(rng, 8)
-        evals, vecs = herm_eig(m)
-        assert np.all(np.diff(evals) <= 1e-12)
-        np.testing.assert_allclose(
-            (vecs * evals) @ vecs.conj().T, m, atol=1e-10 * max(1.0, max_abs(m))
-        )
-        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(8), atol=1e-10)
-
-
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(ContractError):
-        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_mat_sqrt_psd_squares_back():
     rng = np.random.default_rng(8)
     for trial in range(20):
@@ -149,6 +129,8 @@ def test_mat_sqrt_psd_squares_back():
 def test_mat_sqrt_psd_rejects_negative():
     with pytest.raises(PositivityError):
         mat_sqrt_psd(np.diag([1.0, -0.5]).astype(complex))
+    with pytest.raises(ContractError):
+        mat_sqrt_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_det_closed_form_matches_lu():
@@ -156,9 +138,11 @@ def test_det_closed_form_matches_lu():
     for trial in range(50):
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert abs(det(m) - (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])) < 1e-12
-    m = rng.standard_normal((5, 5))
-    assert abs(det(m) - np.linalg.det(m)) < 1e-10
+    stack = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
+    np.testing.assert_allclose(det(stack), np.linalg.det(stack), atol=1e-12)
     assert det(np.eye(2)) == 1.0
+    with pytest.raises(ValueError):
+        det(np.eye(3))
 
 
 def test_char_poly_frozen_cases():

@@ -5,21 +5,15 @@ from functools import reduce as fold
 import numpy as np
 import pytest
 
-from qlorentz import (
-    ContractError,
-    PositivityError,
+from qlorentz import ContractError, PositivityError, apply_local, boost_z, preset, random_sl2c
+from qlorentz.linalg import kron, mat_sqrt_psd
+from qlorentz.states import (
     QubitState,
-    apply_local,
     basis0,
-    boost_z,
     depolarize,
     ghz,
-    kron,
-    mat_sqrt_psd,
     maximally_mixed,
-    preset,
     product_of_singlets,
-    random_sl2c,
     random_state,
     reduce,
     singlet,
