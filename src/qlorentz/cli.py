@@ -6,12 +6,13 @@ Five subcommands exercise the library end to end:
   oracle      subset-sum vs trace-formula agreement on random states
   metric      Pauli correlation table and determinant/symmetry checks
   twirl       Haar-twirl Monte Carlo against the chi*I - zeta*F closed form
-  boost       conjugate a state by per-qubit boosts, report entropy/trace
+  boost       conjugate a state by per-qubit boosts, report I_L/entropy/trace
 
-Reports embed the full effective configuration and are byte-identical for
-identical configs and seeds, except for the wall_time_s field. Exit code 0
-means every check passed, 1 means a property check failed, 2 means the
-inputs were unusable.
+Each command returns its checks as (deviation, tolerance) pairs; one report
+path times it, echoes its flags as the config, applies --tolerance and
+assembles the report. Reports are byte-identical for identical configs and
+seeds, except for the wall_time_s field. Exit code 0 means every check
+passed, 1 means a property check failed, 2 means the inputs were unusable.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import csv
 import json
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .correlation import (
+    TWIRL_ABS_FLOOR,
     correlator_symmetry_check,
     haar_twirl_mc,
     pauli_correlation_table,
@@ -60,6 +61,9 @@ STREAM_SCALE = 2
 STREAM_OBSERVABLE = 3
 STREAM_SYMMETRY = 4
 
+# the flags _load_state reads; its source echo replaces them in the config
+STATE_FLAGS = ("preset", "random", "n", "input")
+
 _PAULI_BY_NAME = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
@@ -69,31 +73,16 @@ def _rel_dev(a, b):
     return (np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))).tolist()
 
 
-def _check(deviation: float, tolerance: float, override: float | None = None) -> dict:
-    if override is not None:
-        tolerance = override
-    return {
-        "deviation": float(deviation),
-        "tolerance": float(tolerance),
-        "pass": bool(deviation <= tolerance),
-    }
-
-
-def _load_state(args, master_seed: int) -> tuple[QubitState, dict]:
+def _load_state(args) -> tuple[QubitState, dict]:
     """Resolve the state source flags into a state and a config echo."""
-    if getattr(args, "input", None):
+    if args.input:
         path = Path(args.input)
         payload = json.loads(path.read_text())
         return state_from_json_dict(payload), {"source": "input", "input_path": str(path)}
-    if getattr(args, "random", None):
-        n = args.n
-        seed = split_seed(master_seed, STREAM_STATE)
-        return random_state(n, args.random, seed), {
-            "source": "random",
-            "random_kind": args.random,
-            "n": n,
-        }
-    name = getattr(args, "preset", None) or "singlet"
+    if args.random:
+        state = random_state(args.n, args.random, split_seed(args.seed, STREAM_STATE))
+        return state, {"source": "random", "random_kind": args.random, "n": args.n}
+    name = args.preset or "singlet"
     return preset(name), {"source": "preset", "preset": name}
 
 
@@ -117,37 +106,15 @@ def _parse_observable(text: str, rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def _assemble(command: str, config: dict, trials: list, checks: dict, extra: dict,
-              started: float) -> tuple[dict, bool]:
-    ok = all(c["pass"] for c in checks.values())
-    report = {
-        "command": command,
-        "config": dict(config, seed_split=SEED_SPLIT_NAME),
-        "trials": trials,
-        "checks": checks,
-        "aggregate": {
-            "max_deviation": max((c["deviation"] for c in checks.values()), default=0.0),
-            "checks_passed": sum(1 for c in checks.values() if c["pass"]),
-            "checks_total": len(checks),
-        },
-        "pass": ok,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    report.update(extra)
-    return report, ok
-
-
-def cmd_invariants(args) -> tuple[dict, bool]:
-    started = time.perf_counter()
-    check = partial(_check, override=args.tolerance)
+def cmd_invariants(args):
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
-    state, source_cfg = _load_state(args, args.seed)
+    state, source = _load_state(args)
     base = invariant_report(state)
 
     checks = {
-        "subset_vs_trace": check(_rel_dev(base.i_l_subset, base.i_l_trace), 1e-8),
-        "trace_nonnegative": check(max(0.0, -base.i_l_trace), 1e-9),
+        "subset_vs_trace": (_rel_dev(base.i_l_subset, base.i_l_trace), 1e-8),
+        "trace_nonnegative": (max(0.0, -base.i_l_trace), 1e-9),
     }
 
     trials = []
@@ -166,23 +133,11 @@ def cmd_invariants(args) -> tuple[dict, bool]:
         worst = max(worst, dev)
         trials.append({"trial": i, "deviation": dev})
     if args.trials:
-        checks["lorentz_invariance"] = check(worst, 1e-7)
-
-    config = {
-        "command": "invariants",
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "trials": args.trials,
-        "max_rapidity": args.max_rapidity,
-        **source_cfg,
-    }
-    extra = {"invariants": base.to_json_dict()}
-    return _assemble("invariants", config, trials, checks, extra, started)
+        checks["lorentz_invariance"] = (worst, 1e-7)
+    return source, trials, checks, {"invariants": base.to_json_dict()}
 
 
-def cmd_oracle(args) -> tuple[dict, bool]:
-    started = time.perf_counter()
-    check = partial(_check, override=args.tolerance)
+def cmd_oracle(args):
     if not 1 <= args.n <= MAX_QUBITS:
         raise ValueError(f"oracle supports n in 1..{MAX_QUBITS}, got {args.n}")
     if args.trials <= 0:
@@ -214,26 +169,16 @@ def cmd_oracle(args) -> tuple[dict, bool]:
             }
         )
 
-    checks = {"trace_formula": check(worst, 1e-8)}
-    config = {
-        "command": "oracle",
-        "n": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-    }
-    return _assemble("oracle", config, trials, checks, extra={}, started=started)
+    return None, trials, {"trace_formula": (worst, 1e-8)}, {}
 
 
-def cmd_metric(args) -> tuple[dict, bool]:
-    started = time.perf_counter()
-    check = partial(_check, override=args.tolerance)
+def cmd_metric(args):
     if args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     if args.sym_trials <= 0:
         raise ValueError(f"--sym-trials must be positive, got {args.sym_trials}")
     table = pauli_correlation_table()
-    checks = {"pauli_table": check(float(np.abs(table - ETA).max()), 1e-12)}
+    checks = {"pauli_table": (float(np.abs(table - ETA).max()), 1e-12)}
 
     # one (o1, o2) pair per trial, drawn in the order of 4-vector by 4-vector
     obs = herm_from_vector(
@@ -245,7 +190,7 @@ def cmd_metric(args) -> tuple[dict, bool]:
         {"trial": i, "correlation": c, "deviation": d}
         for i, (c, d) in enumerate(zip(corr.tolist(), devs))
     ]
-    checks["correlator_vs_determinant"] = check(max(devs), 1e-10)
+    checks["correlator_vs_determinant"] = (max(devs), 1e-10)
 
     explicit = args.boost is not None or args.rotation is not None or args.parity
     sym_seed = split_seed(args.seed, STREAM_SYMMETRY)
@@ -268,72 +213,36 @@ def cmd_metric(args) -> tuple[dict, bool]:
             for i in range(args.sym_trials):
                 lam = build(float(sym_rng.uniform(low, high)))
                 dev = max(dev, correlator_symmetry_check(lam, 5, split_seed(sym_seed, offset + i)))
-        checks[f"{name}_symmetry"] = check(dev, 1e-8)
+        checks[f"{name}_symmetry"] = (dev, 1e-8)
 
     if args.parity or not explicit:
         dev = correlator_symmetry_check("parity", args.sym_trials, split_seed(sym_seed, 20_000))
-        checks["parity_symmetry"] = check(dev, 1e-8)
-
-    config = {
-        "command": "metric",
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "trials": args.trials,
-        "sym_trials": args.sym_trials,
-        "boost": args.boost,
-        "rotation": args.rotation,
-        "parity": args.parity,
-    }
-    extra = {"pauli_table": table.tolist()}
-    return _assemble("metric", config, trials, checks, extra, started)
+        checks["parity_symmetry"] = (dev, 1e-8)
+    return None, trials, checks, {"pauli_table": table.tolist()}
 
 
-def cmd_twirl(args) -> tuple[dict, bool]:
-    started = time.perf_counter()
+def cmd_twirl(args):
     obs_rng = rng_from_seed(split_seed(args.seed, STREAM_OBSERVABLE))
     o1 = _parse_observable(args.o1, obs_rng)
     o2 = _parse_observable(args.o2, obs_rng)
     est = haar_twirl_mc(o1, o2, args.samples, split_seed(args.seed, STREAM_STATE))
-
-    if args.tolerance is not None:
-        twirl_check = _check(est.max_abs_deviation, args.tolerance)
-    else:
-        twirl_check = {
-            "deviation": est.max_abs_deviation,
-            "tolerance": 5.0 * est.std_error + 1e-12,
-            "pass": est.passed,
-        }
-    checks = {"twirl_5sigma": twirl_check}
-    config = {
-        "command": "twirl",
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "samples": args.samples,
-        "o1": args.o1,
-        "o2": args.o2,
-    }
-    extra = {"twirl": est.to_json_dict()}
-    return _assemble("twirl", config, trials=[], checks=checks, extra=extra, started=started)
+    checks = {"twirl_5sigma": (est.max_abs_deviation, 5.0 * est.std_error + TWIRL_ABS_FLOOR)}
+    return None, [], checks, {"twirl": est.to_json_dict()}
 
 
-def cmd_boost(args) -> tuple[dict, bool]:
-    started = time.perf_counter()
-    check = partial(_check, override=args.tolerance)
-    state, source_cfg = _load_state(args, args.seed)
-    factors = [boost_z(args.rapidity)] * state.n
-    moved = apply_local(state, factors)
-
+def cmd_boost(args):
+    state, source = _load_state(args)
+    moved = apply_local(state, [boost_z(args.rapidity)] * state.n)
     s_before = linear_entropy(state)
     s_after = linear_entropy(moved)
-    checks = {"entropy_preserved": check(_rel_dev(s_before, s_after), 1e-9)}
-
-    config = {
-        "command": "boost",
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "rapidity": args.rapidity,
-        **source_cfg,
+    # I_L is a local SL(2,C) invariant at every n; S_L is one only at n = 1, where it equals I_L
+    checks = {
+        "i_l_preserved": (
+            _rel_dev(linear_mutual_info_trace(state), linear_mutual_info_trace(moved)), 1e-9
+        )
     }
+    if state.n == 1:
+        checks["entropy_preserved"] = (_rel_dev(s_before, s_after), 1e-9)
     extra = {
         "state": state_to_json_dict(moved),
         "linear_entropy_before": s_before,
@@ -341,7 +250,7 @@ def cmd_boost(args) -> tuple[dict, bool]:
         "trace_before": state.trace(),
         "trace_after": moved.trace(),
     }
-    return _assemble("boost", config, trials=[], checks=checks, extra=extra, started=started)
+    return source, [], checks, extra
 
 
 def _add_state_source_flags(p: argparse.ArgumentParser, default_preset: str):
@@ -422,10 +331,51 @@ def _emit(report: dict, args) -> None:
             writer.writerows(rows)
 
 
+def _report(args) -> tuple[dict, bool]:
+    """Run the chosen command and assemble its report, with the pass verdict.
+
+    The config echoes every flag but the output paths; for a command that
+    loads a state, the source echo stands in for the state flags. --tolerance,
+    when given, replaces every check's own tolerance.
+    """
+    started = time.perf_counter()
+    source, trials, pairs, extra = args.func(args)
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "output", "csv")}
+    if source is not None:
+        for flag in STATE_FLAGS:
+            del config[flag]
+        config.update(source)
+    checks = {}
+    for name, (deviation, tolerance) in pairs.items():
+        if args.tolerance is not None:
+            tolerance = args.tolerance
+        checks[name] = {
+            "deviation": float(deviation),
+            "tolerance": float(tolerance),
+            "pass": bool(deviation <= tolerance),
+        }
+    ok = all(c["pass"] for c in checks.values())
+    report = {
+        "command": args.command,
+        "config": dict(config, seed_split=SEED_SPLIT_NAME),
+        "trials": trials,
+        "checks": checks,
+        "aggregate": {
+            "max_deviation": max((c["deviation"] for c in checks.values()), default=0.0),
+            "checks_passed": sum(1 for c in checks.values() if c["pass"]),
+            "checks_total": len(checks),
+        },
+        "pass": ok,
+        "wall_time_s": time.perf_counter() - started,
+        **extra,
+    }
+    return report, ok
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report, ok = args.func(args)
+        report, ok = _report(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,14 +19,11 @@ import numpy as np
 from .linalg import PAULIS, as_matrix, det, kron, require_hermitian
 from .lorentz import ETA, LorentzMatrix4, SL2C, herm_from_vector, spin_hom
 from .seeding import rng_from_seed
+from .states import SINGLET_COEFFS
 
-HERMITIAN_TOL = 1e-10
 MIN_TWIRL_SAMPLES = 1000
 TWIRL_ABS_FLOOR = 1e-12
 TWIRL_CHUNK = 4096
-
-SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
-SINGLET_KET.setflags(write=False)
 
 # permutation exchanging the two tensor factors; <psi-|F|psi-> = -1
 SWAP = np.array(
@@ -43,7 +40,7 @@ SWAP.setflags(write=False)
 
 def _check_observable(o, name: str) -> np.ndarray:
     """A Hermitian 2x2 observable, or a (..., 2, 2) stack of them checked element by element."""
-    a = require_hermitian(o, atol=HERMITIAN_TOL, what=name)
+    a = require_hermitian(o, what=name)
     if a.shape[-1] != 2:
         raise ValueError(f"{name} must be 2x2, got shape {a.shape}")
     return a
@@ -53,13 +50,14 @@ def singlet_correlation(o1, o2):
     """<psi-| o1 (x) o2 |psi-> on the normalized singlet, for Hermitian 2x2 inputs.
 
     The inputs may be broadcastable (..., 2, 2) stacks; the result then has
-    their broadcast stack shape. With psi- held as its 2x2 coefficient matrix
-    S (psi_{2i+j} = S_ij), the value is sum conj(S_ij) o1_ik o2_jl S_kl.
+    their broadcast stack shape. With psi- = S / sqrt(2) held as its real,
+    unscaled 2x2 coefficient matrix S, the value is 1/2 sum S_ij o1_ik o2_jl S_kl;
+    on Pauli inputs every term is exact, so the Pauli table is exactly eta.
     """
     a = _check_observable(o1, "o1")
     b = _check_observable(o2, "o2")
-    s = SINGLET_KET.reshape(2, 2)
-    return np.einsum("ij,...ik,...jl,kl->...", s.conj(), a, b, s).real
+    s = SINGLET_COEFFS
+    return 0.5 * np.einsum("ij,...ik,...jl,kl->...", s, a, b, s).real
 
 
 def polarized_determinant(o1, o2):

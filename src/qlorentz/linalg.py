@@ -20,6 +20,13 @@ from .errors import ContractError, PositivityError, SizeError
 MAX_QUBITS = 10
 MAX_DIM = 2**MAX_QUBITS
 
+#: The one validity policy for states and observables: a matrix is Hermitian
+#: when no entry of m - m† exceeds HERMITIAN_TOL, and positive semidefinite
+#: when no eigenvalue lies below -PSD_TOL * max|m|. The state loader and the
+#: kernels that need a PSD input apply the same two bounds.
+HERMITIAN_TOL = 1e-10
+PSD_TOL = 1e-10
+
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -57,7 +64,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return max_abs(m - np.swapaxes(m, -1, -2).conj())
 
 
-def require_hermitian(m, atol: float = 1e-10, what: str = "matrix") -> np.ndarray:
+def require_hermitian(m, atol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
     """Check Hermiticity within ``atol`` and return the symmetrized matrix.
 
     ``m`` may be a (..., d, d) stack; every matrix in it is checked. Raises
@@ -128,17 +135,17 @@ def trace_out_qubit(t: np.ndarray, j: int) -> np.ndarray:
     return np.trace(t, axis1=j, axis2=j + t.ndim // 2)
 
 
-def mat_sqrt_psd(m, atol: float = 1e-10) -> np.ndarray:
+def mat_sqrt_psd(m, atol: float = HERMITIAN_TOL) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues down to -1e-10 * max_abs(m) are treated as floating-point
+    Eigenvalues down to -PSD_TOL * max_abs(m) are treated as floating-point
     drift and clamped to zero; anything lower raises PositivityError, and
     non-Hermitian input beyond ``atol`` raises ContractError. The tests build
     their reference W-spectrum, sqrt(rho) rho* sqrt(rho), on it.
     """
     h = require_hermitian(as_matrix(m), atol=atol)
     evals, vecs = np.linalg.eigh(h)
-    clamp = -1e-10 * max_abs(h)
+    clamp = -PSD_TOL * max_abs(h)
     low = float(evals[0]) if evals.size else 0.0
     if low < clamp:
         raise PositivityError(

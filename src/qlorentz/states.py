@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import ContractError, PositivityError
 from .linalg import (
+    HERMITIAN_TOL,
     MAX_QUBITS,
+    PSD_TOL,
     as_matrix,
     hermiticity_defect,
     kron,
@@ -26,9 +28,13 @@ from .linalg import (
 from .lorentz import SL2C
 from .seeding import rng_from_seed
 
-HERMITIAN_TOL = 1e-10
-PSD_TOL = 1e-9
 TRACE_IMAG_TOL = 1e-12
+
+#: The singlet psi- = (|01> - |10>) / sqrt(2) as its unscaled 2x2 coefficient
+#: matrix, psi_{2i+j} = SINGLET_COEFFS[i, j] / sqrt(2). Callers apply the
+#: factor 1/2 of |psi-><psi-| explicitly, so the singlet's entries are exact.
+SINGLET_COEFFS = np.array([[0.0, 1.0], [-1.0, 0.0]])
+SINGLET_COEFFS.setflags(write=False)
 
 
 class QubitState:
@@ -120,11 +126,11 @@ def w_spectrum(s: QubitState) -> np.ndarray:
     construction; the remaining entries are exact zeros.
 
     Raises ContractError for a non-Hermitian rho and PositivityError for an
-    eigenvalue below -1e-10 * max|rho|.
+    eigenvalue below -PSD_TOL * max|rho|, the bound QubitState validates.
     """
     rho = require_hermitian(s.rho, what="state")
     evals, vecs = np.linalg.eigh(rho)
-    floor = -1e-10 * max_abs(rho)
+    floor = -PSD_TOL * max_abs(rho)
     if evals[0] < floor:
         raise PositivityError(
             f"state is not positive semidefinite: eigenvalue {evals[0]:.3e} below {floor:.3e}"
@@ -176,8 +182,9 @@ def _projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _singlet_ket() -> np.ndarray:
-    return np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+def _singlet_rho() -> np.ndarray:
+    c = SINGLET_COEFFS.ravel()
+    return 0.5 * np.outer(c, c)
 
 
 def _check_n(n: int) -> int:
@@ -188,7 +195,7 @@ def _check_n(n: int) -> int:
 
 
 def singlet() -> QubitState:
-    return QubitState(2, _projector(_singlet_ket()), validate=False)
+    return QubitState(2, _singlet_rho(), validate=False)
 
 
 def ghz(n: int = 3) -> QubitState:
@@ -210,7 +217,7 @@ def product_of_singlets(k: int = 2) -> QubitState:
     k = int(k)
     if not 1 <= k <= MAX_QUBITS // 2:
         raise ValueError(f"singlet pair count {k} outside 1..{MAX_QUBITS // 2}")
-    block = _projector(_singlet_ket())
+    block = _singlet_rho()
     rho = block
     for _ in range(k - 1):
         rho = kron(rho, block)
@@ -284,8 +291,7 @@ def random_state(n: int, kind: str, rng_seed: int) -> QubitState:
 
 def state_to_json_dict(s: QubitState) -> dict:
     """Serialize as {"n": int, "matrix": [[[re, im], ...], ...]} (row-major)."""
-    matrix = [[[float(v.real), float(v.imag)] for v in row] for row in s.rho]
-    return {"n": s.n, "matrix": matrix}
+    return {"n": s.n, "matrix": np.stack([s.rho.real, s.rho.imag], -1).tolist()}
 
 
 def state_from_json_dict(payload: dict) -> QubitState:

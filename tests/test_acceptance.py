@@ -296,7 +296,8 @@ def test_criterion_10_cli_determinism(tmp_path):
 
 def test_swap_unit_check():
     # anchor for the twirl target: the swap expectation on the singlet is -1
-    from qlorentz.correlation import SINGLET_KET
+    from qlorentz.states import SINGLET_COEFFS
 
-    value = (SINGLET_KET.conj() @ SWAP @ SINGLET_KET).real
+    psi = SINGLET_COEFFS.ravel() / np.sqrt(2.0)
+    value = (psi.conj() @ SWAP @ psi).real
     report("swap anchor", abs(value + 1.0) < 1e-12, f"<psi-|F|psi-> = {value:.12f}")

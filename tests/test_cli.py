@@ -2,12 +2,14 @@
 
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qlorentz.states import random_state, state_to_json_dict
+from qlorentz.states import QubitState, random_state, state_to_json_dict
 from qlorentz.cli import main
+import qlorentz.cli
 from qlorentz.linalg import MAX_QUBITS
 
 
@@ -190,6 +192,34 @@ def test_boost_random_mixed_preserves_entropy(tmp_path):
     assert abs(report["trace_before"] - report["trace_after"]) > 1e-3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["boost", "--preset", "maximally_mixed2", "--rapidity", "1"],
+        ["boost", "--random", "mixed", "--n", "2"],
+        ["boost", "--preset", "ghz3", "--rapidity", "-0.8"],
+    ],
+    ids=["maximally-mixed2", "random-mixed2", "ghz3"],
+)
+def test_boost_checks_i_l_at_every_n(tmp_path, argv):
+    # S_L is a local SL(2,C) invariant only at n = 1; at n >= 2 it is reported, not checked
+    code, report = run_report(tmp_path, argv)
+    assert code == 0
+    assert set(report["checks"]) == {"i_l_preserved"}
+    assert report["checks"]["i_l_preserved"]["pass"] is True
+    assert "linear_entropy_before" in report and "linear_entropy_after" in report
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_boost_fails_a_non_unimodular_factor(tmp_path, monkeypatch, n):
+    # negative control: diag(2, 1) has determinant 2, so I_L grows by 4**n
+    monkeypatch.setattr(qlorentz.cli, "boost_z", lambda _: SimpleNamespace(m=np.diag([2.0, 1.0])))
+    code, report = run_report(tmp_path, ["boost", "--preset", f"maximally_mixed{n}"])
+    assert code == 1
+    assert report["checks"]["i_l_preserved"]["pass"] is False
+    assert ("entropy_preserved" in report["checks"]) == (n == 1)
+
+
 def test_state_file_round_trip(tmp_path):
     s = random_state(2, "mixed", 123)
     path = tmp_path / "state.json"
@@ -211,6 +241,16 @@ def test_malformed_state_file_exits_two(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["invariants", "--input", str(path)]) == 2
     assert main(["invariants", "--input", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("command", ["invariants", "boost"])
+def test_state_below_the_psd_floor_exits_two(tmp_path, capsys, command):
+    # smallest eigenvalue -6e-10 * max|rho| is refused at load, before any command runs
+    path = tmp_path / "low.json"
+    low = QubitState(1, np.diag([1.0, -6e-10]), validate=False)
+    path.write_text(json.dumps(state_to_json_dict(low)))
+    assert main([command, "--input", str(path)]) == 2
+    assert "not PSD" in capsys.readouterr().err
 
 
 def test_unknown_preset_exits_two():
@@ -261,3 +301,32 @@ def test_stdout_default(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == "invariants"
+
+
+COMMON = {"command", "seed", "tolerance", "seed_split"}
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["oracle", "--n", "2", "--trials", "2"], {"n", "trials"}),
+        (["metric", "--trials", "2", "--sym-trials", "1"],
+         {"trials", "sym_trials", "boost", "rotation", "parity"}),
+        (["twirl", "--samples", "1000"], {"samples", "o1", "o2"}),
+        (["invariants", "--trials", "1"], {"trials", "max_rapidity", "source", "preset"}),
+        (["invariants", "--random", "pure", "--n", "3", "--trials", "1"],
+         {"trials", "max_rapidity", "source", "random_kind", "n"}),
+        (["boost", "--preset", "singlet"], {"rapidity", "source", "preset"}),
+        (["boost", "--input", "STATE"], {"rapidity", "source", "input_path"}),
+    ],
+    ids=["oracle", "metric", "twirl", "invariants-preset", "invariants-random",
+         "boost-preset", "boost-input"],
+)
+def test_config_echo_keys(tmp_path, argv, keys):
+    # every flag but --output and --csv, with a state command's source echo for its state flags
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(state_to_json_dict(random_state(1, "mixed", 4))))
+    argv = [str(state) if a == "STATE" else a for a in argv]
+    _, report = run_report(tmp_path, argv + ["--csv", str(tmp_path / "t.csv")])
+    assert set(report["config"]) == COMMON | keys
+    assert report["config"]["command"] == report["command"] == argv[0]

@@ -6,9 +6,8 @@ import pytest
 from qlorentz import ContractError, apply_local, boost_z, pauli_correlation_table, spin_hom
 from qlorentz.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from qlorentz.lorentz import ETA, SL2C, LorentzMatrix4, herm_from_vector, rotation_z, sample_sl2c
-from qlorentz.states import singlet
+from qlorentz.states import SINGLET_COEFFS, singlet
 from qlorentz.correlation import (
-    SINGLET_KET,
     SWAP,
     correlator_symmetry_check,
     haar_twirl_mc,
@@ -100,14 +99,15 @@ def test_correlator_bilinearity_and_symmetry():
 
 
 def test_pauli_correlation_table_is_minkowski_metric():
+    # exact: the unscaled singlet coefficients make every Pauli-table term exact
     table = pauli_correlation_table()
-    assert np.abs(table - ETA).max() < 1e-12
+    np.testing.assert_allclose(table, ETA, atol=0, rtol=0)
 
 
 def test_swap_operator_unit_checks():
-    assert abs((SINGLET_KET.conj() @ SWAP @ SINGLET_KET).real + 1.0) < 1e-12
+    psi = SINGLET_COEFFS.ravel() / np.sqrt(2.0)
+    assert abs((psi.conj() @ SWAP @ psi).real + 1.0) < 1e-12
     np.testing.assert_allclose(SWAP @ SWAP, np.eye(4), atol=0)
-    psi = SINGLET_KET
     assert abs(psi.conj() @ psi - 1.0) < 1e-14
 
 

@@ -326,3 +326,16 @@ def test_json_rejects_malformed_payloads():
         state_from_json_dict(
             {"n": 1, "matrix": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
         )
+
+
+def test_json_loader_shares_the_kernel_psd_floor():
+    # smallest eigenvalue -6e-10 * max|rho|: w_spectrum refuses it, so the loader must too
+    low = QubitState(1, np.diag([1.0, -6e-10]), validate=False)
+    with pytest.raises(PositivityError):
+        w_spectrum(low)
+    with pytest.raises(ContractError):
+        state_from_json_dict(state_to_json_dict(low))
+    # drift inside the floor still loads, and the kernel accepts it
+    drift = QubitState(1, np.diag([1.0, -5e-11]), validate=False)
+    drift = state_from_json_dict(state_to_json_dict(drift))
+    assert w_spectrum(drift).shape == (2,)
