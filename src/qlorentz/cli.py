@@ -11,8 +11,11 @@ Five subcommands exercise the library end to end:
 Each command returns its checks as (deviation, tolerance) pairs; one report
 path times it, echoes its flags as the config, applies --tolerance and
 assembles the report. Reports are byte-identical for identical configs and
-seeds, except for the wall_time_s field. Exit code 0 means every check
-passed, 1 means a property check failed, 2 means the inputs were unusable.
+seeds, except for the wall_time_s field, and are strict JSON: the text is
+what json.dumps(indent=2, sort_keys=True) writes, with no NaN or Infinity.
+Exit code 0 means every check passed, 1 means a property check failed, 2
+means the inputs were unusable, the report or CSV could not be written, or
+the report held a non-finite value.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import csv
 import json
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -316,8 +320,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _list_template(shape: tuple[int, ...], depth: int) -> str:
+    """The text json.dumps(indent=2) writes for a nested list of this shape at this depth, %r per leaf."""
+    if not shape:
+        return "%r"
+    inner = _list_template(shape[1:], depth + 1)
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * depth + "]"
+
+
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Write the report as indent-2, sorted-key JSON, with a state's matrix filled in from a template.
+
+    json's indent encoder is pure Python, one call per float, so the d x d x 2
+    matrix is written by %r instead (float.__repr__, as json uses) into the
+    place that a NUL string held. No string a report echoes can hold a NUL,
+    since argv cannot carry one. State entries are finite, so allow_nan=False
+    still covers every value.
+    """
+    matrix = None
+    if "state" in report:
+        matrix = report["state"]["matrix"]
+        report = {**report, "state": {**report["state"], "matrix": "\0"}}
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if matrix is not None:
+        template = _list_template((len(matrix), len(matrix), 2), 2)  # report > state > matrix
+        floats = tuple(chain.from_iterable(chain.from_iterable(matrix)))
+        text = text.replace(json.dumps("\0"), template % floats, 1)
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -376,10 +405,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, ok = _report(args)
+        _emit(report, args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args)
     return 0 if ok else 1
 
 

@@ -270,16 +270,51 @@ def test_tolerance_override_forces_failure(tmp_path):
 
 
 def test_reports_are_deterministic(tmp_path):
+    state_path = tmp_path / "state6.json"
+    state_path.write_text(json.dumps(state_to_json_dict(random_state(6, "mixed", 61))))
     configs = [
         ["oracle", "--n", "3", "--trials", "12", "--seed", "5"],
         ["invariants", "--preset", "ghz3", "--trials", "6", "--seed", "8"],
         ["twirl", "--o1", "X", "--o2", "Y", "--samples", "2000", "--seed", "4"],
         ["metric", "--trials", "20", "--sym-trials", "3", "--seed", "6"],
+        ["boost", "--preset", "basis0_10"],
+        ["boost", "--random", "mixed", "--n", "6"],
+        ["boost", "--input", str(state_path), "--rapidity=-0.7"],
     ]
     for args in configs:
         _, first = run_report(tmp_path, args, "a.json")
+        # the writer's bytes are the stdlib's: floats round-trip exactly through repr
+        text = (tmp_path / "a.json").read_text()
+        assert text == json.dumps(first, indent=2, sort_keys=True) + "\n"
         _, second = run_report(tmp_path, args, "b.json")
         assert strip_wall_time(first) == strip_wall_time(second)
+
+
+@pytest.mark.parametrize("target", ["--output", "--csv"])
+def test_unwritable_output_exits_two(tmp_path, capsys, target):
+    argv = ["metric", "--trials", "2", "--sym-trials", "1"]
+    code = main(argv + [target, str(tmp_path / "missing" / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# finite entries, but Tr(rho)^2 overflows, so the invariants come out NaN or Infinity
+BIG_STATE = {"n": 1, "matrix": [[[1e300, 0], [0, 0]], [[0, 0], [1e300, 0]]]}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [["invariants", "--trials", "0"], ["boost", "--rapidity=0.1"]],
+    ids=["invariants", "boost"],
+)
+def test_non_finite_report_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BIG_STATE))
+    out = tmp_path / "r.json"
+    assert main(argv + ["--input", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_csv_projection(tmp_path):
