@@ -15,7 +15,9 @@ seeds, except for the wall_time_s field, and are strict JSON: the text is
 what json.dumps(indent=2, sort_keys=True) writes, with no NaN or Infinity.
 Exit code 0 means every check passed, 1 means a property check failed, 2
 means the inputs were unusable, the report or CSV could not be written, or
-the report held a non-finite value.
+the report held a non-finite value. An exit 2 writes no report, no CSV and
+nothing to stdout, unless a write fails partway (a full disk, a closed
+pipe), which can leave a truncated report or CSV behind.
 """
 
 from __future__ import annotations
@@ -337,6 +339,10 @@ def _emit(report: dict, args) -> None:
     place that a NUL string held. No string a report echoes can hold a NUL,
     since argv cannot carry one. State entries are finite, so allow_nan=False
     still covers every value.
+
+    The CSV is written before the report and deleted again if the report
+    cannot be written, so a path that cannot be opened (exit 2) leaves
+    neither behind; a write that fails partway can leave a truncated one.
     """
     matrix = None
     if "state" in report:
@@ -347,10 +353,6 @@ def _emit(report: dict, args) -> None:
         template = _list_template((len(matrix), len(matrix), 2), 2)  # report > state > matrix
         floats = tuple(chain.from_iterable(chain.from_iterable(matrix)))
         text = text.replace(json.dumps("\0"), template % floats, 1)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
     if args.csv:
         rows = report.get("trials", [])
         fields = sorted({k for row in rows for k in row})
@@ -358,6 +360,15 @@ def _emit(report: dict, args) -> None:
             writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
             writer.writerows(rows)
+    try:
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+    except OSError:
+        if args.csv:
+            Path(args.csv).unlink()
+        raise
 
 
 def _report(args) -> tuple[dict, bool]:

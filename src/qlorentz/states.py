@@ -7,6 +7,7 @@ the trace, and nothing here ever renormalizes behind your back.
 
 from __future__ import annotations
 
+from functools import cache
 from functools import reduce as _fold
 from typing import Iterable, Sequence
 
@@ -91,9 +92,12 @@ class QubitState:
         return f"QubitState(n={self.n}, trace={self.trace():.6g})"
 
 
+@cache
 def _parity_signs(n: int) -> np.ndarray:
-    """s_x = (-1)^popcount(x) for x = 0..2**n - 1."""
-    return _fold(np.kron, [np.array([1.0, -1.0])] * n)
+    """s_x = (-1)^popcount(x) for x = 0..2**n - 1, built once per n and read-only."""
+    sign = _fold(np.kron, [np.array([1.0, -1.0])] * n)
+    sign.setflags(write=False)
+    return sign
 
 
 def spin_flip(s: QubitState) -> QubitState:
@@ -113,30 +117,71 @@ def w_matrix(s: QubitState) -> np.ndarray:
     return s.rho @ spin_flip(s).rho
 
 
-def w_spectrum(s: QubitState) -> np.ndarray:
-    """Eigenvalues of the W-matrix rho * spin_flip(rho), descending, length 2**n.
+# eigenvalues of rho at or below this fraction of the largest count as zero in w_spectrum
+_EIG_CUT = 1e-14
 
-    Factor rho = A A^dag with A = V sqrt(L) over the eigenpairs of rho above
-    1e-14 of the largest. Then spin_flip(rho) = C C^dag with C = Y^(x)n conj(A),
-    so the nonzero spectrum of W is that of (A^dag C)(A^dag C)^dag: the squared
-    singular values of the r x r matrix A^T Y^(x)n A, up to a phase. Y^(x)n
-    maps |x> to i^n s_x |~x>, so that matrix is A^T (s * A[::-1]), with
-    s_x = (-1)^popcount(x) as in spin_flip. For a pure state it is Wootters'
-    preconcurrence psi^T Y^(x)n psi. The squares are non-negative by
-    construction; the remaining entries are exact zeros.
 
-    Raises ContractError for a non-Hermitian rho and PositivityError for an
-    eigenvalue below -PSD_TOL * max|rho|, the bound QubitState validates.
-    """
-    rho = require_hermitian(s.rho, what="state")
+def _rank_factor(rho: np.ndarray) -> np.ndarray:
+    """A factor A of the Hermitian matrix rho = A A^dag, chosen by case; see w_spectrum."""
+    d = rho.shape[0]
+    diag = rho.diagonal().real
+    j = int(np.argmax(diag))
+    if diag[j] > 0.0:
+        psi = rho[:, j : j + 1] / np.sqrt(diag[j])
+        if np.linalg.norm(rho - psi @ psi.conj().T) <= _EIG_CUT * np.linalg.norm(psi) ** 2:
+            return psi
+    if d * (d + 1) * np.finfo(float).eps / 2 <= PSD_TOL:
+        try:
+            low = np.linalg.cholesky(rho)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            pivots = low.diagonal().real ** 2
+            if pivots.min() > 1e-12 * pivots.max():
+                return low
     evals, vecs = np.linalg.eigh(rho)
     floor = -PSD_TOL * max_abs(rho)
     if evals[0] < floor:
         raise PositivityError(
             f"state is not positive semidefinite: eigenvalue {evals[0]:.3e} below {floor:.3e}"
         )
-    keep = evals > 1e-14 * evals[-1]
-    a = vecs[:, keep] * np.sqrt(evals[keep])
+    keep = evals > _EIG_CUT * evals[-1]
+    return vecs[:, keep] * np.sqrt(evals[keep])
+
+
+def w_spectrum(s: QubitState) -> np.ndarray:
+    """Eigenvalues of the W-matrix rho * spin_flip(rho), descending, length 2**n.
+
+    Any factor rho = A A^dag gives spin_flip(rho) = C C^dag with C = Y^(x)n conj(A),
+    so the nonzero spectrum of W is that of (A^dag C)(A^dag C)^dag: the squared
+    singular values of the r x r matrix A^T Y^(x)n A, up to a phase. Y^(x)n
+    maps |x> to i^n s_x |~x>, so that matrix is A^T (s * A[::-1]), with
+    s_x = (-1)^popcount(x) as in spin_flip. The squares are non-negative by
+    construction; the remaining entries are exact zeros.
+
+    The factor is taken from the first of three branches that applies:
+
+    1. Verified rank 1: psi = rho[:, j] / sqrt(rho_jj) at the largest diagonal
+       entry, accepted when the Frobenius norm of rho - psi psi^dag is at most
+       1e-14 |psi|^2. By Weyl's inequality every other eigenvalue of rho is
+       then at most about 1e-14 of the largest in magnitude, so branch 3
+       would drop it too, and none is below about -1e-14 * d * max|rho|,
+       inside the PSD_TOL bound for every d up to 10^4. The matrix is then
+       1 x 1, Wootters' preconcurrence psi^T Y^(x)n psi. O(d^2).
+    2. Cholesky, rho = L L^dag, when it succeeds with every pivot L_ii^2 above
+       1e-12 of the largest. It is backward stable (Higham, Accuracy and
+       Stability of Numerical Algorithms, 2nd ed., ch. 10): success puts rho
+       within d (d + 1) eps/2 * max|rho| of a positive semidefinite matrix in
+       the 2-norm, so the branch runs only where that is at most
+       PSD_TOL * max|rho|, for d up to 512.
+    3. A = V sqrt(L) over the eigenpairs of rho above 1e-14 of the largest,
+       which also decides positivity for the other inputs.
+
+    Raises ContractError for a non-Hermitian rho and PositivityError for an
+    eigenvalue below -PSD_TOL * max|rho|, the bound QubitState validates.
+    """
+    rho = require_hermitian(s.rho, what="state")
+    a = _rank_factor(rho)
     b = a.T @ (_parity_signs(s.n)[:, None] * a[::-1])
     lam = np.zeros(s.dim)
     lam[: b.shape[0]] = np.linalg.svd(b, compute_uv=False) ** 2

@@ -243,6 +243,16 @@ def test_malformed_state_file_exits_two(tmp_path, capsys):
     assert main(["invariants", "--input", str(tmp_path / "missing.json")]) == 2
 
 
+def test_near_pure_state_file_is_lorentz_invariant(tmp_path):
+    # the W-spectrum keeps the 4e-11 eigenvalue on the base state and on every
+    # moved copy, so the invariance deviation stays at rounding level
+    path = tmp_path / "near_pure.json"
+    path.write_text(json.dumps(state_to_json_dict(QubitState(1, np.diag([1.0, 4e-11])))))
+    code, report = run_report(tmp_path, ["invariants", "--input", str(path), "--tolerance", "1e-12"])
+    assert code == 0
+    assert report["invariants"]["spectral_invariants"][0] > 0.0
+
+
 @pytest.mark.parametrize("command", ["invariants", "boost"])
 def test_state_below_the_psd_floor_exits_two(tmp_path, capsys, command):
     # smallest eigenvalue -6e-10 * max|rho| is refused at load, before any command runs
@@ -292,10 +302,19 @@ def test_reports_are_deterministic(tmp_path):
 
 @pytest.mark.parametrize("target", ["--output", "--csv"])
 def test_unwritable_output_exits_two(tmp_path, capsys, target):
+    # exit 2 leaves no usable output: not the other file, and nothing on stdout
     argv = ["metric", "--trials", "2", "--sym-trials", "1"]
-    code = main(argv + [target, str(tmp_path / "missing" / "out")])
+    unwritable = [target, str(tmp_path / "missing" / "out")]
+    other = tmp_path / "other"
+    code = main(argv + unwritable + [{"--output": "--csv", "--csv": "--output"}[target], str(other)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not other.exists()
+    if target == "--csv":
+        assert main(argv + unwritable) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 # finite entries, but Tr(rho)^2 overflows, so the invariants come out NaN or Infinity

@@ -24,7 +24,7 @@ from qlorentz.states import (
     w_spectrum,
     wstate,
 )
-from qlorentz.linalg import MAX_QUBITS, PAULI_Y
+from qlorentz.linalg import MAX_QUBITS, PAULI_Y, PSD_TOL, max_abs
 from qlorentz.seeding import split_seed
 
 
@@ -159,6 +159,123 @@ def test_w_spectrum_descending_and_clamped():
     lam = w_spectrum(s)
     assert np.all(np.diff(lam) <= 1e-12)
     assert lam.min() >= 0.0
+
+
+def _mixture(n: int, seed: int, weights) -> QubitState:
+    return QubitState(n, sum(w * random_state(n, "pure", seed + k).rho for k, w in enumerate(weights)))
+
+
+# One state per factor branch of w_spectrum, the numpy calls that branch makes,
+# and the exact zeros of its W-spectrum. The pure state is at even n, since at
+# odd n its W-spectrum vanishes and the diag(2, 1) control below would compare
+# zeros. Cholesky completes on the rank-3 mixture, with a last pivot near
+# 1e-15 of the first, so only the pivot test sends it on to eigh.
+FACTOR_BRANCHES = {
+    "rank1": (lambda: random_state(4, "pure", 50), [], 15),
+    "cholesky": (lambda: random_state(3, "mixed", 51), ["cholesky"], 0),
+    "eigh": (lambda: _mixture(3, 52, [1.0, 0.5]), ["cholesky", "eigh"], 6),
+    "eigh-small-pivot": (lambda: _mixture(2, 60, [1.0, 0.5, 0.25]), ["cholesky", "eigh"], 1),
+}
+
+
+def spy_factor_calls(monkeypatch) -> list:
+    calls = []
+    for name in ("cholesky", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def spy(m, _real=real, _name=name):
+            calls.append(_name)
+            return _real(m)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("branch", sorted(FACTOR_BRANCHES))
+def test_w_spectrum_factor_branches(monkeypatch, branch):
+    build, expected_calls, zeros = FACTOR_BRANCHES[branch]
+    s = build()
+    # diag(2, 1) on qubit 1 scales the W-spectrum by |det|^2 = 4; it would
+    # stay put if the moved state's spectrum came from the base state's factor
+    m = kron(np.diag([2.0, 1.0]), np.eye(s.dim // 2))
+    moved = QubitState(s.n, m @ s.rho @ m.conj().T, validate=False)
+    calls = spy_factor_calls(monkeypatch)
+    lam = w_spectrum(s)
+    assert calls == expected_calls
+    assert (lam == 0.0).sum() == zeros
+    lam_moved = w_spectrum(moved)
+    assert calls == 2 * expected_calls
+    monkeypatch.undo()
+    tol = 1e-13 * s.trace() ** 2
+    direct = np.sort(np.linalg.eigvals(w_matrix(s)).real)[::-1]
+    assert np.abs(lam - direct).max() <= tol
+    assert np.abs(lam - surrogate_w_spectrum(s)).max() <= tol
+    assert lam.max() > 1e3 * tol
+    assert np.abs(lam_moved - 4.0 * lam).max() <= 1e-13 * moved.trace() ** 2
+
+
+def _with_negative_eigenvalue(positive: np.ndarray, u: np.ndarray, c: float) -> np.ndarray:
+    """positive - c * PSD_TOL * max|positive| * u u^dag, for a unit vector u in the kernel of positive."""
+    return positive - c * PSD_TOL * max_abs(positive) * np.outer(u, u.conj())
+
+
+def _near_rank1(n: int, c: float) -> np.ndarray:
+    rng = np.random.default_rng(split_seed(54, n))
+    psi, phi = rng.standard_normal((2, 2**n)) + 1j * rng.standard_normal((2, 2**n))
+    psi /= np.linalg.norm(psi)
+    phi -= psi * np.vdot(psi, phi)
+    return _with_negative_eigenvalue(np.outer(psi, psi.conj()), phi / np.linalg.norm(phi), c)
+
+
+def _full_rank(n: int, c: float) -> np.ndarray:
+    rng = np.random.default_rng(split_seed(56, n))
+    d = 2**n
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    evals = np.concatenate([[0.0], rng.uniform(0.1, 1.0, d - 1)])
+    return _with_negative_eigenvalue((u * evals) @ u.conj().T, u[:, 0], c)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+@pytest.mark.parametrize("build", [_near_rank1, _full_rank], ids=["near-rank1", "full-rank"])
+def test_w_spectrum_psd_floor(build, n):
+    # an eigenvalue at -2 PSD_TOL * max|rho| is refused, one at -0.5 PSD_TOL accepted;
+    # neither fast branch accepts these (the rank-1 residual is far above 1e-14 |psi|^2,
+    # and Cholesky fails on a negative eigenvalue), so eigh decides, at today's bound
+    with pytest.raises(PositivityError):
+        w_spectrum(QubitState(n, build(n, 2.0), validate=False))
+    s = QubitState(n, build(n, 0.5), validate=False)
+    assert np.isfinite(w_spectrum(s)).all()
+
+
+# Random n = 7 states, as `invariants` sees them before and after a random local
+# action, never reach the eigh fallback. At d = 1024 a completed Cholesky no
+# longer certifies the PSD_TOL bound, so eigh alone decides there.
+BRANCHES_BY_SIZE = {
+    "pure-n7": (lambda: random_state(7, "pure", 57), []),
+    "mixed-n7": (lambda: random_state(7, "mixed", 57), ["cholesky"]),
+    "mixed-n10": (lambda: maximally_mixed(MAX_QUBITS), ["eigh"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRANCHES_BY_SIZE))
+def test_w_spectrum_branch_by_size(monkeypatch, case):
+    build, expected_calls = BRANCHES_BY_SIZE[case]
+    s = build()
+    moved = apply_local(s, [random_sl2c(split_seed(58, q)) for q in range(s.n)])
+    calls = spy_factor_calls(monkeypatch)
+    w_spectrum(s)
+    w_spectrum(moved)
+    assert calls == 2 * expected_calls
+
+
+@pytest.mark.parametrize("small", [4e-11, 4e-13, 5e-15])
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_w_spectrum_near_pure_keeps_what_eigh_keeps(scale, small):
+    # diag(a, b) has W-spectrum [ab, ab]; eigh keeps b above 1e-14 a, and the
+    # rank-1 branch must not drop a b that eigh would keep
+    s = QubitState(1, scale * np.diag([1.0, small]))
+    expected = scale**2 * small if small > 1e-14 else 0.0
+    assert np.allclose(w_spectrum(s), [expected, expected], rtol=1e-12, atol=0.0)
 
 
 def test_apply_local_identity_and_boost():
