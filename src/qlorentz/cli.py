@@ -27,6 +27,7 @@ import csv
 import json
 import sys
 import time
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -269,6 +270,7 @@ def _add_state_source_flags(p: argparse.ArgumentParser, default_preset: str):
     p.add_argument("--input", default=None, help="path to a state JSON file")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlorentz",

@@ -121,18 +121,9 @@ def partial_trace(rho, n: int, keep) -> np.ndarray:
     # trace the highest positions first so the lower ones keep their place
     for j in reversed(range(n)):
         if j + 1 not in kept:
-            t = trace_out_qubit(t, j)
+            t = np.trace(t, axis1=j, axis2=j + t.ndim // 2)
     d = 2 ** len(kept)
     return t.reshape(d, d)
-
-
-def trace_out_qubit(t: np.ndarray, j: int) -> np.ndarray:
-    """Trace out position ``j`` (0-based) of a k-qubit operator held as a (2,)*2k tensor.
-
-    Row axes come first, column axes last; the result is a (2,)*2(k-1) tensor
-    with the other qubits in their order.
-    """
-    return np.trace(t, axis1=j, axis2=j + t.ndim // 2)
 
 
 def mat_sqrt_psd(m, atol: float = HERMITIAN_TOL) -> np.ndarray:

@@ -156,8 +156,9 @@ def w_spectrum(s: QubitState) -> np.ndarray:
     so the nonzero spectrum of W is that of (A^dag C)(A^dag C)^dag: the squared
     singular values of the r x r matrix A^T Y^(x)n A, up to a phase. Y^(x)n
     maps |x> to i^n s_x |~x>, so that matrix is A^T (s * A[::-1]), with
-    s_x = (-1)^popcount(x) as in spin_flip. The squares are non-negative by
-    construction; the remaining entries are exact zeros.
+    s_x = (-1)^popcount(x) as in spin_flip; s_~x = (-1)^n s_x makes it (-1)^n
+    times its transpose, imposed exactly so that odd-n pure states give 0.
+    The squares are non-negative by construction; the rest are exact zeros.
 
     The factor is taken from the first of three branches that applies:
 
@@ -183,6 +184,7 @@ def w_spectrum(s: QubitState) -> np.ndarray:
     rho = require_hermitian(s.rho, what="state")
     a = _rank_factor(rho)
     b = a.T @ (_parity_signs(s.n)[:, None] * a[::-1])
+    b = 0.5 * (b + (-1) ** s.n * b.T)
     lam = np.zeros(s.dim)
     lam[: b.shape[0]] = np.linalg.svd(b, compute_uv=False) ** 2
     return lam

@@ -54,6 +54,15 @@ def test_invariants_random_odd_pure(tmp_path):
     assert abs(report["invariants"]["i_l_trace"]) <= 1e-9
 
 
+def test_invariants_random_odd_pure_e1_is_exactly_zero(tmp_path):
+    code, report = run_report(
+        tmp_path,
+        ["invariants", "--random", "pure", "--n", "5", "--trials", "2", "--seed", "0"],
+    )
+    assert code == 0
+    assert report["invariants"]["spectral_invariants"][0] == 0.0
+
+
 def test_oracle_runs_and_reports(tmp_path):
     code, report = run_report(
         tmp_path, ["oracle", "--n", "4", "--trials", "24", "--seed", "1"]
@@ -298,6 +307,22 @@ def test_reports_are_deterministic(tmp_path):
         assert text == json.dumps(first, indent=2, sort_keys=True) + "\n"
         _, second = run_report(tmp_path, args, "b.json")
         assert strip_wall_time(first) == strip_wall_time(second)
+
+
+def test_parser_is_built_once_and_survives_a_bad_flag(tmp_path):
+    argv = ["metric", "--trials", "20", "--sym-trials", "3", "--seed", "6"]
+
+    def report_text(name):
+        run_report(tmp_path, argv, name)
+        lines = (tmp_path / name).read_text().splitlines()
+        return [line for line in lines if '"wall_time_s"' not in line]
+
+    before = report_text("a.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["metric", "--trials", "7", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert report_text("b.json") == before
+    assert qlorentz.cli.build_parser() is qlorentz.cli.build_parser()
 
 
 @pytest.mark.parametrize("target", ["--output", "--csv"])

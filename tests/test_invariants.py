@@ -18,7 +18,11 @@ from qlorentz.states import (
     w_matrix,
     wstate,
 )
+import qlorentz.invariants
+import qlorentz.linalg
+import qlorentz.states
 from qlorentz.invariants import (
+    _subset_purities,
     linear_entropy,
     linear_mutual_info_subsets,
     linear_mutual_info_trace,
@@ -180,6 +184,70 @@ def test_subset_route_matches_per_subset_reference():
                 assert abs(route - subset_sum_reference(s)) <= tol, (n, kind, c)
                 # negative control: one sign wrong (qubit 1 alone) must show
                 assert abs(route - subset_sum_reference(s, flipped_mask=1)) > tol, (n, kind, c)
+
+
+def purity_deviation(s, masks=None):
+    """Largest |Tr(rho_S^2) - purity tensor entry| over the masks, in units of Tr(rho)^2."""
+    purity = _subset_purities(s.rho, s.n)
+    if masks is None:
+        masks = list(np.ndindex(purity.shape))
+    worst = 0.0
+    for bits in masks:
+        subset = [q + 1 for q, b in enumerate(bits) if b]
+        # the empty set's reduced "state" is the number Tr(rho)
+        r = reduce(s, subset).rho if subset else np.trace(s.rho).reshape(1, 1)
+        reference = np.einsum("ij,ji->", r, r).real
+        worst = max(worst, abs(purity[bits] - reference))
+    return worst / s.trace() ** 2
+
+
+def purity_cases():
+    for n in range(1, 9):
+        for kind in ("pure", "mixed"):
+            base = random_state(n, kind, split_seed(320, n))
+            for c in (0.2, 5.0):
+                yield base.scaled(c)
+
+
+def test_subset_purities_match_reduced_states():
+    for s in purity_cases():
+        assert purity_deviation(s) <= 1e-13, (s.n, s.trace())
+    # at the qubit cap, a few masks: empty, full, one qubit, one qubit missing, alternating
+    n = MAX_QUBITS
+    masks = [(0,) * n, (1,) * n, (1,) + (0,) * (n - 1), (0,) + (1,) * (n - 1), (0, 1) * (n // 2)]
+    for kind in ("pure", "mixed"):
+        s = random_state(n, kind, split_seed(321, n)).scaled(5.0)
+        assert purity_deviation(s, masks) <= 1e-13, kind
+
+
+def test_subset_purities_negative_control(monkeypatch):
+    # weight 1 in place of 1/2 inside S counts each Pauli string 2^|S| times too often
+    monkeypatch.setattr(
+        qlorentz.invariants, "_SUBSET_WEIGHT", np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+    )
+    for s in purity_cases():
+        assert purity_deviation(s) > 1e-13, (s.n, s.trace())
+
+
+def test_subset_route_shares_no_kernel_with_the_trace_route(monkeypatch):
+    states = [random_state(n, kind, split_seed(322, n)) for n in (1, 2, 5) for kind in ("pure", "mixed")]
+    expected = [linear_mutual_info_subsets(s) for s in states]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the subset route reached a forbidden kernel")
+
+    for module, name in [
+        (qlorentz.invariants, "spin_flip"),
+        (qlorentz.states, "spin_flip"),
+        (qlorentz.states, "_parity_signs"),
+        (qlorentz.states, "partial_trace"),
+        (qlorentz.linalg, "partial_trace"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    assert [linear_mutual_info_subsets(s) for s in states] == expected
+    # the guard bites: the trace route goes through the patched spin flip
+    with pytest.raises(AssertionError):
+        linear_mutual_info_trace(states[0])
 
 
 def test_trace_route_frozen_cases():

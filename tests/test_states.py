@@ -146,6 +146,14 @@ def test_w_spectrum_of_pure_odd_is_zero():
         assert w_spectrum(s).max() <= 1e-25 * s.trace() ** 2, n
 
 
+def test_w_spectrum_of_pure_odd_is_exactly_zero():
+    # b = (-1)^n b^T holds exactly, so at odd n the 1 x 1 preconcurrence is 0, not rounding noise
+    for n in (1, 3, 5, 7):
+        for seed in range(20):
+            lam = w_spectrum(random_state(n, "pure", split_seed(39, 100 * n + seed)))
+            assert (lam == 0.0).all(), (n, seed)
+
+
 def test_w_spectrum_rejects_invalid_input():
     # states built with validate=False still meet the input checks
     with pytest.raises(PositivityError):
