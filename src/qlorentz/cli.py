@@ -216,10 +216,10 @@ def cmd_metric(args):
         elif explicit:
             continue
         else:
-            dev = 0.0
-            for i in range(args.sym_trials):
-                lam = build(float(sym_rng.uniform(low, high)))
-                dev = max(dev, correlator_symmetry_check(lam, 5, split_seed(sym_seed, offset + i)))
+            # sym_trials sampled maps, 5 pairs each under its own sub-seed, in one stacked call
+            lams = [build(float(sym_rng.uniform(low, high))) for _ in range(args.sym_trials)]
+            seeds = [split_seed(sym_seed, offset + i) for i in range(args.sym_trials)]
+            dev = correlator_symmetry_check(lams, 5, seeds)
         checks[f"{name}_symmetry"] = (dev, 1e-8)
 
     if args.parity or not explicit:

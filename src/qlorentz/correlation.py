@@ -12,12 +12,12 @@ determinant-preserving maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .linalg import PAULIS, as_matrix, det, kron, require_hermitian
-from .lorentz import ETA, LorentzMatrix4, SL2C, herm_from_vector, spin_hom
+from .lorentz import ETA, LorentzMatrix4, SL2C, herm_from_vector, require_lorentz, spin_images
 from .seeding import rng_from_seed
 from .states import SINGLET_COEFFS
 
@@ -177,38 +177,76 @@ def haar_twirl_mc(o1, o2, samples: int, rng_seed: int) -> TwirlEstimate:
 MapLike = Union[SL2C, LorentzMatrix4, np.ndarray, str]
 
 
-def _coordinate_matrix(mapping: MapLike) -> np.ndarray:
-    """The real 4x4 matrix by which a supported map form acts on Pauli coordinates."""
-    if isinstance(mapping, SL2C):
-        return spin_hom(mapping).entries
-    if isinstance(mapping, str):
-        if mapping != "parity":
-            raise ValueError(f"unknown named map {mapping!r}; only 'parity' is recognized")
-        return ETA
-    if isinstance(mapping, np.ndarray):
-        mapping = LorentzMatrix4(mapping)
-    if isinstance(mapping, LorentzMatrix4):
-        return mapping.entries
-    raise TypeError(f"unsupported map type {type(mapping).__name__}")
+def _as_list(x) -> list:
+    """A list or tuple as a list; any other value as the one-element list of itself."""
+    return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
-def correlator_symmetry_check(mapping: MapLike, trials: int, rng_seed: int) -> float:
-    """Largest correlator change under the map, over random Hermitian pairs.
+def _coordinate_matrices(maps: list) -> np.ndarray:
+    """The (k, 4, 4) stack of real matrices by which the maps act on Pauli coordinates.
 
-    The map may be an SL(2,C) conjugation, a Minkowski-form-preserving 4x4
-    matrix acting on Pauli coordinates, or the string 'parity'. Returns the
-    max over trials of |C(o1,o2) - C(L o1, L o2)| / max(1, |C(o1,o2)|), which
-    should sit at rounding scale for any determinant-preserving map.
+    All SL(2,C) maps go through one spin_images pass and all ndarray maps
+    through one require_lorentz pass, each naming a failing map by its
+    position in ``maps``; a LorentzMatrix4 was checked when it was built.
+    """
+    lams = np.empty((len(maps), 4, 4))
+    spin, plain = [], []
+    for i, mapping in enumerate(maps):
+        if isinstance(mapping, SL2C):
+            spin.append(i)
+        elif isinstance(mapping, str):
+            if mapping != "parity":
+                raise ValueError(f"unknown named map {mapping!r}; only 'parity' is recognized")
+            lams[i] = ETA
+        elif isinstance(mapping, LorentzMatrix4):
+            lams[i] = mapping.entries
+        elif isinstance(mapping, np.ndarray):
+            if mapping.shape != (4, 4):
+                raise ValueError(f"map {i}: Lorentz matrix must be 4x4, got {mapping.shape}")
+            plain.append(i)
+        else:
+            raise TypeError(f"unsupported map type {type(mapping).__name__}")
+    if spin:
+        lams[spin] = spin_images(np.stack([maps[i].m for i in spin]), index=spin)
+    if plain:
+        a = np.stack([np.asarray(maps[i], dtype=float) for i in plain])
+        require_lorentz(a, index=plain)
+        lams[plain] = a
+    return lams
+
+
+def correlator_symmetry_check(
+    mapping: Union[MapLike, Sequence[MapLike]], trials: int, rng_seed: Union[int, Sequence[int]]
+) -> float:
+    """Largest correlator change under the maps, over random Hermitian pairs.
+
+    ``mapping`` is one map or a list/tuple of k maps, and ``rng_seed`` one
+    sub-seed or a list/tuple of k, one per map; a single map and seed is the
+    k = 1 case. Each map may be an SL(2,C) conjugation, a
+    Minkowski-form-preserving 4x4 matrix acting on Pauli coordinates, or the
+    string 'parity'. Map j acts on the coordinates of ``trials`` pairs drawn
+    by rng_from_seed(rng_seed[j]), and all k maps are applied in one stacked
+    pass, so the result equals the max of the k single-map checks bit for
+    bit. Returns the max over maps and trials of
+    |C(o1,o2) - C(L o1, L o2)| / max(1, |C(o1,o2)|), which should sit at
+    rounding scale for any determinant-preserving map. A map that fails
+    validation raises ContractError naming its index.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
-    lam = _coordinate_matrix(mapping)
-    # one (v1, v2) coordinate pair per trial, drawn in the order of 4-vector by 4-vector
-    v = rng_from_seed(rng_seed).standard_normal((trials, 2, 4))
+    maps, seeds = _as_list(mapping), _as_list(rng_seed)
+    if not maps or len(maps) != len(seeds):
+        raise ValueError(
+            f"need one sub-seed per map and at least one map, got {len(maps)} maps "
+            f"and {len(seeds)} sub-seeds"
+        )
+    lams = _coordinate_matrices(maps)
+    # per map, one (v1, v2) coordinate pair per trial, drawn 4-vector by 4-vector: (k, trials, 2, 4)
+    v = np.stack([rng_from_seed(seed).standard_normal((trials, 2, 4)) for seed in seeds])
     h = herm_from_vector(v)
-    moved = herm_from_vector(v @ lam.T)
+    moved = herm_from_vector(v @ np.swapaxes(lams, 1, 2)[:, None])
     # herm_from_vector output is Hermitian by construction; skip the public checks
-    before = _singlet_correlation(h[:, 0], h[:, 1])
-    after = _singlet_correlation(moved[:, 0], moved[:, 1])
+    before = _singlet_correlation(h[..., 0, :, :], h[..., 1, :, :])
+    after = _singlet_correlation(moved[..., 0, :, :], moved[..., 1, :, :])
     return float((np.abs(before - after) / np.maximum(1.0, np.abs(before))).max())

@@ -8,6 +8,7 @@ a restricted Lorentz transformation.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,9 @@ ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 SL2C_DET_TOL = 1e-10
 ETA_TOL = 1e-9
 MAX_RAPIDITY = 20.0
+
+_SIGMA = np.stack(PAULIS)
+_SIGMA.setflags(write=False)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -62,12 +66,43 @@ class LorentzMatrix4:
         a = np.asarray(self.entries, dtype=float)
         if a.shape != (4, 4):
             raise ValueError(f"Lorentz matrix must be 4x4, got {a.shape}")
-        defect = float(np.abs(a.T @ ETA @ a - ETA).max())
-        if defect > ETA_TOL:
-            raise ContractError(
-                f"matrix does not preserve the Minkowski form: defect {defect:.3e} exceeds {ETA_TOL:.1e}"
-            )
+        require_lorentz(a[None])
         object.__setattr__(self, "entries", _freeze(a))
+
+
+def require_lorentz(
+    a: np.ndarray, restricted: bool = False, index: Sequence[int] | None = None
+) -> None:
+    """Check that every matrix of a real (k, 4, 4) stack preserves the Minkowski form.
+
+    With ``restricted``, each must also lie in the identity component SO+(1,3):
+    det = 1 and L00 >= 1, both within ETA_TOL. Raises ContractError naming the
+    first failing map by its position, or by ``index[position]`` when the stack
+    is drawn from a longer sequence. Non-finite entries fail, and every test is
+    written so that a NaN fails it.
+    """
+    label = range(len(a)) if index is None else index
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        raise ContractError(f"map {label[int(np.argmin(finite))]} has non-finite entries")
+    # finite entries can still overflow to inf - inf = NaN, which the test below fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(np.swapaxes(a, 1, 2) @ ETA @ a - ETA).max(axis=(1, 2))
+    bad = ~(defect <= ETA_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContractError(
+            f"map {label[i]} does not preserve the Minkowski form: "
+            f"defect {defect[i]:.3e} exceeds {ETA_TOL:.1e}"
+        )
+    if restricted:
+        d = np.linalg.det(a)
+        bad = ~(np.abs(d - 1.0) <= ETA_TOL) | ~(a[:, 0, 0] >= 1.0 - ETA_TOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ContractError(
+                f"map {label[i]} is not restricted-orthochronous: det={d[i]}, L00={a[i, 0, 0]}"
+            )
 
 
 def herm_from_vector(v) -> np.ndarray:
@@ -79,23 +114,24 @@ def herm_from_vector(v) -> np.ndarray:
     return np.stack([t + z, x - 1j * y, x + 1j * y, t - z], axis=-1).reshape(v.shape[:-1] + (2, 2))
 
 
-def spin_hom(lam: SL2C) -> LorentzMatrix4:
-    """Image of an SL(2,C) element in the restricted Lorentz group.
+def spin_images(m: np.ndarray, index: Sequence[int] | None = None) -> np.ndarray:
+    """Restricted Lorentz images of a (k, 2, 2) stack of SL(2,C) matrices, as (k, 4, 4).
 
-    Entry (mu, nu) is 1/2 Re Tr(s_mu L s_nu L†) for s ranging over (I, X, Y, Z),
-    so column nu holds the Pauli coordinates of L s_nu L† and the result maps
-    the coordinates of h to those of L h L†.
+    Entry (mu, nu) of image k is 1/2 Re Tr(s_mu L_k s_nu L_k†) for s ranging
+    over (I, X, Y, Z), so column nu holds the Pauli coordinates of
+    L_k s_nu L_k† and the image maps the coordinates of h to those of
+    L_k h L_k†. Every image is checked by require_lorentz(restricted=True),
+    which names a failing image by ``index``, as there.
     """
-    lm = lam.m
-    sigma = np.stack(PAULIS)
-    traces = np.einsum("mab,bc,ncd,ad->mn", sigma, lm, sigma, lm.conj())
-    out = LorentzMatrix4(0.5 * traces.real)
-    d = float(np.linalg.det(out.entries))
-    if abs(d - 1.0) > ETA_TOL or out.entries[0, 0] < 1.0 - ETA_TOL:
-        raise ContractError(
-            f"spin homomorphism image not restricted-orthochronous: det={d}, L00={out.entries[0, 0]}"
-        )
+    traces = np.einsum("mab,kbc,ncd,kad->kmn", _SIGMA, m, _SIGMA, m.conj())
+    out = 0.5 * traces.real
+    require_lorentz(out, restricted=True, index=index)
     return out
+
+
+def spin_hom(lam: SL2C) -> LorentzMatrix4:
+    """Image of an SL(2,C) element in the restricted Lorentz group: spin_images of one element."""
+    return LorentzMatrix4(spin_images(lam.m[None])[0])
 
 
 def boost_z(rapidity: float) -> SL2C:

@@ -149,6 +149,23 @@ def test_metric_explicit_families(tmp_path):
     assert "parity_symmetry" not in report["checks"]
 
 
+def test_metric_report_deviations_are_frozen(tmp_path):
+    # exact values of one sampled-family report: a change of sub-seed layout,
+    # draw order or per-element arithmetic in the symmetry checks moves them
+    code, report = run_report(
+        tmp_path, ["metric", "--trials", "100", "--sym-trials", "10", "--seed", "7"]
+    )
+    assert code == 0
+    deviations = {name: check["deviation"] for name, check in report["checks"].items()}
+    assert deviations == {
+        "pauli_table": 0.0,
+        "correlator_vs_determinant": 8.881784197001252e-16,
+        "boost_symmetry": 2.9976021664879227e-15,
+        "rotation_symmetry": 5.906339758003592e-16,
+        "parity_symmetry": 2.220446049250313e-16,
+    }
+
+
 def test_twirl_zz(tmp_path):
     code, report = run_report(
         tmp_path, ["twirl", "--o1", "Z", "--o2", "Z", "--samples", "20000", "--seed", "3"]

@@ -205,6 +205,90 @@ def test_symmetry_check_applies_the_map():
     assert correlator_symmetry_check(stretch, 20, 97) > 1e-2
 
 
+def test_symmetry_check_rejects_non_finite_maps():
+    # a NaN map has a NaN Minkowski defect; it must raise, not report nan
+    with pytest.raises(ContractError):
+        correlator_symmetry_check(np.full((4, 4), np.nan), 5, 1)
+    inf_map = np.eye(4)
+    inf_map[0, 3] = np.inf
+    with pytest.raises(ContractError):
+        correlator_symmetry_check(inf_map, 5, 1)
+
+
+def unvalidated(entries) -> LorentzMatrix4:
+    """A LorentzMatrix4 holding `entries` without the Minkowski-form check."""
+    m = object.__new__(LorentzMatrix4)
+    object.__setattr__(m, "entries", np.asarray(entries, dtype=float))
+    return m
+
+
+def sampled_maps(seed: int) -> list:
+    """Maps of every supported form: SL(2,C), LorentzMatrix4, plain ndarray and 'parity'."""
+    rng = rng_from_seed(seed)
+    maps = [boost_z(float(rng.uniform(-2.0, 2.0))) for _ in range(3)]
+    maps += [rotation_z(float(rng.uniform(0.0, 2.0 * np.pi))) for _ in range(3)]
+    maps += [sample_sl2c(rng, 2.0) for _ in range(2)]
+    maps += [spin_hom(sample_sl2c(rng, 2.0)), spin_hom(boost_z(1.5))]
+    maps += [spin_hom(sample_sl2c(rng, 2.0)).entries.copy(), np.eye(4), ETA.copy()]
+    maps += ["parity", "parity"]
+    return maps
+
+
+@pytest.mark.parametrize("trials", [1, 5, 17])
+def test_stacked_check_equals_max_of_single_map_checks(trials):
+    maps = sampled_maps(100 + trials)
+    seeds = [split_seed(101, i) for i in range(len(maps))]
+    singles = [correlator_symmetry_check(m, trials, s) for m, s in zip(maps, seeds)]
+    assert correlator_symmetry_check(maps, trials, seeds) == max(singles)
+    assert correlator_symmetry_check(tuple(maps), trials, tuple(seeds)) == max(singles)
+    # each form alone, stacked: SL(2,C), LorentzMatrix4, ndarray, 'parity'
+    for kind in (SL2C, LorentzMatrix4, np.ndarray, str):
+        idx = [i for i, m in enumerate(maps) if isinstance(m, kind)]
+        stacked = correlator_symmetry_check([maps[i] for i in idx], trials, [seeds[i] for i in idx])
+        assert stacked == max(singles[i] for i in idx)
+    # a one-element list is the single-map call
+    assert correlator_symmetry_check([maps[0]], trials, [seeds[0]]) == singles[0]
+
+
+@pytest.mark.parametrize("position", [0, 6, 14])
+def test_stacked_check_applies_each_map_to_its_own_draws(position):
+    # negative control: a stretch admitted past validation must show at the
+    # first, a middle and the last position of a stack of valid maps; a
+    # broadcast that applied map 0 to every draw would read rounding noise
+    maps = sampled_maps(102)[:14]
+    maps.insert(position, unvalidated(np.diag([1.0, 1.0, 1.0, 2.0])))
+    seeds = [split_seed(103, i) for i in range(len(maps))]
+    dev = correlator_symmetry_check(maps, 5, seeds)
+    assert dev > 1e-2
+    assert dev == correlator_symmetry_check(maps[position], 5, seeds[position])
+    valid = maps[:position] + maps[position + 1:]
+    assert correlator_symmetry_check(valid, 5, seeds[:position] + seeds[position + 1:]) < 1e-8
+
+
+def test_stacked_check_needs_one_seed_per_map():
+    maps = sampled_maps(104)[:3]
+    with pytest.raises(ValueError):
+        correlator_symmetry_check(maps, 5, [1, 2])
+    with pytest.raises(ValueError):
+        correlator_symmetry_check(maps[0], 5, [1, 2])
+    with pytest.raises(ValueError):
+        correlator_symmetry_check(maps, 5, 1)
+    with pytest.raises(ValueError):
+        correlator_symmetry_check([], 5, [])
+
+
+def test_stacked_check_names_the_failing_map():
+    bad_spin = object.__new__(SL2C)
+    object.__setattr__(bad_spin, "m", np.diag([2.0, 1.0]).astype(complex))
+    stretch = np.diag([1.0, 1.0, 1.0, 2.0])
+    with pytest.raises(ContractError, match="map 3 "):
+        correlator_symmetry_check(["parity", boost_z(0.5), np.eye(4), bad_spin], 5, [1, 2, 3, 4])
+    with pytest.raises(ContractError, match="map 2 "):
+        correlator_symmetry_check([boost_z(0.5), np.eye(4), stretch], 5, [1, 2, 3])
+    with pytest.raises(ContractError, match="map 1 has non-finite"):
+        correlator_symmetry_check([np.eye(4), np.full((4, 4), np.nan)], 5, [1, 2])
+
+
 def test_singlet_invariant_under_unit_determinant_family():
     # |det| = 1 with arbitrary phase: the projector is exactly preserved
     rng = rng_from_seed(96)

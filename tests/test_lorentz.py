@@ -5,7 +5,16 @@ import pytest
 
 from qlorentz import ContractError, boost_z, random_sl2c, spin_hom
 from qlorentz.linalg import PAULIS
-from qlorentz.lorentz import ETA, SL2C, LorentzMatrix4, herm_from_vector, rotation_z, sample_sl2c
+from qlorentz.lorentz import (
+    ETA,
+    SL2C,
+    LorentzMatrix4,
+    herm_from_vector,
+    require_lorentz,
+    rotation_z,
+    sample_sl2c,
+    spin_images,
+)
 from qlorentz.seeding import rng_from_seed, split_seed
 
 
@@ -150,3 +159,44 @@ def test_random_sl2c_deterministic_per_seed():
     a = random_sl2c(314, 2.0)
     b = random_sl2c(314, 2.0)
     np.testing.assert_allclose(a.m, b.m, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lorentz_matrix_rejects_non_finite_entries(bad):
+    a = np.eye(4)
+    a[2, 1] = bad
+    with pytest.raises(ContractError, match="non-finite"):
+        LorentzMatrix4(a)
+
+
+def test_lorentz_matrix_rejects_overflowing_form():
+    # finite entries whose form overflows: (a^T eta a)_00 = 1e400 - 1e400 comes
+    # out inf or NaN with the summation order; both must fail, without a warning
+    a = np.eye(4)
+    a[0, 0] = a[1, 0] = 1e200
+    with pytest.raises(ContractError, match="Minkowski form"):
+        LorentzMatrix4(a)
+
+
+def test_spin_images_stack_matches_spin_hom_bit_for_bit():
+    rng = rng_from_seed(28)
+    lams = [boost_z(float(rng.uniform(-2.0, 2.0))) for _ in range(5)]
+    lams += [rotation_z(float(rng.uniform(0.0, 2.0 * np.pi))) for _ in range(5)]
+    lams += [sample_sl2c(rng, 2.0) for _ in range(5)]
+    images = spin_images(np.stack([lam.m for lam in lams]))
+    for lam, image in zip(lams, images):
+        assert np.array_equal(image, spin_hom(lam).entries)
+
+
+def test_require_lorentz_names_the_failing_map():
+    stretch = np.diag([1.0, 1.0, 1.0, 2.0])
+    with pytest.raises(ContractError, match="map 2 does not preserve"):
+        require_lorentz(np.stack([np.eye(4), ETA, stretch, np.eye(4)]))
+    with pytest.raises(ContractError, match="map 7 does not preserve"):
+        require_lorentz(np.stack([np.eye(4), stretch]), index=[3, 7])
+    # parity (det -1) and PT = -I (L00 = -1) preserve the form but leave SO+(1,3)
+    require_lorentz(np.stack([np.eye(4), ETA, -np.eye(4)]))
+    with pytest.raises(ContractError, match="map 1 is not restricted"):
+        require_lorentz(np.stack([np.eye(4), ETA]), restricted=True)
+    with pytest.raises(ContractError, match="map 1 is not restricted"):
+        require_lorentz(np.stack([np.eye(4), -np.eye(4)]), restricted=True)
