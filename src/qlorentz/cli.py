@@ -12,7 +12,9 @@ Each command returns its checks as (deviation, tolerance) pairs; one report
 path times it, echoes its flags as the config, applies --tolerance and
 assembles the report. Reports are byte-identical for identical configs and
 seeds, except for the wall_time_s field, and are strict JSON: the text is
-what json.dumps(indent=2, sort_keys=True) writes, with no NaN or Infinity.
+what json.dumps(indent=2, sort_keys=True, allow_nan=False) writes, produced
+by jsontext.json_text from one % template over the report's numbers rather
+than by json's pure-Python indent encoder.
 Exit code 0 means every check passed, 1 means a property check failed, 2
 means the inputs were unusable, the report or CSV could not be written, or
 the report held a non-finite value. An exit 2 writes no report, no CSV and
@@ -28,13 +30,13 @@ import json
 import sys
 import time
 from functools import cache
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .correlation import (
     TWIRL_ABS_FLOOR,
+    correlator_deviations,
     correlator_symmetry_check,
     haar_twirl_mc,
     pauli_correlation_table,
@@ -49,7 +51,17 @@ from .invariants import (
     linear_mutual_info_trace,
     spectral_invariants,
 )
-from .lorentz import ETA, boost_z, herm_from_vector, rotation_z, sample_sl2c
+from .lorentz import (
+    ETA,
+    boost_z,
+    boosts_z,
+    herm_from_vector,
+    rotation_z,
+    rotations_z,
+    sample_sl2c,
+    spin_images,
+)
+from .jsontext import json_text
 from .linalg import MAX_QUBITS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from .seeding import SEED_SPLIT_NAME, rng_from_seed, split_seed
 from .states import (
@@ -201,26 +213,27 @@ def cmd_metric(args):
 
     explicit = args.boost is not None or args.rotation is not None or args.parity
     sym_seed = split_seed(args.seed, STREAM_SYMMETRY)
-    sym_rng = rng_from_seed(sym_seed)
-
-    # name, fixed value, SL(2,C) builder, sampling range, sub-seed offset
-    families = (
-        ("boost", args.boost, boost_z, (-2.0, 2.0), 0),
-        ("rotation", args.rotation, rotation_z, (0.0, 2.0 * np.pi), 10_000),
-    )
-    for name, fixed, build, (low, high), offset in families:
+    if not explicit:
+        # sym_trials sampled boosts then as many rotations, 5 pairs per map under
+        # its own sub-seed, all checked in one stacked pass
+        k = args.sym_trials
+        sym_rng = rng_from_seed(sym_seed)
+        rapidities = sym_rng.uniform(-2.0, 2.0, size=k)
+        angles = sym_rng.uniform(0.0, 2.0 * np.pi, size=k)
+        lams = spin_images(np.concatenate([boosts_z(rapidities), rotations_z(angles)]))
+        seeds = [split_seed(sym_seed, offset + i) for offset in (0, 10_000) for i in range(k)]
+        sym_devs = correlator_deviations(lams, 5, seeds)
+        checks["boost_symmetry"] = (sym_devs[:k].max(), 1e-8)
+        checks["rotation_symmetry"] = (sym_devs[k:].max(), 1e-8)
+    for name, fixed, build, offset in (
+        ("boost", args.boost, boost_z, 0),
+        ("rotation", args.rotation, rotation_z, 10_000),
+    ):
         if fixed is not None:
             dev = correlator_symmetry_check(
                 build(fixed), args.sym_trials, split_seed(sym_seed, offset)
             )
-        elif explicit:
-            continue
-        else:
-            # sym_trials sampled maps, 5 pairs each under its own sub-seed, in one stacked call
-            lams = [build(float(sym_rng.uniform(low, high))) for _ in range(args.sym_trials)]
-            seeds = [split_seed(sym_seed, offset + i) for i in range(args.sym_trials)]
-            dev = correlator_symmetry_check(lams, 5, seeds)
-        checks[f"{name}_symmetry"] = (dev, 1e-8)
+            checks[f"{name}_symmetry"] = (dev, 1e-8)
 
     if args.parity or not explicit:
         dev = correlator_symmetry_check("parity", args.sym_trials, split_seed(sym_seed, 20_000))
@@ -324,37 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _list_template(shape: tuple[int, ...], depth: int) -> str:
-    """The text json.dumps(indent=2) writes for a nested list of this shape at this depth, %r per leaf."""
-    if not shape:
-        return "%r"
-    inner = _list_template(shape[1:], depth + 1)
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * depth + "]"
-
-
 def _emit(report: dict, args) -> None:
-    """Write the report as indent-2, sorted-key JSON, with a state's matrix filled in from a template.
-
-    json's indent encoder is pure Python, one call per float, so the d x d x 2
-    matrix is written by %r instead (float.__repr__, as json uses) into the
-    place that a NUL string held. No string a report echoes can hold a NUL,
-    since argv cannot carry one. State entries are finite, so allow_nan=False
-    still covers every value.
+    """Write the report as indent-2, sorted-key JSON, the text of jsontext.json_text.
 
     The CSV is written before the report and deleted again if the report
     cannot be written, so a path that cannot be opened (exit 2) leaves
     neither behind; a write that fails partway can leave a truncated one.
+    A NaN or an infinity in the report raises ValueError before either is
+    written.
     """
-    matrix = None
-    if "state" in report:
-        matrix = report["state"]["matrix"]
-        report = {**report, "state": {**report["state"], "matrix": "\0"}}
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if matrix is not None:
-        template = _list_template((len(matrix), len(matrix), 2), 2)  # report > state > matrix
-        floats = tuple(chain.from_iterable(chain.from_iterable(matrix)))
-        text = text.replace(json.dumps("\0"), template % floats, 1)
+    text = json_text(report) + "\n"
     if args.csv:
         rows = report.get("trials", [])
         fields = sorted({k for row in rows for k in row})

@@ -182,13 +182,20 @@ def _as_list(x) -> list:
     return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
-def _coordinate_matrices(maps: list) -> np.ndarray:
+def _coordinate_matrices(maps) -> np.ndarray:
     """The (k, 4, 4) stack of real matrices by which the maps act on Pauli coordinates.
 
-    All SL(2,C) maps go through one spin_images pass and all ndarray maps
-    through one require_lorentz pass, each naming a failing map by its
-    position in ``maps``; a LorentzMatrix4 was checked when it was built.
+    A (k, 4, 4) ndarray is one require_lorentz pass. Otherwise all SL(2,C)
+    maps go through one spin_images pass and all ndarray maps through one
+    require_lorentz pass, each naming a failing map by its position in
+    ``maps``; a LorentzMatrix4 was checked when it was built.
     """
+    if isinstance(maps, np.ndarray):
+        lams = np.asarray(maps, dtype=float)
+        if lams.shape[1:] != (4, 4):
+            raise ValueError(f"a stack of Lorentz matrices must be (k, 4, 4), got {lams.shape}")
+        require_lorentz(lams)
+        return lams
     lams = np.empty((len(maps), 4, 4))
     spin, plain = [], []
     for i, mapping in enumerate(maps):
@@ -215,19 +222,20 @@ def _coordinate_matrices(maps: list) -> np.ndarray:
     return lams
 
 
-def correlator_symmetry_check(
+def correlator_deviations(
     mapping: Union[MapLike, Sequence[MapLike]], trials: int, rng_seed: Union[int, Sequence[int]]
-) -> float:
-    """Largest correlator change under the maps, over random Hermitian pairs.
+) -> np.ndarray:
+    """Per map, the largest correlator change over random Hermitian pairs, as a (k,) array.
 
-    ``mapping`` is one map or a list/tuple of k maps, and ``rng_seed`` one
-    sub-seed or a list/tuple of k, one per map; a single map and seed is the
-    k = 1 case. Each map may be an SL(2,C) conjugation, a
-    Minkowski-form-preserving 4x4 matrix acting on Pauli coordinates, or the
-    string 'parity'. Map j acts on the coordinates of ``trials`` pairs drawn
-    by rng_from_seed(rng_seed[j]), and all k maps are applied in one stacked
-    pass, so the result equals the max of the k single-map checks bit for
-    bit. Returns the max over maps and trials of
+    ``mapping`` is one map, a list/tuple of k maps, or a real (k, 4, 4)
+    ndarray stack of Lorentz matrices, which is validated by one
+    require_lorentz pass; ``rng_seed`` is one sub-seed or a list/tuple of k,
+    one per map, and a single map and seed is the k = 1 case. Each listed map
+    may be an SL(2,C) conjugation, a Minkowski-form-preserving 4x4 matrix
+    acting on Pauli coordinates, or the string 'parity'. Map j acts on the
+    coordinates of ``trials`` pairs drawn by rng_from_seed(rng_seed[j]), and
+    all k maps are applied in one stacked pass, so entry j equals the
+    single-map value of map j bit for bit. Entry j is the max over trials of
     |C(o1,o2) - C(L o1, L o2)| / max(1, |C(o1,o2)|), which should sit at
     rounding scale for any determinant-preserving map. A map that fails
     validation raises ContractError naming its index.
@@ -235,8 +243,10 @@ def correlator_symmetry_check(
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
-    maps, seeds = _as_list(mapping), _as_list(rng_seed)
-    if not maps or len(maps) != len(seeds):
+    stack = isinstance(mapping, np.ndarray) and mapping.ndim == 3
+    maps = mapping if stack else _as_list(mapping)
+    seeds = _as_list(rng_seed)
+    if not len(maps) or len(maps) != len(seeds):
         raise ValueError(
             f"need one sub-seed per map and at least one map, got {len(maps)} maps "
             f"and {len(seeds)} sub-seeds"
@@ -249,4 +259,17 @@ def correlator_symmetry_check(
     # herm_from_vector output is Hermitian by construction; skip the public checks
     before = _singlet_correlation(h[..., 0, :, :], h[..., 1, :, :])
     after = _singlet_correlation(moved[..., 0, :, :], moved[..., 1, :, :])
-    return float((np.abs(before - after) / np.maximum(1.0, np.abs(before))).max())
+    return (np.abs(before - after) / np.maximum(1.0, np.abs(before))).max(axis=1)
+
+
+def correlator_symmetry_check(
+    mapping: Union[MapLike, Sequence[MapLike]], trials: int, rng_seed: Union[int, Sequence[int]]
+) -> float:
+    """Largest correlator change under the maps: the max of correlator_deviations.
+
+    Takes the same inputs as correlator_deviations: one map, a list/tuple of
+    k maps, or a (k, 4, 4) stack of Lorentz matrices, which is validated
+    there, with one sub-seed per map. Stacking k maps gives the max of the k
+    single-map checks bit for bit.
+    """
+    return float(correlator_deviations(mapping, trials, rng_seed).max())

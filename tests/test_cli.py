@@ -10,7 +10,10 @@ import pytest
 from qlorentz.states import QubitState, random_state, state_to_json_dict
 from qlorentz.cli import main
 import qlorentz.cli
+from qlorentz.correlation import correlator_symmetry_check
 from qlorentz.linalg import MAX_QUBITS
+from qlorentz.lorentz import boost_z, rotation_z
+from qlorentz.seeding import rng_from_seed, split_seed
 
 
 def run_report(tmp_path, args, name="report.json"):
@@ -308,14 +311,20 @@ def test_tolerance_override_forces_failure(tmp_path):
 def test_reports_are_deterministic(tmp_path):
     state_path = tmp_path / "state6.json"
     state_path.write_text(json.dumps(state_to_json_dict(random_state(6, "mixed", 61))))
+    # the path is echoed as a string holding % and non-ASCII text
+    odd_path = tmp_path / "st%ate_%s_ü✓.json"
+    odd_path.write_text(json.dumps(state_to_json_dict(random_state(2, "mixed", 62))))
     configs = [
         ["oracle", "--n", "3", "--trials", "12", "--seed", "5"],
         ["invariants", "--preset", "ghz3", "--trials", "6", "--seed", "8"],
+        ["invariants", "--preset", "singlet", "--trials", "4", "--seed", "9"],
         ["twirl", "--o1", "X", "--o2", "Y", "--samples", "2000", "--seed", "4"],
         ["metric", "--trials", "20", "--sym-trials", "3", "--seed", "6"],
+        ["metric", "--boost", "1.5", "--trials", "20", "--sym-trials", "5"],
         ["boost", "--preset", "basis0_10"],
         ["boost", "--random", "mixed", "--n", "6"],
         ["boost", "--input", str(state_path), "--rapidity=-0.7"],
+        ["boost", "--input", str(odd_path), "--rapidity=0.4"],
     ]
     for args in configs:
         _, first = run_report(tmp_path, args, "a.json")
@@ -324,6 +333,36 @@ def test_reports_are_deterministic(tmp_path):
         assert text == json.dumps(first, indent=2, sort_keys=True) + "\n"
         _, second = run_report(tmp_path, args, "b.json")
         assert strip_wall_time(first) == strip_wall_time(second)
+
+
+def test_metric_large_fixed_boost_passes(tmp_path):
+    # the spin image of boost_z(8.5) has a Minkowski defect of 1.9e-9 from
+    # rounding alone, which an absolute tolerance of 1e-9 made an exit 2
+    code, report = run_report(tmp_path, ["metric", "--boost", "8.5", "--trials", "10"])
+    assert code == 0
+    assert report["checks"]["boost_symmetry"]["pass"] is True
+
+
+@pytest.mark.parametrize("sym_trials", [1, 3, 10])
+@pytest.mark.parametrize("seed", [0, 7, 31])
+def test_metric_sampled_families_match_per_map_checks(tmp_path, seed, sym_trials):
+    # reference: sym_trials scalar draws per family, each map's own check
+    code, report = run_report(
+        tmp_path, ["metric", "--trials", "5", "--sym-trials", str(sym_trials), "--seed", str(seed)]
+    )
+    assert code == 0
+    sym_seed = split_seed(seed, qlorentz.cli.STREAM_SYMMETRY)
+    rng = rng_from_seed(sym_seed)
+    for name, build, (low, high), offset in (
+        ("boost", boost_z, (-2.0, 2.0), 0),
+        ("rotation", rotation_z, (0.0, 2.0 * np.pi), 10_000),
+    ):
+        lams = [build(float(rng.uniform(low, high))) for _ in range(sym_trials)]
+        singles = [
+            correlator_symmetry_check(lam, 5, split_seed(sym_seed, offset + i))
+            for i, lam in enumerate(lams)
+        ]
+        assert report["checks"][f"{name}_symmetry"]["deviation"] == max(singles)
 
 
 def test_parser_is_built_once_and_survives_a_bad_flag(tmp_path):

@@ -5,10 +5,21 @@ import pytest
 
 from qlorentz import ContractError, apply_local, boost_z, pauli_correlation_table, spin_hom
 from qlorentz.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from qlorentz.lorentz import ETA, SL2C, LorentzMatrix4, herm_from_vector, rotation_z, sample_sl2c
+from qlorentz.lorentz import (
+    ETA,
+    SL2C,
+    LorentzMatrix4,
+    boosts_z,
+    herm_from_vector,
+    rotation_z,
+    rotations_z,
+    sample_sl2c,
+    spin_images,
+)
 from qlorentz.states import SINGLET_COEFFS, singlet
 from qlorentz.correlation import (
     SWAP,
+    correlator_deviations,
     correlator_symmetry_check,
     haar_twirl_mc,
     haar_unitaries,
@@ -287,6 +298,36 @@ def test_stacked_check_names_the_failing_map():
         correlator_symmetry_check([boost_z(0.5), np.eye(4), stretch], 5, [1, 2, 3])
     with pytest.raises(ContractError, match="map 1 has non-finite"):
         correlator_symmetry_check([np.eye(4), np.full((4, 4), np.nan)], 5, [1, 2])
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_family_stack_deviations_equal_the_per_map_checks(k):
+    # the boost and rotation families in one (2k, 4, 4) stack: each map's
+    # deviation, so each family's max, is that of its own single-map check
+    rng = rng_from_seed(105 + k)
+    rapidities = rng.uniform(-2.0, 2.0, size=k)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=k)
+    stack = spin_images(np.concatenate([boosts_z(rapidities), rotations_z(angles)]))
+    seeds = [split_seed(106, offset + i) for offset in (0, 10_000) for i in range(k)]
+    devs = correlator_deviations(stack, 5, seeds)
+    maps = [boost_z(r) for r in rapidities] + [rotation_z(t) for t in angles]
+    singles = [correlator_symmetry_check(m, 5, s) for m, s in zip(maps, seeds)]
+    assert devs.tolist() == singles
+    assert devs[:k].max() == max(singles[:k]) and devs[k:].max() == max(singles[k:])
+    assert correlator_symmetry_check(stack, 5, seeds) == max(singles)
+    assert correlator_deviations(maps, 5, seeds).tolist() == singles
+
+
+def test_stack_input_is_validated():
+    good = spin_images(boosts_z([0.3, -1.1, 1.7]))
+    bad = good.copy()
+    bad[2] = np.diag([1.0, 1.0, 1.0, 2.0])
+    with pytest.raises(ContractError, match="map 2 does not preserve"):
+        correlator_deviations(bad, 5, [1, 2, 3])
+    with pytest.raises(ValueError, match="one sub-seed per map"):
+        correlator_deviations(good, 5, [1, 2])
+    with pytest.raises(ValueError, match=r"\(k, 4, 4\)"):
+        correlator_deviations(np.zeros((3, 3, 3)), 5, [1, 2, 3])
 
 
 def test_singlet_invariant_under_unit_determinant_family():

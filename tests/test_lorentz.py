@@ -9,9 +9,11 @@ from qlorentz.lorentz import (
     ETA,
     SL2C,
     LorentzMatrix4,
+    boosts_z,
     herm_from_vector,
     require_lorentz,
     rotation_z,
+    rotations_z,
     sample_sl2c,
     spin_images,
 )
@@ -200,3 +202,51 @@ def test_require_lorentz_names_the_failing_map():
         require_lorentz(np.stack([np.eye(4), ETA]), restricted=True)
     with pytest.raises(ContractError, match="map 1 is not restricted"):
         require_lorentz(np.stack([np.eye(4), -np.eye(4)]), restricted=True)
+
+
+@pytest.mark.parametrize("rapidity", [8.5, 12.0, 20.0])
+def test_spin_hom_accepts_large_boosts(rapidity):
+    # the defect of L^T eta L is rounding of size eps*cosh(r)^2, which an
+    # absolute tolerance of 1e-9 rejected from r = 8.5 up
+    image = spin_hom(boost_z(rapidity)).entries
+    assert image[0, 0] == pytest.approx(np.cosh(rapidity), rel=1e-12)
+
+
+@pytest.mark.parametrize("rapidity", [1.0, 12.0])
+def test_require_lorentz_rejects_a_scaled_boost(rapidity):
+    # negative control for the c*eps*||L||_F^2 tolerance: a 1% scale moves
+    # L^T eta L by 0.02, far outside it (at r = 20 the form's own rounding,
+    # about eps*cosh(20)^2 = 13, is larger than that move, and no float64
+    # check can see it)
+    image = spin_hom(boost_z(rapidity)).entries
+    with pytest.raises(ContractError, match="map 1 does not preserve"):
+        require_lorentz(np.stack([image, 1.01 * image]))
+    with pytest.raises(ContractError, match="map 1 does not preserve"):
+        require_lorentz(np.stack([image, np.diag([1.0, 1.0, 1.0, 2.0])]))
+
+
+def test_boost_and_rotation_stacks_match_the_single_maps_bit_for_bit():
+    # one uniform(size=k) call is the stream of k scalar draws, and each stack
+    # element is the boost_z/rotation_z matrix, so are their spin images
+    k = 12
+    draws = rng_from_seed(29)
+    rapidities = draws.uniform(-2.0, 2.0, size=k)
+    angles = draws.uniform(0.0, 2.0 * np.pi, size=k)
+    scalar = rng_from_seed(29)
+    r_scalar = [float(scalar.uniform(-2.0, 2.0)) for _ in range(k)]
+    t_scalar = [float(scalar.uniform(0.0, 2.0 * np.pi)) for _ in range(k)]
+    assert rapidities.tolist() == r_scalar and angles.tolist() == t_scalar
+    stack = np.concatenate([boosts_z(rapidities), rotations_z(angles)])
+    singles = [boost_z(r) for r in r_scalar] + [rotation_z(t) for t in t_scalar]
+    images = spin_images(stack)
+    for m, image, lam in zip(stack, images, singles):
+        assert np.array_equal(m, lam.m)
+        assert np.array_equal(image, spin_hom(lam).entries)
+
+
+def test_boosts_z_keeps_the_rapidity_guard():
+    boosts_z([-20.0, 20.0])
+    with pytest.raises(ValueError, match="conditioning guard"):
+        boosts_z([0.5, -20.5])
+    with pytest.raises(ValueError, match="conditioning guard"):
+        boost_z(20.5)
