@@ -56,7 +56,6 @@ from .lorentz import (
     boost_z,
     boosts_z,
     herm_from_vector,
-    rotation_z,
     rotations_z,
     sample_sl2c,
     spin_images,
@@ -226,17 +225,17 @@ def cmd_metric(args):
         checks["boost_symmetry"] = (sym_devs[:k].max(), 1e-8)
         checks["rotation_symmetry"] = (sym_devs[k:].max(), 1e-8)
     for name, fixed, build, offset in (
-        ("boost", args.boost, boost_z, 0),
-        ("rotation", args.rotation, rotation_z, 10_000),
+        ("boost", args.boost, boosts_z, 0),
+        ("rotation", args.rotation, rotations_z, 10_000),
     ):
         if fixed is not None:
             dev = correlator_symmetry_check(
-                build(fixed), args.sym_trials, split_seed(sym_seed, offset)
+                spin_images(build([fixed])), args.sym_trials, [split_seed(sym_seed, offset)]
             )
             checks[f"{name}_symmetry"] = (dev, 1e-8)
 
     if args.parity or not explicit:
-        dev = correlator_symmetry_check("parity", args.sym_trials, split_seed(sym_seed, 20_000))
+        dev = correlator_symmetry_check(ETA[None], args.sym_trials, [split_seed(sym_seed, 20_000)])
         checks["parity_symmetry"] = (dev, 1e-8)
     return None, trials, checks, {"pauli_table": table.tolist()}
 

@@ -12,12 +12,12 @@ determinant-preserving maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .linalg import PAULIS, as_matrix, det, kron, require_hermitian
-from .lorentz import ETA, LorentzMatrix4, SL2C, herm_from_vector, require_lorentz, spin_images
+from .lorentz import herm_from_vector, require_lorentz
 from .seeding import rng_from_seed
 from .states import SINGLET_COEFFS
 
@@ -174,84 +174,32 @@ def haar_twirl_mc(o1, o2, samples: int, rng_seed: int) -> TwirlEstimate:
     )
 
 
-MapLike = Union[SL2C, LorentzMatrix4, np.ndarray, str]
-
-
-def _as_list(x) -> list:
-    """A list or tuple as a list; any other value as the one-element list of itself."""
-    return list(x) if isinstance(x, (list, tuple)) else [x]
-
-
-def _coordinate_matrices(maps) -> np.ndarray:
-    """The (k, 4, 4) stack of real matrices by which the maps act on Pauli coordinates.
-
-    A (k, 4, 4) ndarray is one require_lorentz pass. Otherwise all SL(2,C)
-    maps go through one spin_images pass and all ndarray maps through one
-    require_lorentz pass, each naming a failing map by its position in
-    ``maps``; a LorentzMatrix4 was checked when it was built.
-    """
-    if isinstance(maps, np.ndarray):
-        lams = np.asarray(maps, dtype=float)
-        if lams.shape[1:] != (4, 4):
-            raise ValueError(f"a stack of Lorentz matrices must be (k, 4, 4), got {lams.shape}")
-        require_lorentz(lams)
-        return lams
-    lams = np.empty((len(maps), 4, 4))
-    spin, plain = [], []
-    for i, mapping in enumerate(maps):
-        if isinstance(mapping, SL2C):
-            spin.append(i)
-        elif isinstance(mapping, str):
-            if mapping != "parity":
-                raise ValueError(f"unknown named map {mapping!r}; only 'parity' is recognized")
-            lams[i] = ETA
-        elif isinstance(mapping, LorentzMatrix4):
-            lams[i] = mapping.entries
-        elif isinstance(mapping, np.ndarray):
-            if mapping.shape != (4, 4):
-                raise ValueError(f"map {i}: Lorentz matrix must be 4x4, got {mapping.shape}")
-            plain.append(i)
-        else:
-            raise TypeError(f"unsupported map type {type(mapping).__name__}")
-    if spin:
-        lams[spin] = spin_images(np.stack([maps[i].m for i in spin]), index=spin)
-    if plain:
-        a = np.stack([np.asarray(maps[i], dtype=float) for i in plain])
-        require_lorentz(a, index=plain)
-        lams[plain] = a
-    return lams
-
-
-def correlator_deviations(
-    mapping: Union[MapLike, Sequence[MapLike]], trials: int, rng_seed: Union[int, Sequence[int]]
-) -> np.ndarray:
+def correlator_deviations(lams: np.ndarray, trials: int, rng_seed: Sequence[int]) -> np.ndarray:
     """Per map, the largest correlator change over random Hermitian pairs, as a (k,) array.
 
-    ``mapping`` is one map, a list/tuple of k maps, or a real (k, 4, 4)
-    ndarray stack of Lorentz matrices, which is validated by one
-    require_lorentz pass; ``rng_seed`` is one sub-seed or a list/tuple of k,
-    one per map, and a single map and seed is the k = 1 case. Each listed map
-    may be an SL(2,C) conjugation, a Minkowski-form-preserving 4x4 matrix
-    acting on Pauli coordinates, or the string 'parity'. Map j acts on the
-    coordinates of ``trials`` pairs drawn by rng_from_seed(rng_seed[j]), and
-    all k maps are applied in one stacked pass, so entry j equals the
-    single-map value of map j bit for bit. Entry j is the max over trials of
-    |C(o1,o2) - C(L o1, L o2)| / max(1, |C(o1,o2)|), which should sit at
-    rounding scale for any determinant-preserving map. A map that fails
-    validation raises ContractError naming its index.
+    ``lams`` is a real (k, 4, 4) stack of matrices acting on Pauli
+    coordinates, validated by one require_lorentz pass, and ``rng_seed`` a
+    sequence of k sub-seeds, one per map. Map j acts on the coordinates of
+    ``trials`` pairs drawn by rng_from_seed(rng_seed[j]), and all k maps are
+    applied in one stacked pass, so entry j equals the value of the
+    one-map stack lams[j:j+1] with seed [rng_seed[j]] bit for bit. Entry j is
+    the max over trials of |C(o1,o2) - C(L o1, L o2)| / max(1, |C(o1,o2)|),
+    which should sit at rounding scale for any determinant-preserving map.
+    A map that fails validation raises ContractError naming its index.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
-    stack = isinstance(mapping, np.ndarray) and mapping.ndim == 3
-    maps = mapping if stack else _as_list(mapping)
-    seeds = _as_list(rng_seed)
-    if not len(maps) or len(maps) != len(seeds):
+    if np.shape(lams)[1:] != (4, 4):
+        raise ValueError(f"maps must be a (k, 4, 4) stack, got shape {np.shape(lams)}")
+    lams = np.asarray(lams, dtype=float)
+    seeds = list(rng_seed)
+    if not len(lams) or len(lams) != len(seeds):
         raise ValueError(
-            f"need one sub-seed per map and at least one map, got {len(maps)} maps "
+            f"need one sub-seed per map and at least one map, got {len(lams)} maps "
             f"and {len(seeds)} sub-seeds"
         )
-    lams = _coordinate_matrices(maps)
+    require_lorentz(lams)
     # per map, one (v1, v2) coordinate pair per trial, drawn 4-vector by 4-vector: (k, trials, 2, 4)
     v = np.stack([rng_from_seed(seed).standard_normal((trials, 2, 4)) for seed in seeds])
     h = herm_from_vector(v)
@@ -262,14 +210,10 @@ def correlator_deviations(
     return (np.abs(before - after) / np.maximum(1.0, np.abs(before))).max(axis=1)
 
 
-def correlator_symmetry_check(
-    mapping: Union[MapLike, Sequence[MapLike]], trials: int, rng_seed: Union[int, Sequence[int]]
-) -> float:
-    """Largest correlator change under the maps: the max of correlator_deviations.
+def correlator_symmetry_check(lams: np.ndarray, trials: int, rng_seed: Sequence[int]) -> float:
+    """Largest correlator change under a (k, 4, 4) stack of maps: the max of correlator_deviations.
 
-    Takes the same inputs as correlator_deviations: one map, a list/tuple of
-    k maps, or a (k, 4, 4) stack of Lorentz matrices, which is validated
-    there, with one sub-seed per map. Stacking k maps gives the max of the k
-    single-map checks bit for bit.
+    Takes the same inputs, validated there: the stack and one sub-seed per
+    map. Stacking k maps gives the max of the k one-map checks bit for bit.
     """
-    return float(correlator_deviations(mapping, trials, rng_seed).max())
+    return float(correlator_deviations(lams, trials, rng_seed).max())

@@ -8,13 +8,10 @@ a restricted Lorentz transformation.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError
-from .linalg import PAULIS, as_matrix, det
+from .linalg import PAULIS, det
 from .seeding import rng_from_seed
 
 #: Minkowski metric in (t, x, y, z) coordinates.
@@ -31,58 +28,41 @@ _SIGMA = np.stack(PAULIS)
 _SIGMA.setflags(write=False)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out.setflags(write=False)
-    return out
+def require_sl2c(m) -> np.ndarray:
+    """Check a 2x2 complex matrix, or each of a (..., 2, 2) stack, for membership of SL(2,C).
+
+    Returns the input as a complex array. Raises ValueError for any other
+    shape, and ContractError naming the first failing element by its position
+    in the flattened stack when an entry is non-finite or the determinant lies
+    farther than SL2C_DET_TOL from 1 (so a unit-modulus phase times an element
+    fails).
+    """
+    a = np.asarray(m, dtype=complex)
+    if a.shape[-2:] != (2, 2):
+        raise ValueError(f"SL(2,C) elements must be 2x2, got shape {a.shape}")
+    # a non-finite entry makes its element's determinant non-finite, so one test catches both
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    bad = ~(np.abs(d - 1.0) <= SL2C_DET_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f" {i}" if a.ndim > 2 else ""
+        if not np.isfinite(a.reshape(-1, 2, 2)[i]).all():
+            raise ContractError(f"SL(2,C) element{where} has non-finite entries")
+        raise ContractError(
+            f"SL(2,C) element{where} has determinant {d.flat[i]}, "
+            f"not within {SL2C_DET_TOL:.1e} of 1"
+        )
+    return a
 
 
-@dataclass(frozen=True)
-class SL2C:
-    """A 2x2 complex matrix with unit determinant."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        a = as_matrix(self.m)
-        if a.shape != (2, 2):
-            raise ValueError(f"SL2C element must be 2x2, got {a.shape}")
-        d = det(a)
-        if abs(d - 1.0) > SL2C_DET_TOL:
-            raise ContractError(f"determinant {d} deviates from 1 by more than {SL2C_DET_TOL:.1e}")
-        object.__setattr__(self, "m", _freeze(a))
-
-    def __matmul__(self, other: "SL2C") -> "SL2C":
-        return SL2C(self.m @ other.m)
-
-    def __neg__(self) -> "SL2C":
-        return SL2C(-self.m)
-
-
-@dataclass(frozen=True)
-class LorentzMatrix4:
-    """Real 4x4 matrix acting on (t, x, y, z) that preserves the Minkowski form."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.shape != (4, 4):
-            raise ValueError(f"Lorentz matrix must be 4x4, got {a.shape}")
-        require_lorentz(a[None])
-        object.__setattr__(self, "entries", _freeze(a))
-
-
-def require_lorentz(
-    a: np.ndarray, restricted: bool = False, index: Sequence[int] | None = None
-) -> None:
+def require_lorentz(a: np.ndarray, restricted: bool = False) -> None:
     """Check that every matrix of a real (k, 4, 4) stack preserves the Minkowski form.
 
     With ``restricted``, each must also lie in the identity component SO+(1,3):
     det = 1 and L00 >= 1. Raises ContractError naming the first failing map by
-    its position, or by ``index[position]`` when the stack is drawn from a
-    longer sequence. Non-finite entries fail, and every test is written so
-    that a NaN fails it.
+    its position. Non-finite entries fail, and every test is written so that
+    a NaN fails it.
 
     Each test allows c*eps*||L||_F^2 with c = LORENTZ_TOL_FACTOR: rounding in
     L^T eta L, in det L (whose condition number is ||L||_2^2, as
@@ -93,10 +73,9 @@ def require_lorentz(
     scaled by 1.01 reads 9e12 and diag(1, 1, 1, 2) 6e14. A form whose scale
     overflows fails.
     """
-    label = range(len(a)) if index is None else index
     finite = np.isfinite(a).all(axis=(1, 2))
     if not finite.all():
-        raise ContractError(f"map {label[int(np.argmin(finite))]} has non-finite entries")
+        raise ContractError(f"map {int(np.argmin(finite))} has non-finite entries")
     # finite entries can still overflow to inf - inf = NaN, which the tests below fail
     with np.errstate(over="ignore", invalid="ignore"):
         tol = LORENTZ_TOL_FACTOR * _EPS * (a * a).sum(axis=(1, 2))
@@ -105,7 +84,7 @@ def require_lorentz(
     if bad.any():
         i = int(np.argmax(bad))
         raise ContractError(
-            f"map {label[i]} does not preserve the Minkowski form: "
+            f"map {i} does not preserve the Minkowski form: "
             f"defect {defect[i]:.3e} exceeds {tol[i]:.1e}"
         )
     if restricted:
@@ -114,7 +93,7 @@ def require_lorentz(
         if bad.any():
             i = int(np.argmax(bad))
             raise ContractError(
-                f"map {label[i]} is not restricted-orthochronous: det={d[i]}, L00={a[i, 0, 0]}"
+                f"map {i} is not restricted-orthochronous: det={d[i]}, L00={a[i, 0, 0]}"
             )
 
 
@@ -127,30 +106,30 @@ def herm_from_vector(v) -> np.ndarray:
     return np.stack([t + z, x - 1j * y, x + 1j * y, t - z], axis=-1).reshape(v.shape[:-1] + (2, 2))
 
 
-def spin_images(m: np.ndarray, index: Sequence[int] | None = None) -> np.ndarray:
+def spin_images(m: np.ndarray) -> np.ndarray:
     """Restricted Lorentz images of a (k, 2, 2) stack of SL(2,C) matrices, as (k, 4, 4).
 
     Entry (mu, nu) of image k is 1/2 Re Tr(s_mu L_k s_nu L_k†) for s ranging
     over (I, X, Y, Z), so column nu holds the Pauli coordinates of
     L_k s_nu L_k† and the image maps the coordinates of h to those of
     L_k h L_k†. Every image is checked by require_lorentz(restricted=True),
-    which names a failing image by ``index``, as there.
+    which names a failing image by its position.
     """
     traces = np.einsum("mab,kbc,ncd,kad->kmn", _SIGMA, m, _SIGMA, m.conj())
     out = 0.5 * traces.real
-    require_lorentz(out, restricted=True, index=index)
+    require_lorentz(out, restricted=True)
     return out
 
 
-def spin_hom(lam: SL2C) -> LorentzMatrix4:
-    """Image of an SL(2,C) element in the restricted Lorentz group: spin_images of one element."""
-    return LorentzMatrix4(spin_images(lam.m[None])[0])
+def spin_hom(lam) -> np.ndarray:
+    """The 4x4 image of one SL(2,C) element, checked by require_sl2c: spin_images of it."""
+    return spin_images(require_sl2c(lam)[None])[0]
 
 
 def boosts_z(rapidities) -> np.ndarray:
     """Pure boosts along z, diag(exp(r/2), exp(-r/2)), as a (k, 2, 2) stack."""
     r = np.asarray(rapidities, dtype=float)
-    over = np.abs(r) > MAX_RAPIDITY
+    over = ~(np.abs(r) <= MAX_RAPIDITY)
     if over.any():
         bad = abs(float(r[np.argmax(over)]))
         raise ValueError(f"|rapidity| {bad} exceeds conditioning guard {MAX_RAPIDITY}")
@@ -170,18 +149,18 @@ def rotations_z(thetas) -> np.ndarray:
     return out
 
 
-def boost_z(rapidity: float) -> SL2C:
+def boost_z(rapidity: float) -> np.ndarray:
     """Pure boost along z: the one element of boosts_z([rapidity])."""
-    return SL2C(boosts_z([rapidity])[0])
+    return boosts_z([rapidity])[0]
 
 
-def rotation_z(theta: float) -> SL2C:
+def rotation_z(theta: float) -> np.ndarray:
     """Rotation by theta about z: the one element of rotations_z([theta])."""
-    return SL2C(rotations_z([theta])[0])
+    return rotations_z([theta])[0]
 
 
-def sample_sl2c(rng: np.random.Generator, max_rapidity: float = 2.0) -> SL2C:
-    """Draw one SL(2,C) element from an existing generator (see random_sl2c)."""
+def sample_sl2c(rng: np.random.Generator, max_rapidity: float = 2.0) -> np.ndarray:
+    """Draw one SL(2,C) element, as a 2x2 array, from an existing generator (see random_sl2c)."""
     if not 0.0 < max_rapidity <= MAX_RAPIDITY:
         raise ValueError(f"max_rapidity must lie in (0, {MAX_RAPIDITY}]")
     while True:
@@ -197,10 +176,10 @@ def sample_sl2c(rng: np.random.Generator, max_rapidity: float = 2.0) -> SL2C:
         s = np.array([np.exp(0.5 * max_rapidity), np.exp(-0.5 * max_rapidity)])
         lam = (u * s) @ vh
     lam = lam / np.sqrt(det(lam))
-    return SL2C(lam)
+    return require_sl2c(lam)
 
 
-def random_sl2c(rng_seed: int, max_rapidity: float = 2.0) -> SL2C:
+def random_sl2c(rng_seed: int, max_rapidity: float = 2.0) -> np.ndarray:
     """Deterministic random SL(2,C) element with bounded conditioning.
 
     A complex Gaussian matrix is normalized by a principal square root of its

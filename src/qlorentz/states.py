@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import cache
 from functools import reduce as _fold
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .linalg import (
     partial_trace,
     require_hermitian,
 )
-from .lorentz import SL2C
+from .lorentz import require_sl2c
 from .seeding import rng_from_seed
 
 TRACE_IMAG_TOL = 1e-12
@@ -190,15 +190,18 @@ def w_spectrum(s: QubitState) -> np.ndarray:
     return lam
 
 
-def apply_local(s: QubitState, factors: Sequence[SL2C]) -> QubitState:
-    """Conjugate the state by the Kronecker product of the per-qubit factors.
+def apply_local(s: QubitState, factors) -> QubitState:
+    """Conjugate the state by the Kronecker product of the per-qubit SL(2,C) factors.
 
+    ``factors`` is an (n, 2, 2) stack or a list of n 2x2 matrices; factor j
+    acts on qubit j + 1, and require_sl2c names a failing factor by j.
     Positive but not trace-preserving; the output is intentionally left
     un-normalized.
     """
-    if len(factors) != s.n:
-        raise ValueError(f"action has {len(factors)} factors but state has {s.n} qubits")
-    m = kron_all([f.m for f in factors])
+    f = require_sl2c(factors)
+    if f.shape != (s.n, 2, 2):
+        raise ValueError(f"action needs an ({s.n}, 2, 2) stack of factors, got shape {f.shape}")
+    m = kron_all(f)
     out = m @ s.rho @ m.conj().T
     out = 0.5 * (out + out.conj().T)
     return QubitState(s.n, out, validate=False)

@@ -179,11 +179,11 @@ def test_criterion_06_minkowski_metric():
     sym_dev = 0.0
     map_rng = rng_from_seed(split_seed(MASTER_SEED + 11, 0))
     for i in range(100):
-        boost = spin_hom(boost_z(float(map_rng.uniform(-2.0, 2.0))))
-        rot = spin_hom(rotation_z(float(map_rng.uniform(0.0, 2.0 * np.pi))))
-        sym_dev = max(sym_dev, correlator_symmetry_check(boost, 5, split_seed(MASTER_SEED + 12, i)))
-        sym_dev = max(sym_dev, correlator_symmetry_check(rot, 5, split_seed(MASTER_SEED + 13, i)))
-    sym_dev = max(sym_dev, correlator_symmetry_check("parity", 100, split_seed(MASTER_SEED + 14, 0)))
+        boost = spin_hom(boost_z(float(map_rng.uniform(-2.0, 2.0))))[None]
+        rot = spin_hom(rotation_z(float(map_rng.uniform(0.0, 2.0 * np.pi))))[None]
+        sym_dev = max(sym_dev, correlator_symmetry_check(boost, 5, [split_seed(MASTER_SEED + 12, i)]))
+        sym_dev = max(sym_dev, correlator_symmetry_check(rot, 5, [split_seed(MASTER_SEED + 13, i)]))
+    sym_dev = max(sym_dev, correlator_symmetry_check(ETA[None], 100, [split_seed(MASTER_SEED + 14, 0)]))
     ok = table_dev <= 1e-12 and pair_dev <= 1e-10 and sym_dev <= 1e-8
     report(
         "criterion 06 Minkowski metric",
@@ -227,19 +227,19 @@ def test_criterion_08_spin_homomorphism():
     for i in range(200):
         a = random_sl2c(split_seed(MASTER_SEED + 17, 2 * i), 2.0)
         b = random_sl2c(split_seed(MASTER_SEED + 17, 2 * i + 1), 2.0)
-        img_ab = spin_hom(a @ b).entries
+        img_ab = spin_hom(a @ b)
         img_a, img_b = spin_hom(a), spin_hom(b)
-        hom_dev = max(hom_dev, float(np.abs(img_ab - img_a.entries @ img_b.entries).max()))
+        hom_dev = max(hom_dev, float(np.abs(img_ab - img_a @ img_b).max()))
         for img in (img_a, img_b):
-            eta_dev = float(np.abs(img.entries.T @ ETA @ img.entries - ETA).max())
+            eta_dev = float(np.abs(img.T @ ETA @ img - ETA).max())
             frame_ok = frame_ok and eta_dev <= 1e-9
-            frame_ok = frame_ok and abs(np.linalg.det(img.entries) - 1.0) <= 1e-9
-            frame_ok = frame_ok and img.entries[0, 0] >= 1.0 - 1e-9
+            frame_ok = frame_ok and abs(np.linalg.det(img) - 1.0) <= 1e-9
+            frame_ok = frame_ok and img[0, 0] >= 1.0 - 1e-9
     boost_dev = 0.0
     for eta in (0.5, 1.0, 2.0):
         ch, sh = np.cosh(eta), np.sinh(eta)
         closed = np.array([[ch, 0, 0, sh], [0, 1, 0, 0], [0, 0, 1, 0], [sh, 0, 0, ch]])
-        boost_dev = max(boost_dev, float(np.abs(spin_hom(boost_z(eta)).entries - closed).max()))
+        boost_dev = max(boost_dev, float(np.abs(spin_hom(boost_z(eta)) - closed).max()))
     ok = hom_dev <= 1e-9 and frame_ok and boost_dev <= 1e-10
     report(
         "criterion 08 spin homomorphism",

@@ -2,7 +2,6 @@
 
 import csv
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from qlorentz.cli import main
 import qlorentz.cli
 from qlorentz.correlation import correlator_symmetry_check
 from qlorentz.linalg import MAX_QUBITS
-from qlorentz.lorentz import boost_z, rotation_z
+from qlorentz.lorentz import boost_z, rotation_z, spin_hom
 from qlorentz.seeding import rng_from_seed, split_seed
 
 
@@ -241,8 +240,10 @@ def test_boost_checks_i_l_at_every_n(tmp_path, argv):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_boost_fails_a_non_unimodular_factor(tmp_path, monkeypatch, n):
-    # negative control: diag(2, 1) has determinant 2, so I_L grows by 4**n
-    monkeypatch.setattr(qlorentz.cli, "boost_z", lambda _: SimpleNamespace(m=np.diag([2.0, 1.0])))
+    # negative control: diag(2, 1) has determinant 2, so I_L grows by 4**n; the
+    # factor check that apply_local runs is switched off so the report shows it
+    monkeypatch.setattr(qlorentz.cli, "boost_z", lambda _: np.diag([2.0, 1.0]))
+    monkeypatch.setattr(qlorentz.states, "require_sl2c", lambda f: np.asarray(f, dtype=complex))
     code, report = run_report(tmp_path, ["boost", "--preset", f"maximally_mixed{n}"])
     assert code == 1
     assert report["checks"]["i_l_preserved"]["pass"] is False
@@ -359,7 +360,7 @@ def test_metric_sampled_families_match_per_map_checks(tmp_path, seed, sym_trials
     ):
         lams = [build(float(rng.uniform(low, high))) for _ in range(sym_trials)]
         singles = [
-            correlator_symmetry_check(lam, 5, split_seed(sym_seed, offset + i))
+            correlator_symmetry_check(spin_hom(lam)[None], 5, [split_seed(sym_seed, offset + i)])
             for i, lam in enumerate(lams)
         ]
         assert report["checks"][f"{name}_symmetry"]["deviation"] == max(singles)

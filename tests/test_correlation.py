@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+import qlorentz.correlation
 from qlorentz import ContractError, apply_local, boost_z, pauli_correlation_table, spin_hom
 from qlorentz.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from qlorentz.lorentz import (
     ETA,
-    SL2C,
-    LorentzMatrix4,
     boosts_z,
     herm_from_vector,
     rotation_z,
@@ -187,92 +186,92 @@ def test_twirl_deterministic_per_seed():
 
 
 def test_symmetry_check_identity_map():
-    assert correlator_symmetry_check(np.eye(4), 20, 88) < 1e-14
+    assert correlator_symmetry_check(np.eye(4)[None], 20, [88]) < 1e-14
 
 
 def test_symmetry_check_boost_rotation_parity():
-    assert correlator_symmetry_check(spin_hom(boost_z(1.5)), 50, 89) < 1e-8
-    assert correlator_symmetry_check(spin_hom(rotation_z(0.9)), 50, 90) < 1e-8
-    assert correlator_symmetry_check("parity", 50, 91) < 1e-8
+    assert correlator_symmetry_check(spin_hom(boost_z(1.5))[None], 50, [89]) < 1e-8
+    assert correlator_symmetry_check(spin_hom(rotation_z(0.9))[None], 50, [90]) < 1e-8
+    assert correlator_symmetry_check(ETA[None], 50, [91]) < 1e-8
 
 
 def test_symmetry_check_sl2c_conjugation():
     lam = sample_sl2c(rng_from_seed(92), 2.0)
-    assert correlator_symmetry_check(lam, 50, 93) < 1e-8
+    assert correlator_symmetry_check(spin_images(lam[None]), 50, [93]) < 1e-8
 
 
 def test_symmetry_check_rejects_bad_maps():
     with pytest.raises(ContractError):
-        correlator_symmetry_check(np.diag([1.0, 1.0, 1.0, 2.0]), 5, 94)
-    with pytest.raises(ValueError):
-        correlator_symmetry_check("mirror", 5, 95)
+        correlator_symmetry_check(np.diag([1.0, 1.0, 1.0, 2.0])[None], 5, [94])
+    # one bare 4x4 matrix, or SL(2,C) elements, are not a (k, 4, 4) stack
+    with pytest.raises(ValueError, match=r"\(k, 4, 4\) stack"):
+        correlator_symmetry_check(ETA, 5, [95])
+    with pytest.raises(ValueError, match=r"\(k, 4, 4\) stack"):
+        correlator_symmetry_check(boosts_z([0.5]), 5, [95])
 
 
-def test_symmetry_check_applies_the_map():
+def test_symmetry_check_applies_the_map(monkeypatch):
     # negative control: a map that does not preserve the form, admitted without
     # validation, must move the correlator; a check that skips the map reads 0
-    stretch = object.__new__(LorentzMatrix4)
-    object.__setattr__(stretch, "entries", np.diag([1.0, 1.0, 1.0, 2.0]))
-    assert correlator_symmetry_check(stretch, 20, 97) > 1e-2
+    monkeypatch.setattr(qlorentz.correlation, "require_lorentz", lambda lams: None)
+    stretch = np.diag([1.0, 1.0, 1.0, 2.0])[None]
+    assert correlator_symmetry_check(stretch, 20, [97]) > 1e-2
 
 
 def test_symmetry_check_rejects_non_finite_maps():
     # a NaN map has a NaN Minkowski defect; it must raise, not report nan
     with pytest.raises(ContractError):
-        correlator_symmetry_check(np.full((4, 4), np.nan), 5, 1)
+        correlator_symmetry_check(np.full((1, 4, 4), np.nan), 5, [1])
     inf_map = np.eye(4)
     inf_map[0, 3] = np.inf
     with pytest.raises(ContractError):
-        correlator_symmetry_check(inf_map, 5, 1)
+        correlator_symmetry_check(inf_map[None], 5, [1])
 
 
-def unvalidated(entries) -> LorentzMatrix4:
-    """A LorentzMatrix4 holding `entries` without the Minkowski-form check."""
-    m = object.__new__(LorentzMatrix4)
-    object.__setattr__(m, "entries", np.asarray(entries, dtype=float))
-    return m
+#: Index ranges of the kinds of map in sampled_maps: spin images of boosts,
+#: rotations and sampled SL(2,C) elements; plain Lorentz matrices; parity.
+SPIN_IMAGES, PLAIN, PARITY = slice(0, 10), slice(10, 13), slice(13, 15)
 
 
-def sampled_maps(seed: int) -> list:
-    """Maps of every supported form: SL(2,C), LorentzMatrix4, plain ndarray and 'parity'."""
+def sampled_maps(seed: int) -> np.ndarray:
+    """A (15, 4, 4) stack of Lorentz matrices of every kind that metric checks, and more."""
     rng = rng_from_seed(seed)
-    maps = [boost_z(float(rng.uniform(-2.0, 2.0))) for _ in range(3)]
-    maps += [rotation_z(float(rng.uniform(0.0, 2.0 * np.pi))) for _ in range(3)]
-    maps += [sample_sl2c(rng, 2.0) for _ in range(2)]
-    maps += [spin_hom(sample_sl2c(rng, 2.0)), spin_hom(boost_z(1.5))]
-    maps += [spin_hom(sample_sl2c(rng, 2.0)).entries.copy(), np.eye(4), ETA.copy()]
-    maps += ["parity", "parity"]
-    return maps
+    lams = [boost_z(float(rng.uniform(-2.0, 2.0))) for _ in range(3)]
+    lams += [rotation_z(float(rng.uniform(0.0, 2.0 * np.pi))) for _ in range(3)]
+    lams += [sample_sl2c(rng, 2.0) for _ in range(3)]
+    lams += [boost_z(1.5)]
+    images = [spin_hom(lam) for lam in lams]
+    images += [spin_hom(sample_sl2c(rng, 2.0)) @ ETA, np.eye(4), -np.eye(4)]
+    return np.stack(images + [ETA, ETA])
 
 
 @pytest.mark.parametrize("trials", [1, 5, 17])
 def test_stacked_check_equals_max_of_single_map_checks(trials):
     maps = sampled_maps(100 + trials)
     seeds = [split_seed(101, i) for i in range(len(maps))]
-    singles = [correlator_symmetry_check(m, trials, s) for m, s in zip(maps, seeds)]
+    singles = [correlator_symmetry_check(m[None], trials, [s]) for m, s in zip(maps, seeds)]
     assert correlator_symmetry_check(maps, trials, seeds) == max(singles)
-    assert correlator_symmetry_check(tuple(maps), trials, tuple(seeds)) == max(singles)
-    # each form alone, stacked: SL(2,C), LorentzMatrix4, ndarray, 'parity'
-    for kind in (SL2C, LorentzMatrix4, np.ndarray, str):
-        idx = [i for i, m in enumerate(maps) if isinstance(m, kind)]
-        stacked = correlator_symmetry_check([maps[i] for i in idx], trials, [seeds[i] for i in idx])
-        assert stacked == max(singles[i] for i in idx)
-    # a one-element list is the single-map call
-    assert correlator_symmetry_check([maps[0]], trials, [seeds[0]]) == singles[0]
+    assert correlator_symmetry_check(maps, trials, tuple(seeds)) == max(singles)
+    # each kind alone, stacked: spin images, plain Lorentz matrices, parity
+    for kind in (SPIN_IMAGES, PLAIN, PARITY):
+        stacked = correlator_symmetry_check(maps[kind], trials, seeds[kind])
+        assert stacked == max(singles[kind])
+    # a one-map stack is the single-map call
+    assert correlator_symmetry_check(maps[:1], trials, seeds[:1]) == singles[0]
 
 
 @pytest.mark.parametrize("position", [0, 6, 14])
-def test_stacked_check_applies_each_map_to_its_own_draws(position):
+def test_stacked_check_applies_each_map_to_its_own_draws(position, monkeypatch):
     # negative control: a stretch admitted past validation must show at the
     # first, a middle and the last position of a stack of valid maps; a
     # broadcast that applied map 0 to every draw would read rounding noise
-    maps = sampled_maps(102)[:14]
-    maps.insert(position, unvalidated(np.diag([1.0, 1.0, 1.0, 2.0])))
+    monkeypatch.setattr(qlorentz.correlation, "require_lorentz", lambda lams: None)
+    maps = np.insert(sampled_maps(102)[:14], position, np.diag([1.0, 1.0, 1.0, 2.0]), axis=0)
     seeds = [split_seed(103, i) for i in range(len(maps))]
     dev = correlator_symmetry_check(maps, 5, seeds)
     assert dev > 1e-2
-    assert dev == correlator_symmetry_check(maps[position], 5, seeds[position])
-    valid = maps[:position] + maps[position + 1:]
+    assert dev == correlator_symmetry_check(maps[position : position + 1], 5, [seeds[position]])
+    valid = np.delete(maps, position, axis=0)
     assert correlator_symmetry_check(valid, 5, seeds[:position] + seeds[position + 1:]) < 1e-8
 
 
@@ -281,23 +280,24 @@ def test_stacked_check_needs_one_seed_per_map():
     with pytest.raises(ValueError):
         correlator_symmetry_check(maps, 5, [1, 2])
     with pytest.raises(ValueError):
-        correlator_symmetry_check(maps[0], 5, [1, 2])
-    with pytest.raises(ValueError):
+        correlator_symmetry_check(maps[:1], 5, [1, 2])
+    # a bare sub-seed is not a sequence of them
+    with pytest.raises(TypeError):
         correlator_symmetry_check(maps, 5, 1)
     with pytest.raises(ValueError):
-        correlator_symmetry_check([], 5, [])
+        correlator_symmetry_check(np.empty((0, 4, 4)), 5, [])
 
 
 def test_stacked_check_names_the_failing_map():
-    bad_spin = object.__new__(SL2C)
-    object.__setattr__(bad_spin, "m", np.diag([2.0, 1.0]).astype(complex))
-    stretch = np.diag([1.0, 1.0, 1.0, 2.0])
+    # a bad SL(2,C) element fails its spin image, named by its place in the stack
+    spin = np.stack([rotation_z(0.3), boost_z(0.5), np.eye(2), np.diag([2.0, 1.0])])
     with pytest.raises(ContractError, match="map 3 "):
-        correlator_symmetry_check(["parity", boost_z(0.5), np.eye(4), bad_spin], 5, [1, 2, 3, 4])
+        correlator_symmetry_check(spin_images(spin), 5, [1, 2, 3, 4])
+    stretch = np.diag([1.0, 1.0, 1.0, 2.0])
     with pytest.raises(ContractError, match="map 2 "):
-        correlator_symmetry_check([boost_z(0.5), np.eye(4), stretch], 5, [1, 2, 3])
+        correlator_symmetry_check(np.stack([spin_hom(boost_z(0.5)), np.eye(4), stretch]), 5, [1, 2, 3])
     with pytest.raises(ContractError, match="map 1 has non-finite"):
-        correlator_symmetry_check([np.eye(4), np.full((4, 4), np.nan)], 5, [1, 2])
+        correlator_symmetry_check(np.stack([np.eye(4), np.full((4, 4), np.nan)]), 5, [1, 2])
 
 
 @pytest.mark.parametrize("k", [1, 3, 10])
@@ -310,12 +310,12 @@ def test_family_stack_deviations_equal_the_per_map_checks(k):
     stack = spin_images(np.concatenate([boosts_z(rapidities), rotations_z(angles)]))
     seeds = [split_seed(106, offset + i) for offset in (0, 10_000) for i in range(k)]
     devs = correlator_deviations(stack, 5, seeds)
-    maps = [boost_z(r) for r in rapidities] + [rotation_z(t) for t in angles]
-    singles = [correlator_symmetry_check(m, 5, s) for m, s in zip(maps, seeds)]
+    images = [spin_hom(boost_z(r)) for r in rapidities] + [spin_hom(rotation_z(t)) for t in angles]
+    singles = [correlator_symmetry_check(m[None], 5, [s]) for m, s in zip(images, seeds)]
     assert devs.tolist() == singles
     assert devs[:k].max() == max(singles[:k]) and devs[k:].max() == max(singles[k:])
     assert correlator_symmetry_check(stack, 5, seeds) == max(singles)
-    assert correlator_deviations(maps, 5, seeds).tolist() == singles
+    assert correlator_deviations(np.stack(images), 5, seeds).tolist() == singles
 
 
 def test_stack_input_is_validated():
@@ -336,7 +336,7 @@ def test_singlet_invariant_under_unit_determinant_family():
     for trial in range(20):
         lam = sample_sl2c(rng, 2.0)
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        m = phase * lam.m
+        m = phase * lam
         assert abs(abs(np.linalg.det(m)) - 1.0) < 1e-10
         rho = np.kron(m, m) @ singlet().rho @ np.kron(m, m).conj().T
         assert np.abs(rho - singlet().rho).max() < 1e-9
@@ -346,4 +346,4 @@ def test_singlet_symmetry_via_apply_local():
     lam = sample_sl2c(rng_from_seed(97), 2.0)
     moved = apply_local(singlet(), [lam, lam])
     assert np.abs(moved.rho - singlet().rho).max() < 1e-9
-    assert isinstance(lam, SL2C)
+    assert isinstance(lam, np.ndarray) and lam.shape == (2, 2)

@@ -321,12 +321,11 @@ def test_conjugation_preserves_entropy_depolarizing_does_not():
 def test_wstate_vanishing_survives_local_unitaries():
     # the W-type class includes the local-unitary orbit of the canonical state
     rng = np.random.default_rng(79)
-    from qlorentz.lorentz import SL2C
     from qlorentz.correlation import haar_unitaries
 
     for trial in range(5):
         us = haar_unitaries(rng, 4)
-        factors = [SL2C(u / np.sqrt(np.linalg.det(u))) for u in us]
+        factors = us / np.sqrt(np.linalg.det(us))[:, None, None]
         moved = apply_local(wstate(4), factors)
         assert abs(linear_mutual_info_trace(moved)) < 1e-9
 

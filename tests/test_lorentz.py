@@ -7,11 +7,11 @@ from qlorentz import ContractError, boost_z, random_sl2c, spin_hom
 from qlorentz.linalg import PAULIS
 from qlorentz.lorentz import (
     ETA,
-    SL2C,
-    LorentzMatrix4,
+    SL2C_DET_TOL,
     boosts_z,
     herm_from_vector,
     require_lorentz,
+    require_sl2c,
     rotation_z,
     rotations_z,
     sample_sl2c,
@@ -59,16 +59,53 @@ def test_minkowski_vector_array_round_trip():
 
 
 def test_sl2c_rejects_wrong_determinant():
-    with pytest.raises(ContractError):
-        SL2C(2.0 * np.eye(2))
+    assert require_sl2c(np.eye(2)).dtype == complex
+    with pytest.raises(ContractError, match="determinant"):
+        require_sl2c(2.0 * np.eye(2))
     with pytest.raises(ValueError):
-        SL2C(np.eye(3))
+        require_sl2c(np.eye(3))
+    with pytest.raises(ValueError):
+        require_sl2c(np.ones((2, 3)))
+    # |det| = 1 is not enough: a unit-modulus phase times an element has det e^{2i phi}
+    lam = random_sl2c(31, 2.0)
+    require_sl2c(lam)
+    with pytest.raises(ContractError, match="determinant"):
+        require_sl2c(np.exp(0.3j) * lam)
+    # just inside and just outside the determinant tolerance
+    require_sl2c(np.diag([1.0 + 0.5 * SL2C_DET_TOL, 1.0]))
+    with pytest.raises(ContractError, match="determinant"):
+        require_sl2c(np.diag([1.0 + 2.0 * SL2C_DET_TOL, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_require_sl2c_rejects_non_finite_entries(bad):
+    a = np.eye(2, dtype=complex)
+    a[0, 1] = bad
+    with pytest.raises(ContractError, match="non-finite"):
+        require_sl2c(a)
+
+
+def test_require_sl2c_names_the_failing_element():
+    stack = boosts_z(np.linspace(-1.0, 1.0, 5))
+    assert np.array_equal(require_sl2c(stack), stack)
+    bad = stack.copy()
+    bad[3] = 2.0 * np.eye(2)
+    with pytest.raises(ContractError, match="element 3 has determinant"):
+        require_sl2c(bad)
+    bad[1, 0, 0] = np.inf
+    with pytest.raises(ContractError, match="element 1 has non-finite"):
+        require_sl2c(bad)
+    # finite entries whose determinant overflows fail without a warning
+    bad = stack.copy()
+    bad[2] = [[1e200, 0.0], [0.0, 1e200]]
+    with pytest.raises(ContractError, match=r"element 2 has determinant \(inf"):
+        require_sl2c(bad)
 
 
 def test_boost_and_rotation_generators():
-    np.testing.assert_allclose(boost_z(0.0).m, np.eye(2), atol=0)
+    np.testing.assert_allclose(boost_z(0.0), np.eye(2), atol=0)
     # the double cover: a full turn lands on minus the identity
-    np.testing.assert_allclose(rotation_z(2.0 * np.pi).m, -np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(rotation_z(2.0 * np.pi), -np.eye(2), atol=1e-15)
     with pytest.raises(ValueError):
         boost_z(25.0)
 
@@ -84,7 +121,7 @@ def test_spin_hom_boost_closed_form():
                 [sh, 0, 0, ch],
             ]
         )
-        np.testing.assert_allclose(spin_hom(boost_z(eta)).entries, expected, atol=1e-10)
+        np.testing.assert_allclose(spin_hom(boost_z(eta)), expected, atol=1e-10)
 
 
 def test_spin_hom_rotation_closed_form():
@@ -98,31 +135,41 @@ def test_spin_hom_rotation_closed_form():
             [0, 0, 0, 1],
         ]
     )
-    np.testing.assert_allclose(spin_hom(rotation_z(theta)).entries, expected, atol=1e-12)
+    np.testing.assert_allclose(spin_hom(rotation_z(theta)), expected, atol=1e-12)
 
 
 def test_spin_hom_is_a_homomorphism():
     for trial in range(50):
         a = random_sl2c(split_seed(23, 2 * trial), 2.0)
         b = random_sl2c(split_seed(23, 2 * trial + 1), 2.0)
-        lhs = spin_hom(a @ b).entries
-        rhs = spin_hom(a).entries @ spin_hom(b).entries
+        lhs = spin_hom(a @ b)
+        rhs = spin_hom(a) @ spin_hom(b)
         assert np.abs(lhs - rhs).max() < 1e-9
 
 
 def test_spin_hom_kernel_is_sign():
     lam = random_sl2c(99, 1.5)
-    np.testing.assert_allclose(spin_hom(-lam).entries, spin_hom(lam).entries, atol=1e-12)
+    np.testing.assert_allclose(spin_hom(-lam), spin_hom(lam), atol=1e-12)
+
+
+def test_spin_hom_checks_its_element():
+    # the phase e^{i pi/4} has the same image as 1, but is not in SL(2,C)
+    with pytest.raises(ContractError, match="determinant"):
+        spin_hom(np.exp(0.25j * np.pi) * np.eye(2))
+    with pytest.raises(ContractError, match="determinant"):
+        spin_hom(np.diag([2.0, 1.0]))
+    with pytest.raises(ContractError, match="non-finite"):
+        spin_hom(np.full((2, 2), np.nan))
 
 
 def test_spin_hom_images_are_restricted_lorentz():
     for trial in range(50):
         lam = random_sl2c(split_seed(24, trial), 2.0)
         img = spin_hom(lam)
-        defect = np.abs(img.entries.T @ ETA @ img.entries - ETA).max()
+        defect = np.abs(img.T @ ETA @ img - ETA).max()
         assert defect < 1e-9
-        assert abs(np.linalg.det(img.entries) - 1.0) < 1e-9
-        assert img.entries[0, 0] >= 1.0 - 1e-9
+        assert abs(np.linalg.det(img) - 1.0) < 1e-9
+        assert img[0, 0] >= 1.0 - 1e-9
 
 
 def test_spin_hom_moves_vectors_like_conjugation():
@@ -131,23 +178,23 @@ def test_spin_hom_moves_vectors_like_conjugation():
         lam = random_sl2c(split_seed(26, trial), 2.0)
         img = spin_hom(lam)
         v = rng.standard_normal(4)
-        w = img.entries @ v
-        direct = lam.m @ herm_from_vector(v) @ lam.m.conj().T
+        w = img @ v
+        direct = lam @ herm_from_vector(v) @ lam.conj().T
         assert np.abs(direct - herm_from_vector(w)).max() < 1e-10
         assert abs(w @ ETA @ w - v @ ETA @ v) < 1e-10
 
 
 def test_lorentz_matrix_rejects_eta_violation():
     with pytest.raises(ContractError):
-        LorentzMatrix4(np.diag([1.0, 1.0, 1.0, 2.0]))
+        require_lorentz(np.diag([1.0, 1.0, 1.0, 2.0])[None])
 
 
 def test_sample_sl2c_respects_rapidity_clamp():
     for trial in range(50):
         lam = sample_sl2c(rng_from_seed(split_seed(27, trial)), 2.0)
-        s = np.linalg.svd(lam.m, compute_uv=False)
+        s = np.linalg.svd(lam, compute_uv=False)
         assert s[0] / s[1] <= np.exp(2.0) * (1.0 + 1e-12)
-        assert abs(np.linalg.det(lam.m) - 1.0) < 1e-10
+        assert abs(np.linalg.det(lam) - 1.0) < 1e-10
 
 
 def test_sample_sl2c_argument_guard():
@@ -160,7 +207,7 @@ def test_sample_sl2c_argument_guard():
 def test_random_sl2c_deterministic_per_seed():
     a = random_sl2c(314, 2.0)
     b = random_sl2c(314, 2.0)
-    np.testing.assert_allclose(a.m, b.m, atol=0)
+    np.testing.assert_allclose(a, b, atol=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -168,7 +215,7 @@ def test_lorentz_matrix_rejects_non_finite_entries(bad):
     a = np.eye(4)
     a[2, 1] = bad
     with pytest.raises(ContractError, match="non-finite"):
-        LorentzMatrix4(a)
+        require_lorentz(a[None])
 
 
 def test_lorentz_matrix_rejects_overflowing_form():
@@ -177,7 +224,7 @@ def test_lorentz_matrix_rejects_overflowing_form():
     a = np.eye(4)
     a[0, 0] = a[1, 0] = 1e200
     with pytest.raises(ContractError, match="Minkowski form"):
-        LorentzMatrix4(a)
+        require_lorentz(a[None])
 
 
 def test_spin_images_stack_matches_spin_hom_bit_for_bit():
@@ -185,9 +232,9 @@ def test_spin_images_stack_matches_spin_hom_bit_for_bit():
     lams = [boost_z(float(rng.uniform(-2.0, 2.0))) for _ in range(5)]
     lams += [rotation_z(float(rng.uniform(0.0, 2.0 * np.pi))) for _ in range(5)]
     lams += [sample_sl2c(rng, 2.0) for _ in range(5)]
-    images = spin_images(np.stack([lam.m for lam in lams]))
+    images = spin_images(np.stack(lams))
     for lam, image in zip(lams, images):
-        assert np.array_equal(image, spin_hom(lam).entries)
+        assert np.array_equal(image, spin_hom(lam))
 
 
 def test_require_lorentz_names_the_failing_map():
@@ -195,7 +242,7 @@ def test_require_lorentz_names_the_failing_map():
     with pytest.raises(ContractError, match="map 2 does not preserve"):
         require_lorentz(np.stack([np.eye(4), ETA, stretch, np.eye(4)]))
     with pytest.raises(ContractError, match="map 7 does not preserve"):
-        require_lorentz(np.stack([np.eye(4), stretch]), index=[3, 7])
+        require_lorentz(np.stack([np.eye(4)] * 7 + [stretch, np.eye(4)]))
     # parity (det -1) and PT = -I (L00 = -1) preserve the form but leave SO+(1,3)
     require_lorentz(np.stack([np.eye(4), ETA, -np.eye(4)]))
     with pytest.raises(ContractError, match="map 1 is not restricted"):
@@ -208,7 +255,7 @@ def test_require_lorentz_names_the_failing_map():
 def test_spin_hom_accepts_large_boosts(rapidity):
     # the defect of L^T eta L is rounding of size eps*cosh(r)^2, which an
     # absolute tolerance of 1e-9 rejected from r = 8.5 up
-    image = spin_hom(boost_z(rapidity)).entries
+    image = spin_hom(boost_z(rapidity))
     assert image[0, 0] == pytest.approx(np.cosh(rapidity), rel=1e-12)
 
 
@@ -218,7 +265,7 @@ def test_require_lorentz_rejects_a_scaled_boost(rapidity):
     # L^T eta L by 0.02, far outside it (at r = 20 the form's own rounding,
     # about eps*cosh(20)^2 = 13, is larger than that move, and no float64
     # check can see it)
-    image = spin_hom(boost_z(rapidity)).entries
+    image = spin_hom(boost_z(rapidity))
     with pytest.raises(ContractError, match="map 1 does not preserve"):
         require_lorentz(np.stack([image, 1.01 * image]))
     with pytest.raises(ContractError, match="map 1 does not preserve"):
@@ -240,8 +287,8 @@ def test_boost_and_rotation_stacks_match_the_single_maps_bit_for_bit():
     singles = [boost_z(r) for r in r_scalar] + [rotation_z(t) for t in t_scalar]
     images = spin_images(stack)
     for m, image, lam in zip(stack, images, singles):
-        assert np.array_equal(m, lam.m)
-        assert np.array_equal(image, spin_hom(lam).entries)
+        assert np.array_equal(m, lam)
+        assert np.array_equal(image, spin_hom(lam))
 
 
 def test_boosts_z_keeps_the_rapidity_guard():
@@ -250,3 +297,6 @@ def test_boosts_z_keeps_the_rapidity_guard():
         boosts_z([0.5, -20.5])
     with pytest.raises(ValueError, match="conditioning guard"):
         boost_z(20.5)
+    # a NaN rapidity fails the guard too, as no SL(2,C) check follows boost_z
+    with pytest.raises(ValueError, match="conditioning guard"):
+        boost_z(np.nan)

@@ -36,6 +36,6 @@ def test_readme_quick_start():
     assert table.shape == (4, 4)
     eta = np.diag([1.0, -1.0, -1.0, -1.0])
     assert np.abs(table - eta).max() <= 1e-12
-    # print(q.spin_hom(lam).entries)   4x4, preserves diag(1,-1,-1,-1)
-    image = q.spin_hom(namespace["lam"]).entries
+    # print(q.spin_hom(lam))   4x4, preserves diag(1,-1,-1,-1)
+    image = q.spin_hom(namespace["lam"])
     assert np.abs(image.T @ eta @ image - eta).max() <= 1e-9

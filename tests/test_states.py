@@ -303,6 +303,33 @@ def test_apply_local_singlet_symmetry():
 def test_apply_local_length_mismatch():
     with pytest.raises(ValueError):
         apply_local(singlet(), [boost_z(1.0)])
+    with pytest.raises(ValueError):
+        apply_local(singlet(), [np.eye(2)] * 3)
+    # one qubit still takes a (1, 2, 2) stack, not a bare 2x2 matrix
+    with pytest.raises(ValueError):
+        apply_local(basis0(1), np.eye(2))
+
+
+def test_apply_local_takes_plain_arrays():
+    s = random_state(3, "mixed", 47)
+    factors = [boost_z(0.7), np.eye(2), random_sl2c(48, 2.0)]
+    m = np.kron(np.kron(factors[0], factors[1]), factors[2])
+    out = m @ s.rho @ m.conj().T
+    expected = 0.5 * (out + out.conj().T)
+    assert np.array_equal(apply_local(s, factors).rho, expected)
+    assert np.array_equal(apply_local(s, np.stack(factors)).rho, expected)
+    # real identity factors leave the state's bits alone
+    t = random_state(2, "mixed", 49)
+    assert np.array_equal(apply_local(t, [np.eye(2)] * 2).rho, t.rho)
+
+
+def test_apply_local_rejects_a_factor_outside_sl2c():
+    s = random_state(3, "mixed", 50)
+    # the factor of qubit 2 has det 2: it is named by its position 1
+    with pytest.raises(ContractError, match="element 1 has determinant"):
+        apply_local(s, [boost_z(0.7), np.diag([2.0, 1.0]), np.eye(2)])
+    with pytest.raises(ContractError, match="element 2 has non-finite"):
+        apply_local(s, [boost_z(0.7), np.eye(2), np.full((2, 2), np.nan)])
 
 
 def test_apply_local_does_not_renormalize():
@@ -318,9 +345,9 @@ def test_spin_flip_twisted_commutation():
         s = random_state(n, "mixed", split_seed(41, trial))
         factors = [random_sl2c(split_seed(42, 10 * trial + j), 2.0) for j in range(n)]
         moved = apply_local(s, factors)
-        m = factors[0].m
+        m = factors[0]
         for f in factors[1:]:
-            m = kron(m, f.m)
+            m = kron(m, f)
         m_inv = np.linalg.inv(m)
         expected = m_inv.conj().T @ spin_flip(s).rho @ m_inv
         scale = max(1.0, np.abs(expected).max())
@@ -332,9 +359,9 @@ def test_w_matrix_conjugates_under_local_actions():
         n = 1 + trial % 3
         s = random_state(n, "mixed", split_seed(43, trial))
         factors = [random_sl2c(split_seed(44, 10 * trial + j), 2.0) for j in range(n)]
-        m = factors[0].m
+        m = factors[0]
         for f in factors[1:]:
-            m = kron(m, f.m)
+            m = kron(m, f)
         expected = m @ w_matrix(s) @ np.linalg.inv(m)
         got = w_matrix(apply_local(s, factors))
         scale = max(1.0, np.abs(expected).max())
