@@ -185,13 +185,17 @@ def correlator_deviations(lams: np.ndarray, trials: int, rng_seed: Sequence[int]
     one-map stack lams[j:j+1] with seed [rng_seed[j]] bit for bit. Entry j is
     the max over trials of |C(o1,o2) - C(L o1, L o2)| / max(1, |C(o1,o2)|),
     which should sit at rounding scale for any determinant-preserving map.
-    A map that fails validation raises ContractError naming its index.
+    A complex stack raises ValueError, even with zero imaginary parts; a map
+    that fails validation raises ContractError naming its index.
     """
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
     if np.shape(lams)[1:] != (4, 4):
         raise ValueError(f"maps must be a (k, 4, 4) stack, got shape {np.shape(lams)}")
+    if np.iscomplexobj(lams):
+        # the float cast below would keep only the real part
+        raise ValueError("maps must be real; got a complex stack")
     lams = np.asarray(lams, dtype=float)
     seeds = list(rng_seed)
     if not len(lams) or len(lams) != len(seeds):

@@ -9,12 +9,13 @@ random states is the package's central cross-check.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import SizeError
-from .linalg import MAX_QUBITS, PAULIS
+from .linalg import MAX_QUBITS
 from .states import QubitState, spin_flip, w_spectrum
 
 __all__ = [
@@ -62,23 +63,44 @@ def concurrence(s: QubitState) -> float:
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-#: Row k turns a qubit's 2x2 block, flattened as 2r + c, into Tr(block s_k).
-_PAULI_MAP = np.array([p.T.ravel() for p in PAULIS])
+#: Row k turns a qubit's 2x2 block, flattened as 2r + c, into Tr(block Q_k) for the
+#: real Q_k = I, X, iY = [[0, 1], [-1, 0]], Z; a Pauli string is (-i)^m times the
+#: product of the Q_k it names, with m its number of Y factors.
+_PAULI_MAP = np.array(
+    [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0], [0.0, -1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]]
+)
 #: Weight of Tr(rho P)^2 per qubit in Tr(rho_S^2): row 0 outside S, row 1 inside.
 _SUBSET_WEIGHT = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]])
 
 
 def _subset_purities(rho: np.ndarray, n: int) -> np.ndarray:
-    """Tr(rho_S^2) for every qubit subset S, as a (2,)*n tensor; axis q is 1 when qubit q+1 is in S."""
+    """Tr(rho_S^2) for every qubit subset S, as a (2,)*n tensor; axis q is 1 when qubit q+1 is in S.
+
+    Expands the Hermitian part H of rho, whose Pauli coefficients are real. For
+    P = (-i)^m Q with Q real, Tr(H P) real makes Tr(Re H Q) vanish for odd m and
+    Tr(Im H Q) for even m, so Tr(H P)^2 = Tr(M Q)^2 with M = Re H + Im H: real
+    arithmetic throughout.
+    """
+    re, im = rho.real, rho.imag
+    m = 0.5 * ((re + im) + (re - im).T)
     # (r1..rn, c1..cn) -> (r1, c1, ..., rn, cn): one 4-valued axis per qubit
-    t = rho.reshape((2,) * (2 * n)).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
+    t = m.reshape((2,) * (2 * n)).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
     # each product contracts the leading axis and appends its result axis last
     for _ in range(n):
         t = t.reshape(4, -1).T @ _PAULI_MAP.T
-    t = t.real**2 + t.imag**2
+    t = t * t
     for _ in range(n):
         t = t.reshape(4, -1).T @ _SUBSET_WEIGHT.T
     return t.reshape((2,) * n)
+
+
+@cache
+def _subset_signs(n: int) -> np.ndarray:
+    """+1 for odd-sized, -1 for even-sized subsets, as a read-only (2,)*n tensor built once per n."""
+    size = np.indices((2,) * n).sum(axis=0)
+    signs = np.where(size % 2 == 1, 1.0, -1.0)
+    signs.setflags(write=False)
+    return signs
 
 
 def linear_mutual_info_subsets(s: QubitState) -> float:
@@ -87,17 +109,19 @@ def linear_mutual_info_subsets(s: QubitState) -> float:
     Odd-sized subsets enter with +, even-sized with -: the definitional route
     that linear_mutual_info_trace must reproduce. The full set's term is
     linear_entropy; every proper subset's purity comes from one Pauli
-    expansion, Tr(rho_S^2) = 2^-|S| sum of Tr(rho P)^2 over the Pauli strings
-    P supported in S, in O(n 4^n) time, hence the qubit cap. No spin flip,
-    Y^(x)n or parity sign enters, and the purities are summed subset by
-    subset, so the route shares no kernel with the trace formula it checks.
+    expansion of the Hermitian part H of rho, Tr(rho_S^2) = 2^-|S| sum of
+    Tr(H P)^2 over the Pauli strings P supported in S, in O(n 4^n) time, hence
+    the qubit cap. The coefficients Tr(H P) are real and equal Tr(M Q) up to
+    sign, with M = Re H + Im H and Q = P with each Y replaced by the real iY,
+    so the expansion runs in real arithmetic. No spin flip, Y^(x)n or parity
+    sign enters, and the purities are summed subset by subset, so the route
+    shares no kernel with the trace formula it checks.
     """
     if s.n > MAX_QUBITS:
         raise SizeError(f"subset sum needs 2^n-1 terms; n={s.n} exceeds {MAX_QUBITS}")
     n = s.n
     tr = np.trace(s.rho).real
-    size = np.indices((2,) * n).sum(axis=0)
-    terms = np.where(size % 2 == 1, 1.0, -1.0) * (tr * tr - _subset_purities(s.rho, n))
+    terms = _subset_signs(n) * (tr * tr - _subset_purities(s.rho, n))
     # flat index 0 is the empty set, -1 the full set
     proper = float(terms.ravel()[1:-1].sum())
     return _linear_entropy(s.rho) * (1.0 if n % 2 == 1 else -1.0) + proper

@@ -100,6 +100,15 @@ def _parity_signs(n: int) -> np.ndarray:
     return sign
 
 
+@cache
+def _flip_signs(n: int) -> np.ndarray:
+    """The table s_x s_y of spin_flip, built once per n and read-only."""
+    sign = _parity_signs(n)
+    table = np.outer(sign, sign)
+    table.setflags(write=False)
+    return table
+
+
 def spin_flip(s: QubitState) -> QubitState:
     """The spin-flipped state Y^(x)n conj(rho) Y^(x)n.
 
@@ -108,8 +117,7 @@ def spin_flip(s: QubitState) -> QubitState:
     conj(rho) with both indices complemented (reversed), times s_x s_y with
     s_x = (-1)^popcount(x): O(d^2), and bit-identical to the dense products.
     """
-    sign = _parity_signs(s.n)
-    return QubitState(s.n, np.outer(sign, sign) * np.conj(s.rho)[::-1, ::-1], validate=False)
+    return QubitState(s.n, _flip_signs(s.n) * np.conj(s.rho)[::-1, ::-1], validate=False)
 
 
 def w_matrix(s: QubitState) -> np.ndarray:
@@ -319,6 +327,17 @@ def preset(name: str) -> QubitState:
     raise ValueError(f"unknown preset {name!r}; known families: {known}")
 
 
+def _gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """rng.standard_normal(shape) + 1j * rng.standard_normal(shape), bit for bit.
+
+    Filled in place, without the two complex temporaries of the expression.
+    """
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
+
+
 def random_state(n: int, kind: str, rng_seed: int) -> QubitState:
     """Seeded random state: 'pure' draws a Gaussian ket, 'mixed' a Wishart matrix.
 
@@ -329,11 +348,11 @@ def random_state(n: int, kind: str, rng_seed: int) -> QubitState:
     rng = rng_from_seed(rng_seed)
     d = 2**n
     if kind == "pure":
-        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi = _gaussian(rng, (d,))
         psi /= np.linalg.norm(psi)
         return QubitState(n, _projector(psi), validate=False)
     if kind == "mixed":
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        g = _gaussian(rng, (d, d))
         rho = g @ g.conj().T
         return QubitState(n, rho / np.trace(rho).real, validate=False)
     raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")

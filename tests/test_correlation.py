@@ -330,6 +330,17 @@ def test_stack_input_is_validated():
         correlator_deviations(np.zeros((3, 3, 3)), 5, [1, 2, 3])
 
 
+def test_complex_stack_is_rejected():
+    # a float cast would drop the imaginary part and check the real part alone
+    with pytest.raises(ValueError, match="must be real"):
+        correlator_symmetry_check(np.eye(4)[None] + 0.5j, 5, [1])
+    with pytest.raises(ValueError, match="must be real"):
+        correlator_deviations([np.eye(4, dtype=complex)], 5, [1])
+    # control: the same maps as a real stack pass
+    assert correlator_symmetry_check(np.eye(4)[None], 5, [1]) == 0.0
+    assert correlator_deviations([np.eye(4)], 5, [1]).tolist() == [0.0]
+
+
 def test_singlet_invariant_under_unit_determinant_family():
     # |det| = 1 with arbitrary phase: the projector is exactly preserved
     rng = rng_from_seed(96)

@@ -229,6 +229,34 @@ def test_subset_purities_negative_control(monkeypatch):
         assert purity_deviation(s) > 1e-13, (s.n, s.trace())
 
 
+def test_subset_purities_real_map_negative_control(monkeypatch):
+    # the iY row read as a second X row drops every Y coefficient's own value
+    wrong = qlorentz.invariants._PAULI_MAP.copy()
+    wrong[2] = wrong[1]
+    monkeypatch.setattr(qlorentz.invariants, "_PAULI_MAP", wrong)
+    for s in purity_cases():
+        assert purity_deviation(s) > 1e-13, (s.n, s.trace())
+
+
+def test_subset_route_expands_the_hermitian_part():
+    # an anti-Hermitian part of about 1e-11, inside HERMITIAN_TOL, must not enter
+    # the purities: expanding Re rho + Im rho of the raw matrix moves I_L by
+    # 2e-14 to 2e-12 Tr(rho)^2 on these states at n >= 2
+    for n in range(1, 7):
+        for kind in ("pure", "mixed"):
+            base = random_state(n, kind, split_seed(323, n)).scaled(5.0)
+            g = np.random.default_rng(n).standard_normal((2, base.dim, base.dim))
+            skew = (g[0] + 1j * g[1]) - (g[0] - 1j * g[1]).T
+            # an imaginary diagonal would put the trace off the real axis
+            np.fill_diagonal(skew, 0.0)
+            skewed = QubitState(n, base.rho + 2e-12 * skew)
+            hermitian = QubitState(n, 0.5 * (skewed.rho + skewed.rho.conj().T))
+            tol = 1e-15 * skewed.trace() ** 2
+            assert hermitian.rho.tobytes() != skewed.rho.tobytes()
+            got = linear_mutual_info_subsets(skewed)
+            assert abs(got - linear_mutual_info_subsets(hermitian)) <= tol, (n, kind)
+
+
 def test_subset_route_shares_no_kernel_with_the_trace_route(monkeypatch):
     states = [random_state(n, kind, split_seed(322, n)) for n in (1, 2, 5) for kind in ("pure", "mixed")]
     expected = [linear_mutual_info_subsets(s) for s in states]
@@ -240,6 +268,7 @@ def test_subset_route_shares_no_kernel_with_the_trace_route(monkeypatch):
         (qlorentz.invariants, "spin_flip"),
         (qlorentz.states, "spin_flip"),
         (qlorentz.states, "_parity_signs"),
+        (qlorentz.states, "_flip_signs"),
         (qlorentz.states, "partial_trace"),
         (qlorentz.linalg, "partial_trace"),
     ]:

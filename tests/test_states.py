@@ -25,7 +25,7 @@ from qlorentz.states import (
     wstate,
 )
 from qlorentz.linalg import MAX_QUBITS, PAULI_Y, PSD_TOL, max_abs
-from qlorentz.seeding import split_seed
+from qlorentz.seeding import rng_from_seed, split_seed
 
 
 def test_constructor_validates_hermiticity():
@@ -442,6 +442,23 @@ def test_random_state_contracts():
         random_state(MAX_QUBITS + 1, "pure", 1)
     with pytest.raises(ValueError):
         random_state(2, "thermal", 1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 7])
+def test_random_state_draws_match_the_seed_contract(n):
+    # the documented draws, which seed-replay tools reproduce with this exact expression
+    d = 2**n
+    for seed in (0, 48, split_seed(49, n), 2**64 - 1):
+        rng = rng_from_seed(seed)
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi /= np.linalg.norm(psi)
+        pure = np.outer(psi, psi.conj())
+        rng = rng_from_seed(seed)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        mixed = g @ g.conj().T
+        mixed = mixed / np.trace(mixed).real
+        assert random_state(n, "pure", seed).rho.tobytes() == pure.tobytes(), seed
+        assert random_state(n, "mixed", seed).rho.tobytes() == mixed.tobytes(), seed
 
 
 def test_depolarize_limits():
