@@ -57,7 +57,7 @@ from .lorentz import (
     boosts_z,
     herm_from_vector,
     rotations_z,
-    sample_sl2c,
+    sample_sl2c_stack,
     spin_images,
 )
 from .jsontext import json_text
@@ -140,8 +140,7 @@ def cmd_invariants(args):
     worst = 0.0
     for i in range(args.trials):
         rng = rng_from_seed(split_seed(action_seed, i))
-        factors = [sample_sl2c(rng, args.max_rapidity) for _ in range(state.n)]
-        moved = apply_local(state, factors)
+        moved = apply_local(state, sample_sl2c_stack(rng, state.n, args.max_rapidity))
         dev = max(
             _rel_dev(linear_mutual_info_trace(moved), base.i_l_trace),
             *_rel_dev(spectral_invariants(moved), base.spectral_invariants),

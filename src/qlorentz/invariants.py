@@ -8,7 +8,7 @@ random states is the package's central cross-check.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
@@ -145,7 +145,8 @@ class InvariantSet:
     i_l_trace: float
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "spectral_invariants": list(self.spectral_invariants)}
+        # shallow: asdict would deep-copy the d-float tuple entry by entry
+        return {**vars(self), "spectral_invariants": list(self.spectral_invariants)}
 
 
 def invariant_report(s: QubitState) -> InvariantSet:

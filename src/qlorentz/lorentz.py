@@ -159,24 +159,29 @@ def rotation_z(theta: float) -> np.ndarray:
     return rotations_z([theta])[0]
 
 
-def sample_sl2c(rng: np.random.Generator, max_rapidity: float = 2.0) -> np.ndarray:
-    """Draw one SL(2,C) element, as a 2x2 array, from an existing generator (see random_sl2c)."""
+def sample_sl2c_stack(rng: np.random.Generator, k: int, max_rapidity: float = 2.0) -> np.ndarray:
+    """k sample_sl2c draws from ``rng``, bit for bit, as a (k, 2, 2) stack (see random_sl2c)."""
     if not 0.0 < max_rapidity <= MAX_RAPIDITY:
         raise ValueError(f"max_rapidity must lie in (0, {MAX_RAPIDITY}]")
-    while True:
-        g = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2.0)
-        d = det(g)
-        if abs(d) >= 1e-6:
-            break
-    lam = g / np.sqrt(d)
+    # element i takes the next (real, imaginary) block pair with |det| >= 1e-6, as draws in turn do
+    g = np.empty((0, 2, 2), dtype=complex)
+    while len(g) < k:
+        z = rng.standard_normal((k - len(g), 2, 2, 2))
+        new = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+        g = np.concatenate([g, new[np.abs(det(new)) >= 1e-6]])
+    lam = g / np.sqrt(det(g))[:, None, None]
     u, s, vh = np.linalg.svd(lam)
-    if s[0] / s[1] > np.exp(max_rapidity):
-        # det(u @ vh) is already 1, so rebuilding with unit-product singular
-        # values keeps the determinant fixed.
-        s = np.array([np.exp(0.5 * max_rapidity), np.exp(-0.5 * max_rapidity)])
-        lam = (u * s) @ vh
-    lam = lam / np.sqrt(det(lam))
+    clamp = s[:, 0] / s[:, 1] > np.exp(max_rapidity)
+    # det(u @ vh) is already 1: unit-product singular values keep the determinant fixed
+    s = np.array([np.exp(0.5 * max_rapidity), np.exp(-0.5 * max_rapidity)])
+    lam[clamp] = (u[clamp] * s) @ vh[clamp]
+    lam = lam / np.sqrt(det(lam))[:, None, None]
     return require_sl2c(lam)
+
+
+def sample_sl2c(rng: np.random.Generator, max_rapidity: float = 2.0) -> np.ndarray:
+    """Draw one SL(2,C) element, as a 2x2 array: the one element of sample_sl2c_stack(rng, 1)."""
+    return sample_sl2c_stack(rng, 1, max_rapidity)[0]
 
 
 def random_sl2c(rng_seed: int, max_rapidity: float = 2.0) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Linear entropy, spectral invariants, concurrence, and the two I_L routes."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -375,6 +378,19 @@ def test_invariant_report_singlet_frozen():
         "spectral_invariants",
         "trace_w",
     ]
+
+
+@pytest.mark.parametrize("state", ["singlet", "ghz3", "random-mixed4"])
+def test_invariant_report_json_dict_matches_the_field_copy(state):
+    # the shallow dict holds the same values, in field order, as a deep dataclass copy
+    s = random_state(4, "mixed", 55) if state == "random-mixed4" else preset(state)
+    rep = invariant_report(s)
+    payload = rep.to_json_dict()
+    expected = {**dataclasses.asdict(rep), "spectral_invariants": list(rep.spectral_invariants)}
+    assert list(payload) == list(expected)
+    assert payload == expected
+    assert type(payload["spectral_invariants"]) is list
+    assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_invariant_report_maximally_mixed_single_qubit():

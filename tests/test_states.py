@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from qlorentz import ContractError, PositivityError, apply_local, boost_z, preset, random_sl2c
-from qlorentz.linalg import kron, mat_sqrt_psd
+from qlorentz.linalg import kron, mat_sqrt_psd, require_hermitian
 from qlorentz.states import (
     QubitState,
+    _rank_factor,
     basis0,
     depolarize,
     ghz,
@@ -25,6 +26,7 @@ from qlorentz.states import (
     wstate,
 )
 from qlorentz.linalg import MAX_QUBITS, PAULI_Y, PSD_TOL, max_abs
+from qlorentz.lorentz import sample_sl2c_stack
 from qlorentz.seeding import rng_from_seed, split_seed
 
 
@@ -54,6 +56,34 @@ def test_states_are_immutable():
         s.n = 3
     with pytest.raises(ValueError):
         s.rho[0, 0] = 5.0
+
+
+def test_internally_built_states_are_read_only():
+    s = random_state(3, "mixed", 54)
+    p = random_state(3, "pure", 54)
+    factors = [boost_z(0.4)] * 3
+    for built in (s, p, spin_flip(s), s.scaled(2.0), apply_local(s, factors)):
+        assert built.rho.dtype == np.complex128
+        assert built.rho.flags.c_contiguous
+        assert not built.rho.flags.writeable
+        with pytest.raises(ValueError):
+            built.rho[0, 0] = 5.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e308])
+def test_scaled_rejects_a_bad_factor_or_an_overflow(c):
+    # 1e308 is finite and positive, but 1e308 * 2 overflows
+    s = QubitState(1, np.diag([2.0, 1.0]))
+    with pytest.raises(ValueError):
+        s.scaled(c)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_apply_local_rejects_an_overflowing_result():
+    s = QubitState(1, np.diag([1e300, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        apply_local(s, [boost_z(20.0)])
 
 
 def test_spin_flip_single_qubit_closed_form():
@@ -276,6 +306,28 @@ def test_w_spectrum_branch_by_size(monkeypatch, case):
     assert calls == 2 * expected_calls
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_rank_one_trace_prefilter_keeps_every_branch_decision(monkeypatch, n):
+    # the rank-1 branch is taken exactly when the Frobenius residual test alone accepts
+    decisions = set()
+    for seed in range(3):
+        pure = random_state(n, "pure", split_seed(56, 10 * n + seed)).rho
+        noise = random_state(n, "mixed", split_seed(57, 10 * n + seed)).rho
+        for eps in (0.0, 1e-17, 1e-15, 3e-15, 1e-14, 1e-13, 1e-9, 1e-6, 1.0):
+            for scale in (1e-6, 1.0, 1e6):
+                rho = require_hermitian(scale * (pure + eps * noise))
+                j = int(np.argmax(rho.diagonal().real))
+                psi = rho[:, j : j + 1] / np.sqrt(rho[j, j].real)
+                norm2 = np.linalg.norm(psi) ** 2
+                accepts = np.linalg.norm(rho - psi @ psi.conj().T) <= 1e-14 * norm2
+                with monkeypatch.context() as m:
+                    calls = spy_factor_calls(m)
+                    _rank_factor(rho)
+                assert (calls == []) == accepts, (seed, eps, scale)
+                decisions.add(accepts)
+    assert decisions == {True, False}
+
+
 @pytest.mark.parametrize("small", [4e-11, 4e-13, 5e-15])
 @pytest.mark.parametrize("scale", [1.0, 1e6])
 def test_w_spectrum_near_pure_keeps_what_eigh_keeps(scale, small):
@@ -310,17 +362,52 @@ def test_apply_local_length_mismatch():
         apply_local(basis0(1), np.eye(2))
 
 
+def dense_action_error(s, factors, acting=None) -> float:
+    """Max deviation of apply_local(s, acting) from the dense M H M^dag of ``factors``.
+
+    In units of 4 n eps ||M||_2^2 max|rho|: both sides are backward stable
+    products of M, rho and M^dag, so each entry's rounding is a few of them.
+    ``acting`` defaults to ``factors``.
+    """
+    m = fold(np.kron, factors)
+    out = m @ s.rho @ m.conj().T
+    dense = 0.5 * (out + out.conj().T)
+    unit = 4 * s.n * np.finfo(float).eps * np.linalg.norm(m, 2) ** 2 * max_abs(s.rho)
+    moved = apply_local(s, factors if acting is None else acting)
+    return max_abs(moved.rho - dense) / unit
+
+
 def test_apply_local_takes_plain_arrays():
     s = random_state(3, "mixed", 47)
     factors = [boost_z(0.7), np.eye(2), random_sl2c(48, 2.0)]
-    m = np.kron(np.kron(factors[0], factors[1]), factors[2])
-    out = m @ s.rho @ m.conj().T
-    expected = 0.5 * (out + out.conj().T)
-    assert np.array_equal(apply_local(s, factors).rho, expected)
-    assert np.array_equal(apply_local(s, np.stack(factors)).rho, expected)
-    # real identity factors leave the state's bits alone
+    assert np.array_equal(apply_local(s, factors).rho, apply_local(s, np.stack(factors)).rho)
+    assert dense_action_error(s, factors) <= 1.0
+    # real identity factors leave the bits of the state's Hermitian part alone
     t = random_state(2, "mixed", 49)
     assert np.array_equal(apply_local(t, [np.eye(2)] * 2).rho, t.rho)
+    for n in range(1, 8):
+        for kind in ("pure", "mixed"):
+            t = random_state(n, kind, split_seed(49, n))
+            hermitian_part = 0.5 * (t.rho + t.rho.conj().T)
+            assert np.array_equal(apply_local(t, [np.eye(2)] * n).rho, hermitian_part), (n, kind)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_apply_local_matches_the_dense_product(n):
+    # n = 1 has a single block; odd n split unevenly, d_hi = 2^(n // 2) < d_lo
+    for kind in ("pure", "mixed"):
+        for max_rapidity in (0.5, 2.0, 20.0):
+            s = random_state(n, kind, split_seed(52, n))
+            rng = rng_from_seed(split_seed(53, 100 * n + int(max_rapidity)))
+            factors = sample_sl2c_stack(rng, n, max_rapidity)
+            assert dense_action_error(s, factors) <= 1.0, (n, kind, max_rapidity)
+
+
+def test_apply_local_dense_check_negative_control():
+    # the same factors acting on the wrong qubits read about 2e14 units
+    s = random_state(3, "mixed", 47)
+    factors = [boost_z(0.7), np.eye(2), random_sl2c(48, 2.0)]
+    assert dense_action_error(s, factors, [factors[0], factors[2], factors[1]]) >= 1e12
 
 
 def test_apply_local_rejects_a_factor_outside_sl2c():
