@@ -53,6 +53,7 @@ from .invariants import (
 )
 from .lorentz import (
     ETA,
+    MAX_RAPIDITY,
     boost_z,
     boosts_z,
     herm_from_vector,
@@ -127,6 +128,8 @@ def _parse_observable(text: str, rng: np.random.Generator) -> np.ndarray:
 def cmd_invariants(args):
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
+    if not 0.0 < args.max_rapidity <= MAX_RAPIDITY:
+        raise ValueError(f"max_rapidity must lie in (0, {MAX_RAPIDITY}]")
     state, source = _load_state(args)
     base = invariant_report(state)
 

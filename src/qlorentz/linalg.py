@@ -21,9 +21,9 @@ MAX_QUBITS = 10
 MAX_DIM = 2**MAX_QUBITS
 
 #: The one validity policy for states and observables: a matrix is Hermitian
-#: when no entry of m - m† exceeds HERMITIAN_TOL, and positive semidefinite
-#: when no eigenvalue lies below -PSD_TOL * max|m|. The state loader and the
-#: kernels that need a PSD input apply the same two bounds.
+#: when no entry of m - m† exceeds HERMITIAN_TOL (require_hermitian), and
+#: positive semidefinite when no eigenvalue lies below -PSD_TOL * max|m|
+#: (require_psd). QubitState applies both; the PSD kernels apply the same floor.
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 
@@ -79,6 +79,18 @@ def require_hermitian(m, atol: float = HERMITIAN_TOL, what: str = "matrix") -> n
     return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
+def require_psd(evals: np.ndarray, m: np.ndarray, what: str = "matrix") -> None:
+    """Raise PositivityError if the least of ``evals``, the ascending eigenvalues
+    of the Hermitian ``m``, lies below the one PSD floor -PSD_TOL * max|m|.
+
+    Eigenvalues between the floor and 0 count as floating-point drift.
+    """
+    floor = -PSD_TOL * max_abs(m)
+    low = float(evals[0]) if evals.size else 0.0
+    if low < floor:
+        raise PositivityError(f"{what} is not PSD: eigenvalue {low:.3e} below {floor:.3e}")
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product with the MAX_DIM size guard."""
     a = as_matrix(a)
@@ -129,19 +141,14 @@ def partial_trace(rho, n: int, keep) -> np.ndarray:
 def mat_sqrt_psd(m, atol: float = HERMITIAN_TOL) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues down to -PSD_TOL * max_abs(m) are treated as floating-point
+    Eigenvalues down to the require_psd floor are treated as floating-point
     drift and clamped to zero; anything lower raises PositivityError, and
     non-Hermitian input beyond ``atol`` raises ContractError. The tests build
     their reference W-spectrum, sqrt(rho) rho* sqrt(rho), on it.
     """
     h = require_hermitian(as_matrix(m), atol=atol)
     evals, vecs = np.linalg.eigh(h)
-    clamp = -PSD_TOL * max_abs(h)
-    low = float(evals[0]) if evals.size else 0.0
-    if low < clamp:
-        raise PositivityError(
-            f"matrix is not positive semidefinite: eigenvalue {low:.3e} below clamp {clamp:.3e}"
-        )
+    require_psd(evals, h)
     evals = np.clip(evals, 0.0, None)
     # zero out eigensolver noise at 1e-16 scale: sqrt would amplify it to 1e-8
     if evals.size and evals[-1] > 0.0:

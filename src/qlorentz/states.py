@@ -13,17 +13,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ContractError, PositivityError
+from .errors import ContractError
 from .linalg import (
-    HERMITIAN_TOL,
     MAX_QUBITS,
     PSD_TOL,
     as_matrix,
-    hermiticity_defect,
     kron,
-    max_abs,
     partial_trace,
     require_hermitian,
+    require_psd,
 )
 from .lorentz import require_sl2c
 from .seeding import rng_from_seed
@@ -40,34 +38,28 @@ SINGLET_COEFFS.setflags(write=False)
 class QubitState:
     """A possibly un-normalized n-qubit density matrix.
 
-    Construction validates Hermiticity, positive semidefiniteness, and a
-    positive trace; internal compositions whose output is guaranteed valid
-    pass ``validate=False`` to skip the O(dim**3) check, or hand a fresh
-    matrix over, uncopied, to ``_adopt``.
+    The constructor is the one validity gate: it checks Hermiticity
+    (require_hermitian), positive semidefiniteness (require_psd, which
+    raises PositivityError) and a positive trace, then stores a read-only
+    copy of the input. Internal builders whose output is valid by
+    construction hand a fresh matrix over, uncopied, to ``_adopt``, and the
+    kernels trust every QubitState they are given.
     """
 
     __slots__ = ("n", "rho")
 
-    def __init__(self, n: int, rho, *, validate: bool = True):
+    def __init__(self, n: int, rho):
         n = int(n)
         if n < 1:
             raise ValueError("qubit count must be positive")
         a = as_matrix(rho)
         if a.shape[0] != 2**n:
             raise ValueError(f"matrix dimension {a.shape[0]} does not match n={n} qubits")
-        if validate:
-            defect = hermiticity_defect(a)
-            if defect > HERMITIAN_TOL:
-                raise ContractError(f"state is not Hermitian: max asymmetry {defect:.3e}")
-            evals = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-            floor = -PSD_TOL * max_abs(a)
-            if evals.min() < floor:
-                raise ContractError(
-                    f"state is not PSD: eigenvalue {evals.min():.3e} below {floor:.3e}"
-                )
-            tr = np.trace(a)
-            if abs(tr.imag) > TRACE_IMAG_TOL or tr.real <= 0.0:
-                raise ContractError(f"state trace {tr} is not a positive real number")
+        h = require_hermitian(a, what="state")
+        require_psd(np.linalg.eigvalsh(h), h, what="state")
+        tr = np.trace(a)
+        if abs(tr.imag) > TRACE_IMAG_TOL or tr.real <= 0.0:
+            raise ContractError(f"state trace {tr} is not a positive real number")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "n", n)
@@ -163,11 +155,7 @@ def _rank_factor(rho: np.ndarray) -> np.ndarray:
             if pivots.min() > 1e-12 * pivots.max():
                 return low
     evals, vecs = np.linalg.eigh(rho)
-    floor = -PSD_TOL * max_abs(rho)
-    if evals[0] < floor:
-        raise PositivityError(
-            f"state is not positive semidefinite: eigenvalue {evals[0]:.3e} below {floor:.3e}"
-        )
+    require_psd(evals, rho, what="state")
     keep = evals > _EIG_CUT * evals[-1]
     return vecs[:, keep] * np.sqrt(evals[keep])
 
@@ -201,11 +189,11 @@ def w_spectrum(s: QubitState) -> np.ndarray:
     3. A = V sqrt(L) over the eigenpairs of rho above 1e-14 of the largest,
        which also decides positivity for the other inputs.
 
-    Raises ContractError for a non-Hermitian rho and PositivityError for an
-    eigenvalue below -PSD_TOL * max|rho|, the bound QubitState validates.
+    It works on the Hermitian part (rho + rho^dag)/2, as apply_local does, and
+    leaves the Hermiticity check to QubitState; branch 3 raises PositivityError
+    for an eigenvalue below the require_psd floor, the one QubitState applies.
     """
-    rho = require_hermitian(s.rho, what="state")
-    a = _rank_factor(rho)
+    a = _rank_factor(0.5 * (s.rho + s.rho.conj().T))
     b = a.T @ (_parity_signs(s.n)[:, None] * a[::-1])
     b = 0.5 * (b + (-1) ** s.n * b.T)
     lam = np.zeros(s.dim)
@@ -247,7 +235,7 @@ def apply_local(s: QubitState, factors) -> QubitState:
 def reduce(s: QubitState, subset: Iterable[int]) -> QubitState:
     """Reduced state on the given qubits (1-based, relative order preserved)."""
     kept = sorted(set(int(q) for q in subset))
-    return QubitState(len(kept), partial_trace(s.rho, s.n, kept), validate=False)
+    return QubitState._adopt(len(kept), partial_trace(s.rho, s.n, kept), check_finite=True)
 
 
 def depolarize(s: QubitState, p: float) -> QubitState:
@@ -262,7 +250,7 @@ def depolarize(s: QubitState, p: float) -> QubitState:
         raise ValueError(f"mixing weight {p} outside [0, 1]")
     d = s.dim
     noise = np.trace(s.rho).real * np.eye(d, dtype=complex) / d
-    return QubitState(s.n, (1.0 - p) * s.rho + p * noise, validate=False)
+    return QubitState._adopt(s.n, (1.0 - p) * s.rho + p * noise, check_finite=True)
 
 
 def _projector(psi: np.ndarray) -> np.ndarray:
@@ -271,7 +259,7 @@ def _projector(psi: np.ndarray) -> np.ndarray:
 
 def _singlet_rho() -> np.ndarray:
     c = SINGLET_COEFFS.ravel()
-    return 0.5 * np.outer(c, c)
+    return (0.5 * np.outer(c, c)).astype(complex)
 
 
 def _check_n(n: int) -> int:
@@ -282,14 +270,14 @@ def _check_n(n: int) -> int:
 
 
 def singlet() -> QubitState:
-    return QubitState(2, _singlet_rho(), validate=False)
+    return QubitState._adopt(2, _singlet_rho())
 
 
 def ghz(n: int = 3) -> QubitState:
     n = _check_n(n)
     psi = np.zeros(2**n, dtype=complex)
     psi[0] = psi[-1] = 1.0 / np.sqrt(2.0)
-    return QubitState(n, _projector(psi), validate=False)
+    return QubitState._adopt(n, _projector(psi))
 
 
 def wstate(n: int = 3) -> QubitState:
@@ -297,7 +285,7 @@ def wstate(n: int = 3) -> QubitState:
     psi = np.zeros(2**n, dtype=complex)
     for q in range(n):
         psi[1 << q] = 1.0 / np.sqrt(n)
-    return QubitState(n, _projector(psi), validate=False)
+    return QubitState._adopt(n, _projector(psi))
 
 
 def product_of_singlets(k: int = 2) -> QubitState:
@@ -308,20 +296,20 @@ def product_of_singlets(k: int = 2) -> QubitState:
     rho = block
     for _ in range(k - 1):
         rho = kron(rho, block)
-    return QubitState(2 * k, rho, validate=False)
+    return QubitState._adopt(2 * k, rho)
 
 
 def maximally_mixed(n: int = 1) -> QubitState:
     n = _check_n(n)
     d = 2**n
-    return QubitState(n, np.eye(d, dtype=complex) / d, validate=False)
+    return QubitState._adopt(n, np.eye(d, dtype=complex) / d)
 
 
 def basis0(n: int = 1) -> QubitState:
     n = _check_n(n)
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
-    return QubitState(n, rho, validate=False)
+    return QubitState._adopt(n, rho)
 
 
 _PRESET_BUILDERS = {
@@ -407,4 +395,4 @@ def state_from_json_dict(payload: dict) -> QubitState:
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"state matrix must be square with [re, im] entries, got shape {arr.shape}")
     rho = arr[:, :, 0] + 1j * arr[:, :, 1]
-    return QubitState(n, rho, validate=True)
+    return QubitState(n, rho)

@@ -158,7 +158,7 @@ def test_criterion_05_multiplicativity():
         rho = factors[0].rho
         for f in factors[1:]:
             rho = kron(rho, f.rho)
-        whole = linear_mutual_info_trace(QubitState(sum(sizes), rho, validate=False))
+        whole = linear_mutual_info_trace(QubitState(sum(sizes), rho))
         parts = float(np.prod([linear_mutual_info_trace(f) for f in factors]))
         worst = max(worst, rel_dev(whole, parts))
     report(

@@ -90,30 +90,33 @@ def test_oracle_runs_at_the_qubit_cap(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["oracle", "--trials", "0"],
-        ["oracle", "--trials", "-1"],
-        ["invariants", "--trials", "-3"],
-        ["metric", "--trials", "0"],
-        ["metric", "--trials", "-1"],
-        ["metric", "--sym-trials", "0"],
-        ["metric", "--sym-trials", "-1"],
+        (["oracle", "--trials", "0"], "--trials must be "),
+        (["oracle", "--trials", "-1"], "--trials must be "),
+        (["invariants", "--trials", "-3"], "--trials must be "),
+        # zero trials draw no factor; the rapidity is still checked, with the sampler's message
+        (["invariants", "--trials", "0", "--max-rapidity", "-3"], "max_rapidity must lie in "),
+        (["metric", "--trials", "0"], "--trials must be "),
+        (["metric", "--trials", "-1"], "--trials must be "),
+        (["metric", "--sym-trials", "0"], "--sym-trials must be "),
+        (["metric", "--sym-trials", "-1"], "--sym-trials must be "),
     ],
     ids=[
         "oracle-zero",
         "oracle-negative",
         "invariants-negative",
+        "invariants-zero-trials-bad-rapidity",
         "metric-zero",
         "metric-negative",
         "metric-sym-zero",
         "metric-sym-negative",
     ],
 )
-def test_vacuous_trial_counts_exit_two(argv, capsys):
+def test_vacuous_trial_counts_exit_two(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {argv[1]} must be ")
+    assert captured.err.startswith(f"error: {message}")
     assert captured.out == ""
 
 
@@ -287,7 +290,7 @@ def test_near_pure_state_file_is_lorentz_invariant(tmp_path):
 def test_state_below_the_psd_floor_exits_two(tmp_path, capsys, command):
     # smallest eigenvalue -6e-10 * max|rho| is refused at load, before any command runs
     path = tmp_path / "low.json"
-    low = QubitState(1, np.diag([1.0, -6e-10]), validate=False)
+    low = QubitState._adopt(1, np.asarray(np.diag([1.0, -6e-10]), complex))
     path.write_text(json.dumps(state_to_json_dict(low)))
     assert main([command, "--input", str(path)]) == 2
     assert "not PSD" in capsys.readouterr().err

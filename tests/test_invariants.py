@@ -159,7 +159,8 @@ def test_subset_sum_frozen_cases():
 
 def test_subset_sum_size_guard():
     n = MAX_QUBITS + 1
-    s = QubitState(n, np.eye(2**n, dtype=complex), validate=False)
+    # adopted: validating a 2048 x 2048 identity costs seconds and is not under test here
+    s = QubitState._adopt(n, np.eye(2**n, dtype=complex))
     with pytest.raises(SizeError):
         linear_mutual_info_subsets(s)
 
@@ -325,7 +326,7 @@ def test_multiplicativity_over_tensor_products():
         rho = factors[0].rho
         for f in factors[1:]:
             rho = kron(rho, f.rho)
-        whole = linear_mutual_info_trace(QubitState(sum(sizes), rho, validate=False))
+        whole = linear_mutual_info_trace(QubitState(sum(sizes), rho))
         parts = float(np.prod([linear_mutual_info_trace(f) for f in factors]))
         assert rel_dev(whole, parts) < 1e-8
 

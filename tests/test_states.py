@@ -36,7 +36,7 @@ def test_constructor_validates_hermiticity():
 
 
 def test_constructor_validates_positivity():
-    with pytest.raises(ContractError):
+    with pytest.raises(PositivityError):
         QubitState(1, np.diag([1.0, -0.5]).astype(complex))
 
 
@@ -62,7 +62,10 @@ def test_internally_built_states_are_read_only():
     s = random_state(3, "mixed", 54)
     p = random_state(3, "pure", 54)
     factors = [boost_z(0.4)] * 3
-    for built in (s, p, spin_flip(s), s.scaled(2.0), apply_local(s, factors)):
+    presets = (singlet(), ghz(3), wstate(4), product_of_singlets(2), maximally_mixed(2), basis0(3))
+    adopted = (reduce(s, [1, 3]), reduce(s, [1, 2, 3]), depolarize(s, 0.3))
+    for built in (s, p, spin_flip(s), s.scaled(2.0), apply_local(s, factors), *presets, *adopted):
+        assert built.rho.shape == (2**built.n, 2**built.n)
         assert built.rho.dtype == np.complex128
         assert built.rho.flags.c_contiguous
         assert not built.rho.flags.writeable
@@ -185,11 +188,9 @@ def test_w_spectrum_of_pure_odd_is_exactly_zero():
 
 
 def test_w_spectrum_rejects_invalid_input():
-    # states built with validate=False still meet the input checks
+    # a state adopted past the constructor still meets the kernel's PSD floor
     with pytest.raises(PositivityError):
-        w_spectrum(QubitState(1, np.diag([1.0, -0.5]), validate=False))
-    with pytest.raises(ContractError):
-        w_spectrum(QubitState(1, np.array([[1.0, 1.0], [0.0, 1.0]]), validate=False))
+        w_spectrum(QubitState._adopt(1, np.asarray(np.diag([1.0, -0.5]), complex)))
 
 
 def test_w_spectrum_descending_and_clamped():
@@ -236,7 +237,7 @@ def test_w_spectrum_factor_branches(monkeypatch, branch):
     # diag(2, 1) on qubit 1 scales the W-spectrum by |det|^2 = 4; it would
     # stay put if the moved state's spectrum came from the base state's factor
     m = kron(np.diag([2.0, 1.0]), np.eye(s.dim // 2))
-    moved = QubitState(s.n, m @ s.rho @ m.conj().T, validate=False)
+    moved = QubitState._adopt(s.n, np.asarray(m @ s.rho @ m.conj().T, complex))
     calls = spy_factor_calls(monkeypatch)
     lam = w_spectrum(s)
     assert calls == expected_calls
@@ -280,8 +281,8 @@ def test_w_spectrum_psd_floor(build, n):
     # neither fast branch accepts these (the rank-1 residual is far above 1e-14 |psi|^2,
     # and Cholesky fails on a negative eigenvalue), so eigh decides, at today's bound
     with pytest.raises(PositivityError):
-        w_spectrum(QubitState(n, build(n, 2.0), validate=False))
-    s = QubitState(n, build(n, 0.5), validate=False)
+        w_spectrum(QubitState._adopt(n, np.asarray(build(n, 2.0), complex)))
+    s = QubitState._adopt(n, np.asarray(build(n, 0.5), complex))
     assert np.isfinite(w_spectrum(s)).all()
 
 
@@ -586,12 +587,12 @@ def test_json_rejects_malformed_payloads():
 
 def test_json_loader_shares_the_kernel_psd_floor():
     # smallest eigenvalue -6e-10 * max|rho|: w_spectrum refuses it, so the loader must too
-    low = QubitState(1, np.diag([1.0, -6e-10]), validate=False)
+    low = QubitState._adopt(1, np.asarray(np.diag([1.0, -6e-10]), complex))
     with pytest.raises(PositivityError):
         w_spectrum(low)
-    with pytest.raises(ContractError):
+    with pytest.raises(PositivityError):
         state_from_json_dict(state_to_json_dict(low))
     # drift inside the floor still loads, and the kernel accepts it
-    drift = QubitState(1, np.diag([1.0, -5e-11]), validate=False)
+    drift = QubitState._adopt(1, np.asarray(np.diag([1.0, -5e-11]), complex))
     drift = state_from_json_dict(state_to_json_dict(drift))
     assert w_spectrum(drift).shape == (2,)
