@@ -36,12 +36,11 @@ import numpy as np
 
 from .correlation import (
     TWIRL_ABS_FLOOR,
+    _singlet_correlation,
     correlator_deviations,
-    correlator_symmetry_check,
     haar_twirl_mc,
     pauli_correlation_table,
     polarized_determinant,
-    singlet_correlation,
 )
 from .invariants import (
     concurrence,
@@ -193,6 +192,13 @@ def cmd_oracle(args):
 
 
 def cmd_metric(args):
+    """Pauli table, correlator-vs-determinant trials, and the symmetry checks.
+
+    By default: sym_trials sampled boosts and rotations at 5 pairs each, and
+    parity; else each map named by --boost, --rotation or --parity. A named
+    map or parity gets sym_trials pairs. One correlator_deviations call checks
+    every map, and a family's check is the max over its maps.
+    """
     if args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     if args.sym_trials <= 0:
@@ -200,11 +206,12 @@ def cmd_metric(args):
     table = pauli_correlation_table()
     checks = {"pauli_table": (float(np.abs(table - ETA).max()), 1e-12)}
 
-    # one (o1, o2) pair per trial, drawn in the order of 4-vector by 4-vector
+    # one (o1, o2) pair per trial, drawn 4-vector by 4-vector; Hermitian by
+    # construction, so the correlator skips the public input checks
     obs = herm_from_vector(
         rng_from_seed(split_seed(args.seed, STREAM_OBSERVABLE)).standard_normal((args.trials, 2, 4))
     )
-    corr = singlet_correlation(obs[:, 0], obs[:, 1])
+    corr = _singlet_correlation(obs[:, 0], obs[:, 1])
     devs = _rel_dev(corr, polarized_determinant(obs[:, 0], obs[:, 1]))
     trials = [
         {"trial": i, "correlation": c, "deviation": d}
@@ -212,33 +219,25 @@ def cmd_metric(args):
     ]
     checks["correlator_vs_determinant"] = (max(devs), 1e-10)
 
-    explicit = args.boost is not None or args.rotation is not None or args.parity
+    k = args.sym_trials
     sym_seed = split_seed(args.seed, STREAM_SYMMETRY)
-    if not explicit:
-        # sym_trials sampled boosts then as many rotations, 5 pairs per map under
-        # its own sub-seed, all checked in one stacked pass
-        k = args.sym_trials
+    if args.boost is None and args.rotation is None and not args.parity:
         sym_rng = rng_from_seed(sym_seed)
         rapidities = sym_rng.uniform(-2.0, 2.0, size=k)
         angles = sym_rng.uniform(0.0, 2.0 * np.pi, size=k)
-        lams = spin_images(np.concatenate([boosts_z(rapidities), rotations_z(angles)]))
-        seeds = [split_seed(sym_seed, offset + i) for offset in (0, 10_000) for i in range(k)]
-        sym_devs = correlator_deviations(lams, 5, seeds)
-        checks["boost_symmetry"] = (sym_devs[:k].max(), 1e-8)
-        checks["rotation_symmetry"] = (sym_devs[k:].max(), 1e-8)
-    for name, fixed, build, offset in (
-        ("boost", args.boost, boosts_z, 0),
-        ("rotation", args.rotation, rotations_z, 10_000),
-    ):
-        if fixed is not None:
-            dev = correlator_symmetry_check(
-                spin_images(build([fixed])), args.sym_trials, [split_seed(sym_seed, offset)]
-            )
-            checks[f"{name}_symmetry"] = (dev, 1e-8)
-
-    if args.parity or not explicit:
-        dev = correlator_symmetry_check(ETA[None], args.sym_trials, [split_seed(sym_seed, 20_000)])
-        checks["parity_symmetry"] = (dev, 1e-8)
+        pairs, parity = 5, True
+    else:
+        rapidities, angles = ([] if x is None else [x] for x in (args.boost, args.rotation))
+        pairs, parity = k, args.parity
+    # one row per map: family, map, sub-seed offset (a family's map i at its offset + i), pairs
+    spins = iter(spin_images(np.concatenate([boosts_z(rapidities), rotations_z(angles)])))
+    families = (("boost", 0, len(rapidities)), ("rotation", 10_000, len(angles)))
+    rows = [(name, next(spins), offset + i, pairs) for name, offset, m in families for i in range(m)]
+    rows += [("parity", ETA, 20_000, k)] if parity else []
+    names, lams, offsets, counts = zip(*rows)
+    sym_devs = correlator_deviations(np.stack(lams), counts, [split_seed(sym_seed, o) for o in offsets])
+    for name in dict.fromkeys(names):
+        checks[f"{name}_symmetry"] = (sym_devs[np.asarray(names) == name].max(), 1e-8)
     return None, trials, checks, {"pauli_table": table.tolist()}
 
 

@@ -76,7 +76,7 @@ def polarized_determinant(o1, o2):
 def pauli_correlation_table() -> np.ndarray:
     """The 4x4 matrix of correlators between Pauli observables; diag(1,-1,-1,-1)."""
     sigma = np.stack(PAULIS)
-    return singlet_correlation(sigma[:, None], sigma[None, :])
+    return _singlet_correlation(sigma[:, None], sigma[None, :])
 
 
 def haar_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -174,23 +174,20 @@ def haar_twirl_mc(o1, o2, samples: int, rng_seed: int) -> TwirlEstimate:
     )
 
 
-def correlator_deviations(lams: np.ndarray, trials: int, rng_seed: Sequence[int]) -> np.ndarray:
+def correlator_deviations(lams: np.ndarray, trials, rng_seed: Sequence[int]) -> np.ndarray:
     """Per map, the largest correlator change over random Hermitian pairs, as a (k,) array.
 
-    ``lams`` is a real (k, 4, 4) stack of matrices acting on Pauli
-    coordinates, validated by one require_lorentz pass, and ``rng_seed`` a
-    sequence of k sub-seeds, one per map. Map j acts on the coordinates of
-    ``trials`` pairs drawn by rng_from_seed(rng_seed[j]), and all k maps are
-    applied in one stacked pass, so entry j equals the value of the
-    one-map stack lams[j:j+1] with seed [rng_seed[j]] bit for bit. Entry j is
-    the max over trials of |C(o1,o2) - C(L o1, L o2)| / max(1, |C(o1,o2)|),
-    which should sit at rounding scale for any determinant-preserving map.
-    A complex stack raises ValueError, even with zero imaginary parts; a map
-    that fails validation raises ContractError naming its index.
+    ``lams`` is a real (k, 4, 4) stack of maps on Pauli coordinates, checked
+    by one require_lorentz pass; ``rng_seed`` holds k sub-seeds and ``trials``
+    one pair count for every map or k counts c_j. Map j moves its own c_j
+    pairs, drawn by rng_from_seed(rng_seed[j]); all pairs go through one
+    gathered pass, so entry j equals the one-map call on lams[j:j+1] bit for
+    bit. Entry j is the max over its pairs of
+    |C(o1,o2) - C(L o1, L o2)| / max(1, |C(o1,o2)|), at rounding scale for any
+    determinant-preserving map. A complex stack raises ValueError, even with
+    zero imaginary parts; a map that fails validation raises ContractError
+    naming its index.
     """
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError("trials must be positive")
     if np.shape(lams)[1:] != (4, 4):
         raise ValueError(f"maps must be a (k, 4, 4) stack, got shape {np.shape(lams)}")
     if np.iscomplexobj(lams):
@@ -203,21 +200,21 @@ def correlator_deviations(lams: np.ndarray, trials: int, rng_seed: Sequence[int]
             f"need one sub-seed per map and at least one map, got {len(lams)} maps "
             f"and {len(seeds)} sub-seeds"
         )
+    counts = [int(c) for c in trials] if np.ndim(trials) else [int(trials)] * len(seeds)
+    if len(counts) != len(seeds) or min(counts) < 1:
+        raise ValueError(f"need one positive pair count per map, got {counts}")
     require_lorentz(lams)
-    # per map, one (v1, v2) coordinate pair per trial, drawn 4-vector by 4-vector: (k, trials, 2, 4)
-    v = np.stack([rng_from_seed(seed).standard_normal((trials, 2, 4)) for seed in seeds])
+    # map j's (v1, v2) coordinate pairs, drawn 4-vector by 4-vector, then all maps' in turn
+    v = np.concatenate([rng_from_seed(s).standard_normal((c, 2, 4)) for s, c in zip(seeds, counts)])
     h = herm_from_vector(v)
-    moved = herm_from_vector(v @ np.swapaxes(lams, 1, 2)[:, None])
+    moved = herm_from_vector(v @ np.repeat(np.swapaxes(lams, 1, 2), counts, axis=0))
     # herm_from_vector output is Hermitian by construction; skip the public checks
-    before = _singlet_correlation(h[..., 0, :, :], h[..., 1, :, :])
-    after = _singlet_correlation(moved[..., 0, :, :], moved[..., 1, :, :])
-    return (np.abs(before - after) / np.maximum(1.0, np.abs(before))).max(axis=1)
+    before = _singlet_correlation(h[:, 0], h[:, 1])
+    after = _singlet_correlation(moved[:, 0], moved[:, 1])
+    rel = np.abs(before - after) / np.maximum(1.0, np.abs(before))
+    return np.maximum.reduceat(rel, np.cumsum([0] + counts[:-1]))
 
 
-def correlator_symmetry_check(lams: np.ndarray, trials: int, rng_seed: Sequence[int]) -> float:
-    """Largest correlator change under a (k, 4, 4) stack of maps: the max of correlator_deviations.
-
-    Takes the same inputs, validated there: the stack and one sub-seed per
-    map. Stacking k maps gives the max of the k one-map checks bit for bit.
-    """
+def correlator_symmetry_check(lams: np.ndarray, trials, rng_seed: Sequence[int]) -> float:
+    """Largest correlator change under a stack of maps: the max of correlator_deviations."""
     return float(correlator_deviations(lams, trials, rng_seed).max())

@@ -102,8 +102,10 @@ def herm_from_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim == 0 or v.shape[-1] != 4:
         raise ValueError(f"expected 4 real coordinates on the last axis, got shape {v.shape}")
-    t, x, y, z = np.moveaxis(v, -1, 0)
-    return np.stack([t + z, x - 1j * y, x + 1j * y, t - z], axis=-1).reshape(v.shape[:-1] + (2, 2))
+    t, x, iy, z = v[..., 0], v[..., 1], 1j * v[..., 2], v[..., 3]
+    out = np.empty(v.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = t + z, x - iy, x + iy, t - z
+    return out
 
 
 def spin_images(m: np.ndarray) -> np.ndarray:

@@ -26,8 +26,6 @@ from .linalg import (
 from .lorentz import require_sl2c
 from .seeding import rng_from_seed
 
-TRACE_IMAG_TOL = 1e-12
-
 #: The singlet psi- = (|01> - |10>) / sqrt(2) as its unscaled 2x2 coefficient
 #: matrix, psi_{2i+j} = SINGLET_COEFFS[i, j] / sqrt(2). Callers apply the
 #: factor 1/2 of |psi-><psi-| explicitly, so the singlet's entries are exact.
@@ -57,9 +55,10 @@ class QubitState:
             raise ValueError(f"matrix dimension {a.shape[0]} does not match n={n} qubits")
         h = require_hermitian(a, what="state")
         require_psd(np.linalg.eigvalsh(h), h, what="state")
-        tr = np.trace(a)
-        if abs(tr.imag) > TRACE_IMAG_TOL or tr.real <= 0.0:
-            raise ContractError(f"state trace {tr} is not a positive real number")
+        # the Hermitian part's trace is real by construction
+        tr = np.trace(h).real
+        if tr <= 0.0:
+            raise ContractError(f"state trace {tr} is not positive")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "n", n)

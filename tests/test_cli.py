@@ -9,9 +9,10 @@ import pytest
 from qlorentz.states import QubitState, random_state, state_to_json_dict
 from qlorentz.cli import main
 import qlorentz.cli
+import qlorentz.correlation
 from qlorentz.correlation import correlator_symmetry_check
 from qlorentz.linalg import MAX_QUBITS
-from qlorentz.lorentz import boost_z, rotation_z, spin_hom
+from qlorentz.lorentz import ETA, boost_z, rotation_z, spin_hom
 from qlorentz.seeding import rng_from_seed, split_seed
 
 
@@ -169,6 +170,48 @@ def test_metric_report_deviations_are_frozen(tmp_path):
         "rotation_symmetry": 5.906339758003592e-16,
         "parity_symmetry": 2.220446049250313e-16,
     }
+
+
+def test_metric_explicit_flag_report_deviations_are_frozen(tmp_path):
+    # exact values with every fixed map named: a change of sub-seed offset,
+    # pair count or per-pair arithmetic for the fixed maps or parity moves them
+    code, report = run_report(
+        tmp_path,
+        ["metric", "--boost", "1.5", "--rotation", "0.9", "--parity", "--sym-trials", "10",
+         "--trials", "10", "--seed", "7"],
+    )
+    assert code == 0
+    deviations = {name: check["deviation"] for name, check in report["checks"].items()}
+    assert deviations == {
+        "pauli_table": 0.0,
+        "correlator_vs_determinant": 6.69634459140423e-16,
+        "boost_symmetry": 4.163336342344337e-16,
+        "rotation_symmetry": 4.440892098500626e-16,
+        "parity_symmetry": 2.220446049250313e-16,
+    }
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--boost", "1.5"], ["--rotation", "0.9"], ["--parity"],
+     ["--boost", "1.5", "--rotation", "0.9", "--parity"]],
+    ids=["sampled", "boost", "rotation", "parity", "all-fixed"],
+)
+def test_metric_checks_every_map_in_one_correlator_pass(tmp_path, monkeypatch, flags):
+    # every family of the report, parity included, comes from one stacked call;
+    # a second pass through correlator_symmetry_check would count here too
+    calls = []
+    deviations = qlorentz.correlation.correlator_deviations
+
+    def counted(*args):
+        calls.append(args)
+        return deviations(*args)
+
+    monkeypatch.setattr(qlorentz.cli, "correlator_deviations", counted)
+    monkeypatch.setattr(qlorentz.correlation, "correlator_deviations", counted)
+    code, _ = run_report(tmp_path, ["metric", "--trials", "5", "--sym-trials", "3"] + flags)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_twirl_zz(tmp_path):
@@ -367,6 +410,9 @@ def test_metric_sampled_families_match_per_map_checks(tmp_path, seed, sym_trials
             for i, lam in enumerate(lams)
         ]
         assert report["checks"][f"{name}_symmetry"]["deviation"] == max(singles)
+    # parity: its own one-map check with sym_trials pairs at offset 20_000
+    parity = correlator_symmetry_check(ETA[None], sym_trials, [split_seed(sym_seed, 20_000)])
+    assert report["checks"]["parity_symmetry"]["deviation"] == parity
 
 
 def test_parser_is_built_once_and_survives_a_bad_flag(tmp_path):

@@ -318,6 +318,37 @@ def test_family_stack_deviations_equal_the_per_map_checks(k):
     assert correlator_deviations(np.stack(images), 5, seeds).tolist() == singles
 
 
+@pytest.mark.parametrize("counts", [[1, 5, 17, 5], [5, 5, 5, 5], [17, 1, 1, 2]])
+def test_uneven_pair_counts_match_the_one_map_calls(counts):
+    # map j with its own c_j pairs: entry j is its one-map call bit for bit
+    maps = np.concatenate([sampled_maps(107)[[0, 3, 6]], ETA[None]])
+    seeds = [split_seed(108, i) for i in range(len(maps))]
+    devs = correlator_deviations(maps, counts, seeds)
+    singles = [correlator_deviations(m[None], c, [s])[0] for m, c, s in zip(maps, counts, seeds)]
+    assert devs.tolist() == singles
+    assert correlator_deviations(maps, tuple(counts), seeds).tolist() == singles
+    assert correlator_deviations(maps, np.array(counts), seeds).tolist() == singles
+
+
+def test_uneven_pair_counts_keep_each_map_to_its_own_pairs(monkeypatch):
+    # negative control: a stretch in the last, parity-sized slot, admitted past
+    # validation, shows in its own entry only; a gather that slid the map rows
+    # against the pair counts would spread it to a neighbour or hide it
+    monkeypatch.setattr(qlorentz.correlation, "require_lorentz", lambda lams: None)
+    maps = np.concatenate([sampled_maps(109)[:3], np.diag([1.0, 1.0, 1.0, 2.0])[None]])
+    devs = correlator_deviations(maps, [5, 5, 5, 10], [split_seed(110, i) for i in range(4)])
+    assert devs[-1] > 1e-2
+    assert devs[:-1].max() < 1e-8
+
+
+def test_pair_counts_are_validated():
+    maps = sampled_maps(111)[:3]
+    for counts in ([5, 5], [5, 5, 5, 5], [5, 0, 5], [5, 5, -1], 0, -3):
+        with pytest.raises(ValueError, match="pair count"):
+            correlator_deviations(maps, counts, [1, 2, 3])
+    assert correlator_deviations(maps, [1, 1, 1], [1, 2, 3]).shape == (3,)
+
+
 def test_stack_input_is_validated():
     good = spin_images(boosts_z([0.3, -1.1, 1.7]))
     bad = good.copy()

@@ -59,6 +59,38 @@ def test_minkowski_vector_array_round_trip():
         herm_from_vector([1.0, 2.0, 3.0])
 
 
+def _herm_stack_formula(v):
+    """herm_from_vector as a stack of the four entry arrays, the formula it replaces."""
+    t, x, y, z = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    return np.stack([t + z, x - 1j * y, x + 1j * y, t - z], axis=-1).reshape(np.shape(v)[:-1] + (2, 2))
+
+
+def test_herm_from_vector_bytes_match_the_stack_formula():
+    # signed zeros, subnormals and large coordinates, each in every slot, and Gaussian stacks
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.7e308, -1.7e308, 1.5, -2.25]
+    rng = np.random.default_rng(29)
+    inputs = [
+        np.array(special[:4]),
+        rng.choice(special, size=(64, 4)),
+        rng.choice(special, size=(32, 2, 4)),
+        rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-300, 300, (7, 4)),
+        rng.standard_normal((105, 2, 4)),
+        [1, 2, 3, 4],
+    ]
+    with np.errstate(over="ignore"):  # t + z overflows for the largest pairs, in both
+        for v in inputs:
+            h = herm_from_vector(v)
+            expected = _herm_stack_formula(v)
+            assert h.shape == expected.shape and h.dtype == expected.dtype
+            assert h.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [[1.0, 2.0, 3.0], 1.0, np.zeros((3, 5)), np.zeros((2, 4, 3))])
+def test_herm_from_vector_rejects_a_last_axis_other_than_four(bad):
+    with pytest.raises(ValueError, match="expected 4 real coordinates on the last axis"):
+        herm_from_vector(bad)
+
+
 def test_sl2c_rejects_wrong_determinant():
     assert require_sl2c(np.eye(2)).dtype == complex
     with pytest.raises(ContractError, match="determinant"):

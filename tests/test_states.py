@@ -43,6 +43,22 @@ def test_constructor_validates_positivity():
 def test_constructor_validates_trace():
     with pytest.raises(ContractError):
         QubitState(1, np.zeros((2, 2), dtype=complex))
+    # a negative trace fails, here at the PSD floor
+    with pytest.raises(ContractError):
+        QubitState(1, -np.eye(2, dtype=complex))
+    # an imaginary diagonal of 1e-9 is a Hermiticity defect of 2e-9
+    with pytest.raises(ContractError, match="not Hermitian"):
+        QubitState(1, np.eye(2) / 2 + 1e-9j * np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_constructor_accepts_an_imaginary_trace_within_the_hermiticity_bound(n):
+    # I/d + 4e-11 i I passes require_hermitian (defect 8e-11); its Hermitian
+    # part I/d has trace exactly 1, though Im Tr(rho) = 4e-11 * d
+    d = 2**n
+    s = QubitState(n, np.eye(d) / d + 4e-11j * np.eye(d))
+    assert s.trace() == 1.0
+    assert np.trace(s.rho).imag == pytest.approx(4e-11 * d)
 
 
 def test_constructor_validates_dimension():
