@@ -8,13 +8,14 @@ Five subcommands exercise the library end to end:
   twirl       Haar-twirl Monte Carlo against the chi*I - zeta*F closed form
   boost       conjugate a state by per-qubit boosts, report I_L/entropy/trace
 
-Each command returns its checks as (deviation, tolerance) pairs; one report
-path times it, echoes its flags as the config, applies --tolerance and
-assembles the report. Reports are byte-identical for identical configs and
-seeds, except for the wall_time_s field, and are strict JSON: the text is
-what json.dumps(indent=2, sort_keys=True, allow_nan=False) writes, produced
-by jsontext.json_text from one % template over the report's numbers rather
-than by json's pure-Python indent encoder.
+Each command returns its checks as (deviation, tolerance) pairs, each judged
+against the tolerance its command states; one report path times it, echoes
+its flags as the config and assembles the report with the one verdict.
+Reports are byte-identical for identical configs and seeds, except for the
+wall_time_s field, and are strict JSON: the text is what json.dumps(indent=2,
+sort_keys=True, allow_nan=False) writes, produced by jsontext.json_text from
+one % template over the report's numbers rather than by json's pure-Python
+indent encoder.
 Exit code 0 means every check passed, 1 means a property check failed, 2
 means the inputs were unusable, the report or CSV could not be written, or
 the report held a non-finite value. An exit 2 writes no report, no CSV and
@@ -329,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_inv, p_orc, p_met, p_twl, p_bst):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override every check tolerance with this value")
         p.add_argument("--output", default=None, help="write the JSON report here (default stdout)")
         p.add_argument("--csv", default=None, help="write per-trial records as CSV here")
 
@@ -369,8 +368,9 @@ def _report(args) -> tuple[dict, bool]:
     """Run the chosen command and assemble its report, with the pass verdict.
 
     The config echoes every flag but the output paths; for a command that
-    loads a state, the source echo stands in for the state flags. --tolerance,
-    when given, replaces every check's own tolerance.
+    loads a state, the source echo stands in for the state flags. This is
+    the one place a verdict is formed: each check passes when its deviation
+    is within the tolerance its command states.
     """
     started = time.perf_counter()
     source, trials, pairs, extra = args.func(args)
@@ -381,8 +381,6 @@ def _report(args) -> tuple[dict, bool]:
         config.update(source)
     checks = {}
     for name, (deviation, tolerance) in pairs.items():
-        if args.tolerance is not None:
-            tolerance = args.tolerance
         checks[name] = {
             "deviation": float(deviation),
             "tolerance": float(tolerance),

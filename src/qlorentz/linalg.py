@@ -64,17 +64,17 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return max_abs(m - np.swapaxes(m, -1, -2).conj())
 
 
-def require_hermitian(m, atol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
-    """Check Hermiticity within ``atol`` and return the symmetrized matrix.
+def require_hermitian(m, what: str = "matrix") -> np.ndarray:
+    """Check Hermiticity within HERMITIAN_TOL and return the symmetrized matrix.
 
     ``m`` may be a (..., d, d) stack; every matrix in it is checked. Raises
     ContractError naming the max asymmetry when the check fails.
     """
     a = _as_square_stack(m)
     defect = hermiticity_defect(a)
-    if defect > atol:
+    if defect > HERMITIAN_TOL:
         raise ContractError(
-            f"{what} is not Hermitian: max asymmetry {defect:.3e} exceeds atol {atol:.1e}"
+            f"{what} is not Hermitian: max asymmetry {defect:.3e} exceeds atol {HERMITIAN_TOL:.1e}"
         )
     return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
@@ -138,15 +138,15 @@ def partial_trace(rho, n: int, keep) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def mat_sqrt_psd(m, atol: float = HERMITIAN_TOL) -> np.ndarray:
+def mat_sqrt_psd(m) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues down to the require_psd floor are treated as floating-point
     drift and clamped to zero; anything lower raises PositivityError, and
-    non-Hermitian input beyond ``atol`` raises ContractError. The tests build
-    their reference W-spectrum, sqrt(rho) rho* sqrt(rho), on it.
+    non-Hermitian input beyond HERMITIAN_TOL raises ContractError. The tests
+    build their reference W-spectrum, sqrt(rho) rho* sqrt(rho), on it.
     """
-    h = require_hermitian(as_matrix(m), atol=atol)
+    h = require_hermitian(as_matrix(m))
     evals, vecs = np.linalg.eigh(h)
     require_psd(evals, h)
     evals = np.clip(evals, 0.0, None)

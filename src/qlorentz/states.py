@@ -18,7 +18,7 @@ from .linalg import (
     MAX_QUBITS,
     PSD_TOL,
     as_matrix,
-    kron,
+    kron_all,
     partial_trace,
     require_hermitian,
     require_psd,
@@ -51,8 +51,10 @@ class QubitState:
         if n < 1:
             raise ValueError("qubit count must be positive")
         a = as_matrix(rho)
-        if a.shape[0] != 2**n:
-            raise ValueError(f"matrix dimension {a.shape[0]} does not match n={n} qubits")
+        d = a.shape[0]
+        # compare qubit counts: 2**n for the n a state file holds could be huge
+        if d & (d - 1) or d.bit_length() - 1 != n:
+            raise ValueError(f"matrix dimension {d} does not match n={n} qubits")
         h = require_hermitian(a, what="state")
         require_psd(np.linalg.eigvalsh(h), h, what="state")
         # the Hermitian part's trace is real by construction
@@ -291,11 +293,7 @@ def product_of_singlets(k: int = 2) -> QubitState:
     k = int(k)
     if not 1 <= k <= MAX_QUBITS // 2:
         raise ValueError(f"singlet pair count {k} outside 1..{MAX_QUBITS // 2}")
-    block = _singlet_rho()
-    rho = block
-    for _ in range(k - 1):
-        rho = kron(rho, block)
-    return QubitState._adopt(2 * k, rho)
+    return QubitState._adopt(2 * k, kron_all([_singlet_rho()] * k))
 
 
 def maximally_mixed(n: int = 1) -> QubitState:

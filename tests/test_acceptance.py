@@ -36,6 +36,7 @@ from qlorentz.invariants import (
 )
 from qlorentz.correlation import (
     SWAP,
+    TWIRL_ABS_FLOOR,
     correlator_symmetry_check,
     haar_twirl_mc,
     polarized_determinant,
@@ -208,7 +209,7 @@ def test_criterion_07_haar_twirl():
     ok = True
     for index, (label, (o1, o2)) in enumerate(pairs.items()):
         est = haar_twirl_mc(o1, o2, 100_000, split_seed(MASTER_SEED + 16, index))
-        ok = ok and est.passed
+        ok = ok and est.max_abs_deviation <= 5.0 * est.std_error + TWIRL_ABS_FLOOR
         if label in expected_coeffs:
             chi_ref, zeta_ref = expected_coeffs[label]
         else:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ def test_twirl_zz(tmp_path):
     tw = report["twirl"]
     assert abs(tw["chi"] + 1.0 / 3.0) < 1e-12
     assert abs(tw["zeta"] + 2.0 / 3.0) < 1e-12
-    assert tw["pass"] is True
+    assert report["checks"]["twirl_5sigma"]["pass"] is True
 
 
 def test_twirl_observable_forms(tmp_path):
@@ -324,8 +325,9 @@ def test_near_pure_state_file_is_lorentz_invariant(tmp_path):
     # moved copy, so the invariance deviation stays at rounding level
     path = tmp_path / "near_pure.json"
     path.write_text(json.dumps(state_to_json_dict(QubitState(1, np.diag([1.0, 4e-11])))))
-    code, report = run_report(tmp_path, ["invariants", "--input", str(path), "--tolerance", "1e-12"])
+    code, report = run_report(tmp_path, ["invariants", "--input", str(path)])
     assert code == 0
+    assert all(c["deviation"] <= 1e-12 for c in report["checks"].values())
     assert report["invariants"]["spectral_invariants"][0] > 0.0
 
 
@@ -343,16 +345,33 @@ def test_unknown_preset_exits_two():
     assert main(["invariants", "--preset", "nosuchstate"]) == 2
 
 
-def test_tolerance_override_forces_failure(tmp_path):
-    out = tmp_path / "fail.json"
-    code = main(
-        ["metric", "--trials", "5", "--sym-trials", "2", "--tolerance", "1e-30",
-         "--output", str(out)]
-    )
-    assert code == 1
-    report = json.loads(out.read_text())
-    assert report["pass"] is False
-    assert report["checks"]["pauli_table"]["tolerance"] == 1e-30
+@pytest.mark.parametrize("command", ["invariants", "oracle", "metric", "twirl", "boost"])
+def test_tolerance_flag_is_refused(tmp_path, capsys, command):
+    # each check is judged only against the tolerance its command states
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tolerance", "1", "--output", str(out)])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["1000", "20000"])
+def test_twirl_report_has_one_verdict(tmp_path, samples):
+    code, report = run_report(tmp_path, ["twirl", "--samples", samples, "--seed", "3"])
+    assert "pass" not in report["twirl"]
+    assert report["pass"] is report["checks"]["twirl_5sigma"]["pass"]
+    assert code == (0 if report["pass"] else 1)
+
+
+def test_state_file_with_a_huge_qubit_count_exits_two_at_once(tmp_path, capsys):
+    # the mismatch is found without forming 2**n
+    path = tmp_path / "huge_n.json"
+    path.write_text(json.dumps({"n": 10**12, "matrix": [[[1.0, 0.0]]]}))
+    started = time.perf_counter()
+    assert main(["invariants", "--input", str(path)]) == 2
+    assert time.perf_counter() - started < 2.0
+    assert "matrix dimension 1 does not match n=1000000000000 qubits" in capsys.readouterr().err
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -488,7 +507,7 @@ def test_stdout_default(capsys):
     assert report["command"] == "invariants"
 
 
-COMMON = {"command", "seed", "tolerance", "seed_split"}
+COMMON = {"command", "seed", "seed_split"}
 
 
 @pytest.mark.parametrize(

@@ -64,6 +64,12 @@ def test_constructor_accepts_an_imaginary_trace_within_the_hermiticity_bound(n):
 def test_constructor_validates_dimension():
     with pytest.raises(ValueError):
         QubitState(2, np.eye(2, dtype=complex))
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="dimension 3 does not match"):
+            QubitState(n, np.eye(3, dtype=complex))
+    # refused by comparing qubit counts, without forming 2**n
+    with pytest.raises(ValueError, match=f"does not match n={10**12} qubits"):
+        QubitState(10**12, np.eye(2, dtype=complex))
 
 
 def test_states_are_immutable():
@@ -497,6 +503,13 @@ def test_reduce_chain_composition():
     once = reduce(s, [1, 3])
     twice = reduce(reduce(s, [1, 2, 3]), [1, 3])
     np.testing.assert_allclose(once.rho, twice.rho, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_product_of_singlets_is_the_left_kron_fold(k):
+    # bit for bit the left fold of np.kron over k singlet blocks
+    expected = fold(np.kron, [singlet().rho] * k)
+    assert product_of_singlets(k).rho.tobytes() == expected.tobytes()
 
 
 def test_preset_parsing():
