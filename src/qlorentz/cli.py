@@ -73,7 +73,8 @@ from .states import (
     state_to_json_dict,
 )
 
-# fixed sub-seed streams so each randomness consumer is independent
+# fixed sub-seed streams so each randomness consumer is independent; metric and
+# twirl draw from one generator per stream, invariants and oracle split one per trial
 STREAM_STATE = 0
 STREAM_ACTION = 1
 STREAM_SCALE = 2
@@ -197,8 +198,9 @@ def cmd_metric(args):
 
     By default: sym_trials sampled boosts and rotations at 5 pairs each, and
     parity; else each map named by --boost, --rotation or --parity. A named
-    map or parity gets sym_trials pairs. One correlator_deviations call checks
-    every map, and a family's check is the max over its maps.
+    map or parity gets sym_trials pairs. One generator from STREAM_SYMMETRY
+    draws the sampled maps, then every map's pairs in one correlator_deviations
+    call; a family's check is the max over its maps.
     """
     if args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
@@ -221,22 +223,21 @@ def cmd_metric(args):
     checks["correlator_vs_determinant"] = (max(devs), 1e-10)
 
     k = args.sym_trials
-    sym_seed = split_seed(args.seed, STREAM_SYMMETRY)
+    sym_rng = rng_from_seed(split_seed(args.seed, STREAM_SYMMETRY))
     if args.boost is None and args.rotation is None and not args.parity:
-        sym_rng = rng_from_seed(sym_seed)
         rapidities = sym_rng.uniform(-2.0, 2.0, size=k)
         angles = sym_rng.uniform(0.0, 2.0 * np.pi, size=k)
         pairs, parity = 5, True
     else:
         rapidities, angles = ([] if x is None else [x] for x in (args.boost, args.rotation))
         pairs, parity = k, args.parity
-    # one row per map: family, map, sub-seed offset (a family's map i at its offset + i), pairs
+    # one row per map: family, map, pairs
     spins = iter(spin_images(np.concatenate([boosts_z(rapidities), rotations_z(angles)])))
-    families = (("boost", 0, len(rapidities)), ("rotation", 10_000, len(angles)))
-    rows = [(name, next(spins), offset + i, pairs) for name, offset, m in families for i in range(m)]
-    rows += [("parity", ETA, 20_000, k)] if parity else []
-    names, lams, offsets, counts = zip(*rows)
-    sym_devs = correlator_deviations(np.stack(lams), counts, [split_seed(sym_seed, o) for o in offsets])
+    families = (("boost", len(rapidities)), ("rotation", len(angles)))
+    rows = [(name, next(spins), pairs) for name, m in families for _ in range(m)]
+    rows += [("parity", ETA, k)] if parity else []
+    names, lams, counts = zip(*rows)
+    sym_devs = correlator_deviations(np.stack(lams), counts, sym_rng)
     for name in dict.fromkeys(names):
         checks[f"{name}_symmetry"] = (sym_devs[np.asarray(names) == name].max(), 1e-8)
     return None, trials, checks, {"pauli_table": table.tolist()}

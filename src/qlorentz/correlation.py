@@ -12,7 +12,6 @@ determinant-preserving maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -173,19 +172,19 @@ def haar_twirl_mc(o1, o2, samples: int, rng_seed: int) -> TwirlEstimate:
     )
 
 
-def correlator_deviations(lams: np.ndarray, trials, rng_seed: Sequence[int]) -> np.ndarray:
+def correlator_deviations(lams: np.ndarray, trials, rng: np.random.Generator) -> np.ndarray:
     """Per map, the largest correlator change over random Hermitian pairs, as a (k,) array.
 
     ``lams`` is a real (k, 4, 4) stack of maps on Pauli coordinates, checked
-    by one require_lorentz pass; ``rng_seed`` holds k sub-seeds and ``trials``
-    one pair count for every map or k counts c_j. Map j moves its own c_j
-    pairs, drawn by rng_from_seed(rng_seed[j]); all pairs go through one
-    gathered pass, so entry j equals the one-map call on lams[j:j+1] bit for
-    bit. Entry j is the max over its pairs of
-    |C(o1,o2) - C(L o1, L o2)| / max(1, |C(o1,o2)|), at rounding scale for any
-    determinant-preserving map. A complex stack raises ValueError, even with
-    zero imaginary parts; a map that fails validation raises ContractError
-    naming its index.
+    by one require_lorentz pass; ``trials`` is one pair count for every map or
+    k counts c_j. One rng.standard_normal((sum c_j, 2, 4)) draw holds all pairs,
+    map j owning the c_j rows after those of maps 0..j-1, and one gathered
+    pass moves them; so entry j equals the one-map call on lams[j:j+1] with c_j
+    pairs made in turn on a twin generator, bit for bit. Entry j is the max
+    over its pairs of |C(o1,o2) - C(L o1, L o2)| / max(1, |C(o1,o2)|), at
+    rounding scale for any determinant-preserving map. A complex stack raises
+    ValueError, even with zero imaginary parts; a map that fails validation
+    raises ContractError naming its index.
     """
     if np.shape(lams)[1:] != (4, 4):
         raise ValueError(f"maps must be a (k, 4, 4) stack, got shape {np.shape(lams)}")
@@ -193,18 +192,14 @@ def correlator_deviations(lams: np.ndarray, trials, rng_seed: Sequence[int]) -> 
         # the float cast below would keep only the real part
         raise ValueError("maps must be real; got a complex stack")
     lams = np.asarray(lams, dtype=float)
-    seeds = list(rng_seed)
-    if not len(lams) or len(lams) != len(seeds):
-        raise ValueError(
-            f"need one sub-seed per map and at least one map, got {len(lams)} maps "
-            f"and {len(seeds)} sub-seeds"
-        )
-    counts = [int(c) for c in trials] if np.ndim(trials) else [int(trials)] * len(seeds)
-    if len(counts) != len(seeds) or min(counts) < 1:
+    if not len(lams):
+        raise ValueError("need at least one map")
+    counts = [int(c) for c in trials] if np.ndim(trials) else [int(trials)] * len(lams)
+    if len(counts) != len(lams) or min(counts) < 1:
         raise ValueError(f"need one positive pair count per map, got {counts}")
     require_lorentz(lams)
-    # map j's (v1, v2) coordinate pairs, drawn 4-vector by 4-vector, then all maps' in turn
-    v = np.concatenate([rng_from_seed(s).standard_normal((c, 2, 4)) for s, c in zip(seeds, counts)])
+    # (v1, v2) coordinate pairs, drawn 4-vector by 4-vector, map 0's rows first
+    v = rng.standard_normal((sum(counts), 2, 4))
     h = herm_from_vector(v)
     moved = herm_from_vector(v @ np.repeat(np.swapaxes(lams, 1, 2), counts, axis=0))
     # herm_from_vector output is Hermitian by construction; skip the public checks
@@ -214,6 +209,6 @@ def correlator_deviations(lams: np.ndarray, trials, rng_seed: Sequence[int]) -> 
     return np.maximum.reduceat(rel, np.cumsum([0] + counts[:-1]))
 
 
-def correlator_symmetry_check(lams: np.ndarray, trials, rng_seed: Sequence[int]) -> float:
+def correlator_symmetry_check(lams: np.ndarray, trials, rng: np.random.Generator) -> float:
     """Largest correlator change under a stack of maps: the max of correlator_deviations."""
-    return float(correlator_deviations(lams, trials, rng_seed).max())
+    return float(correlator_deviations(lams, trials, rng).max())

@@ -144,7 +144,10 @@ def boosts_z(rapidities) -> np.ndarray:
 
 def rotations_z(thetas) -> np.ndarray:
     """Rotations about z, diag(exp(-i theta/2), exp(i theta/2)), as a (k, 2, 2) stack."""
-    half = 0.5 * np.asarray(thetas, dtype=float)
+    t = np.asarray(thetas, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"rotation angle {t[~np.isfinite(t)].flat[0]} is not finite")
+    half = 0.5 * t
     out = np.zeros(half.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = np.exp(-1j * half)
     out[..., 1, 1] = np.exp(1j * half)

@@ -182,9 +182,12 @@ def test_criterion_06_minkowski_metric():
     for i in range(100):
         boost = spin_hom(boost_z(float(map_rng.uniform(-2.0, 2.0))))[None]
         rot = spin_hom(rotation_z(float(map_rng.uniform(0.0, 2.0 * np.pi))))[None]
-        sym_dev = max(sym_dev, correlator_symmetry_check(boost, 5, [split_seed(MASTER_SEED + 12, i)]))
-        sym_dev = max(sym_dev, correlator_symmetry_check(rot, 5, [split_seed(MASTER_SEED + 13, i)]))
-    sym_dev = max(sym_dev, correlator_symmetry_check(ETA[None], 100, [split_seed(MASTER_SEED + 14, 0)]))
+        sym_dev = max(sym_dev, correlator_symmetry_check(
+            boost, 5, rng_from_seed(split_seed(MASTER_SEED + 12, i))))
+        sym_dev = max(sym_dev, correlator_symmetry_check(
+            rot, 5, rng_from_seed(split_seed(MASTER_SEED + 13, i))))
+    sym_dev = max(sym_dev, correlator_symmetry_check(
+        ETA[None], 100, rng_from_seed(split_seed(MASTER_SEED + 14, 0))))
     ok = table_dev <= 1e-12 and pair_dev <= 1e-10 and sym_dev <= 1e-8
     report(
         "criterion 06 Minkowski metric",

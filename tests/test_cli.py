@@ -157,7 +157,7 @@ def test_metric_explicit_families(tmp_path):
 
 
 def test_metric_report_deviations_are_frozen(tmp_path):
-    # exact values of one sampled-family report: a change of sub-seed layout,
+    # exact values of one sampled-family report: a change of draw layout,
     # draw order or per-element arithmetic in the symmetry checks moves them
     code, report = run_report(
         tmp_path, ["metric", "--trials", "100", "--sym-trials", "10", "--seed", "7"]
@@ -167,15 +167,15 @@ def test_metric_report_deviations_are_frozen(tmp_path):
     assert deviations == {
         "pauli_table": 0.0,
         "correlator_vs_determinant": 8.881784197001252e-16,
-        "boost_symmetry": 2.9976021664879227e-15,
-        "rotation_symmetry": 5.906339758003592e-16,
-        "parity_symmetry": 2.220446049250313e-16,
+        "boost_symmetry": 2.734996900022038e-15,
+        "rotation_symmetry": 5.849755962083208e-16,
+        "parity_symmetry": 2.8884877287482206e-16,
     }
 
 
 def test_metric_explicit_flag_report_deviations_are_frozen(tmp_path):
-    # exact values with every fixed map named: a change of sub-seed offset,
-    # pair count or per-pair arithmetic for the fixed maps or parity moves them
+    # exact values with every fixed map named: a change of map order, pair
+    # count or per-pair arithmetic for the fixed maps or parity moves them
     code, report = run_report(
         tmp_path,
         ["metric", "--boost", "1.5", "--rotation", "0.9", "--parity", "--sym-trials", "10",
@@ -186,9 +186,9 @@ def test_metric_explicit_flag_report_deviations_are_frozen(tmp_path):
     assert deviations == {
         "pauli_table": 0.0,
         "correlator_vs_determinant": 6.69634459140423e-16,
-        "boost_symmetry": 4.163336342344337e-16,
-        "rotation_symmetry": 4.440892098500626e-16,
-        "parity_symmetry": 2.220446049250313e-16,
+        "boost_symmetry": 2.069398543860781e-15,
+        "rotation_symmetry": 1.7101376142694816e-16,
+        "parity_symmetry": 2.2609319541102883e-16,
     }
 
 
@@ -412,26 +412,66 @@ def test_metric_large_fixed_boost_passes(tmp_path):
 @pytest.mark.parametrize("sym_trials", [1, 3, 10])
 @pytest.mark.parametrize("seed", [0, 7, 31])
 def test_metric_sampled_families_match_per_map_checks(tmp_path, seed, sym_trials):
-    # reference: sym_trials scalar draws per family, each map's own check
+    # reference: sym_trials scalar draws per family, then each map's own
+    # one-map check in turn on the same generator, parity last
     code, report = run_report(
         tmp_path, ["metric", "--trials", "5", "--sym-trials", str(sym_trials), "--seed", str(seed)]
     )
     assert code == 0
-    sym_seed = split_seed(seed, qlorentz.cli.STREAM_SYMMETRY)
-    rng = rng_from_seed(sym_seed)
-    for name, build, (low, high), offset in (
-        ("boost", boost_z, (-2.0, 2.0), 0),
-        ("rotation", rotation_z, (0.0, 2.0 * np.pi), 10_000),
-    ):
-        lams = [build(float(rng.uniform(low, high))) for _ in range(sym_trials)]
-        singles = [
-            correlator_symmetry_check(spin_hom(lam)[None], 5, [split_seed(sym_seed, offset + i)])
-            for i, lam in enumerate(lams)
-        ]
+    rng = rng_from_seed(split_seed(seed, qlorentz.cli.STREAM_SYMMETRY))
+    families = {
+        name: [build(float(rng.uniform(low, high))) for _ in range(sym_trials)]
+        for name, build, (low, high) in (
+            ("boost", boost_z, (-2.0, 2.0)),
+            ("rotation", rotation_z, (0.0, 2.0 * np.pi)),
+        )
+    }
+    for name, lams in families.items():
+        singles = [correlator_symmetry_check(spin_hom(lam)[None], 5, rng) for lam in lams]
         assert report["checks"][f"{name}_symmetry"]["deviation"] == max(singles)
-    # parity: its own one-map check with sym_trials pairs at offset 20_000
-    parity = correlator_symmetry_check(ETA[None], sym_trials, [split_seed(sym_seed, 20_000)])
+    # parity: its own one-map check with sym_trials pairs
+    parity = correlator_symmetry_check(ETA[None], sym_trials, rng)
     assert report["checks"]["parity_symmetry"]["deviation"] == parity
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--sym-trials", "1"], ["--sym-trials", "3"], ["--sym-trials", "10"],
+     ["--boost", "1.5", "--rotation", "0.9", "--parity", "--sym-trials", "3"]],
+    ids=["sampled-1", "sampled-3", "sampled-10", "all-fixed"],
+)
+def test_metric_builds_one_generator_per_stream(tmp_path, monkeypatch, flags):
+    # one generator for the observable pairs and one for the whole symmetry
+    # pass, however many maps it checks
+    seeds = []
+
+    def counted(seed):
+        seeds.append(seed)
+        return rng_from_seed(seed)
+
+    monkeypatch.setattr(qlorentz.cli, "rng_from_seed", counted)
+    monkeypatch.setattr(qlorentz.correlation, "rng_from_seed", counted)
+    code, _ = run_report(tmp_path, ["metric", "--trials", "5", "--seed", "3"] + flags)
+    assert code == 0
+    assert seeds == [split_seed(3, qlorentz.cli.STREAM_OBSERVABLE),
+                     split_seed(3, qlorentz.cli.STREAM_SYMMETRY)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+def test_metric_non_finite_rotation_exits_two(tmp_path, capsys, angle):
+    # refused with one line naming the angle, before numpy can warn about it
+    out = tmp_path / "r.json"
+    assert main(["metric", f"--rotation={angle}", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: rotation angle {angle} is not finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_metric_huge_finite_rotation_passes(tmp_path):
+    code, report = run_report(tmp_path, ["metric", "--rotation", "1e300", "--trials", "5"])
+    assert code == 0
+    assert report["checks"]["rotation_symmetry"]["pass"] is True
 
 
 def test_parser_is_built_once_and_survives_a_bad_flag(tmp_path):

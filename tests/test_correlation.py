@@ -27,7 +27,7 @@ from qlorentz.correlation import (
     singlet_correlation,
     twirl_coefficients,
 )
-from qlorentz.seeding import rng_from_seed, split_seed
+from qlorentz.seeding import rng_from_seed
 
 
 def random_pair(rng):
@@ -187,28 +187,28 @@ def test_twirl_deterministic_per_seed():
 
 
 def test_symmetry_check_identity_map():
-    assert correlator_symmetry_check(np.eye(4)[None], 20, [88]) < 1e-14
+    assert correlator_symmetry_check(np.eye(4)[None], 20, rng_from_seed(88)) < 1e-14
 
 
 def test_symmetry_check_boost_rotation_parity():
-    assert correlator_symmetry_check(spin_hom(boost_z(1.5))[None], 50, [89]) < 1e-8
-    assert correlator_symmetry_check(spin_hom(rotation_z(0.9))[None], 50, [90]) < 1e-8
-    assert correlator_symmetry_check(ETA[None], 50, [91]) < 1e-8
+    assert correlator_symmetry_check(spin_hom(boost_z(1.5))[None], 50, rng_from_seed(89)) < 1e-8
+    assert correlator_symmetry_check(spin_hom(rotation_z(0.9))[None], 50, rng_from_seed(90)) < 1e-8
+    assert correlator_symmetry_check(ETA[None], 50, rng_from_seed(91)) < 1e-8
 
 
 def test_symmetry_check_sl2c_conjugation():
     lam = sample_sl2c(rng_from_seed(92), 2.0)
-    assert correlator_symmetry_check(spin_images(lam[None]), 50, [93]) < 1e-8
+    assert correlator_symmetry_check(spin_images(lam[None]), 50, rng_from_seed(93)) < 1e-8
 
 
 def test_symmetry_check_rejects_bad_maps():
     with pytest.raises(ContractError):
-        correlator_symmetry_check(np.diag([1.0, 1.0, 1.0, 2.0])[None], 5, [94])
+        correlator_symmetry_check(np.diag([1.0, 1.0, 1.0, 2.0])[None], 5, rng_from_seed(94))
     # one bare 4x4 matrix, or SL(2,C) elements, are not a (k, 4, 4) stack
     with pytest.raises(ValueError, match=r"\(k, 4, 4\) stack"):
-        correlator_symmetry_check(ETA, 5, [95])
+        correlator_symmetry_check(ETA, 5, rng_from_seed(95))
     with pytest.raises(ValueError, match=r"\(k, 4, 4\) stack"):
-        correlator_symmetry_check(boosts_z([0.5]), 5, [95])
+        correlator_symmetry_check(boosts_z([0.5]), 5, rng_from_seed(95))
 
 
 def test_symmetry_check_applies_the_map(monkeypatch):
@@ -216,17 +216,17 @@ def test_symmetry_check_applies_the_map(monkeypatch):
     # validation, must move the correlator; a check that skips the map reads 0
     monkeypatch.setattr(qlorentz.correlation, "require_lorentz", lambda lams: None)
     stretch = np.diag([1.0, 1.0, 1.0, 2.0])[None]
-    assert correlator_symmetry_check(stretch, 20, [97]) > 1e-2
+    assert correlator_symmetry_check(stretch, 20, rng_from_seed(97)) > 1e-2
 
 
 def test_symmetry_check_rejects_non_finite_maps():
     # a NaN map has a NaN Minkowski defect; it must raise, not report nan
     with pytest.raises(ContractError):
-        correlator_symmetry_check(np.full((1, 4, 4), np.nan), 5, [1])
+        correlator_symmetry_check(np.full((1, 4, 4), np.nan), 5, rng_from_seed(1))
     inf_map = np.eye(4)
     inf_map[0, 3] = np.inf
     with pytest.raises(ContractError):
-        correlator_symmetry_check(inf_map[None], 5, [1])
+        correlator_symmetry_check(inf_map[None], 5, rng_from_seed(1))
 
 
 #: Index ranges of the kinds of map in sampled_maps: spin images of boosts,
@@ -246,19 +246,23 @@ def sampled_maps(seed: int) -> np.ndarray:
     return np.stack(images + [ETA, ETA])
 
 
+def one_map_calls(maps, trials, rng) -> list:
+    """Reference for a stacked call: each map's one-map call with its c_j pairs, in turn on rng."""
+    counts = trials if np.ndim(trials) else [trials] * len(maps)
+    return [correlator_deviations(m[None], c, rng)[0] for m, c in zip(maps, counts)]
+
+
 @pytest.mark.parametrize("trials", [1, 5, 17])
 def test_stacked_check_equals_max_of_single_map_checks(trials):
     maps = sampled_maps(100 + trials)
-    seeds = [split_seed(101, i) for i in range(len(maps))]
-    singles = [correlator_symmetry_check(m[None], trials, [s]) for m, s in zip(maps, seeds)]
-    assert correlator_symmetry_check(maps, trials, seeds) == max(singles)
-    assert correlator_symmetry_check(maps, trials, tuple(seeds)) == max(singles)
+    singles = one_map_calls(maps, trials, rng_from_seed(101))
+    assert correlator_symmetry_check(maps, trials, rng_from_seed(101)) == max(singles)
     # each kind alone, stacked: spin images, plain Lorentz matrices, parity
     for kind in (SPIN_IMAGES, PLAIN, PARITY):
-        stacked = correlator_symmetry_check(maps[kind], trials, seeds[kind])
-        assert stacked == max(singles[kind])
+        stacked = correlator_symmetry_check(maps[kind], trials, rng_from_seed(102))
+        assert stacked == max(one_map_calls(maps[kind], trials, rng_from_seed(102)))
     # a one-map stack is the single-map call
-    assert correlator_symmetry_check(maps[:1], trials, seeds[:1]) == singles[0]
+    assert correlator_symmetry_check(maps[:1], trials, rng_from_seed(101)) == singles[0]
 
 
 @pytest.mark.parametrize("position", [0, 6, 14])
@@ -268,37 +272,38 @@ def test_stacked_check_applies_each_map_to_its_own_draws(position, monkeypatch):
     # broadcast that applied map 0 to every draw would read rounding noise
     monkeypatch.setattr(qlorentz.correlation, "require_lorentz", lambda lams: None)
     maps = np.insert(sampled_maps(102)[:14], position, np.diag([1.0, 1.0, 1.0, 2.0]), axis=0)
-    seeds = [split_seed(103, i) for i in range(len(maps))]
-    dev = correlator_symmetry_check(maps, 5, seeds)
+    dev = correlator_symmetry_check(maps, 5, rng_from_seed(103))
     assert dev > 1e-2
-    assert dev == correlator_symmetry_check(maps[position : position + 1], 5, [seeds[position]])
+    assert dev == one_map_calls(maps, 5, rng_from_seed(103))[position]
     valid = np.delete(maps, position, axis=0)
-    assert correlator_symmetry_check(valid, 5, seeds[:position] + seeds[position + 1:]) < 1e-8
+    assert correlator_symmetry_check(valid, 5, rng_from_seed(103)) < 1e-8
 
 
-def test_stacked_check_needs_one_seed_per_map():
+def test_stacked_check_needs_a_map_and_a_generator():
     maps = sampled_maps(104)[:3]
-    with pytest.raises(ValueError):
-        correlator_symmetry_check(maps, 5, [1, 2])
-    with pytest.raises(ValueError):
-        correlator_symmetry_check(maps[:1], 5, [1, 2])
-    # a bare sub-seed is not a sequence of them
-    with pytest.raises(TypeError):
+    # a sub-seed, or a sequence of them, is not a generator
+    with pytest.raises(AttributeError):
         correlator_symmetry_check(maps, 5, 1)
-    with pytest.raises(ValueError):
-        correlator_symmetry_check(np.empty((0, 4, 4)), 5, [])
+    with pytest.raises(AttributeError):
+        correlator_symmetry_check(maps, 5, [1, 2, 3])
+    with pytest.raises(ValueError, match="at least one map"):
+        correlator_symmetry_check(np.empty((0, 4, 4)), 5, rng_from_seed(1))
 
 
 def test_stacked_check_names_the_failing_map():
     # a bad SL(2,C) element fails its spin image, named by its place in the stack
     spin = np.stack([rotation_z(0.3), boost_z(0.5), np.eye(2), np.diag([2.0, 1.0])])
     with pytest.raises(ContractError, match="map 3 "):
-        correlator_symmetry_check(spin_images(spin), 5, [1, 2, 3, 4])
+        correlator_symmetry_check(spin_images(spin), 5, rng_from_seed(1))
     stretch = np.diag([1.0, 1.0, 1.0, 2.0])
     with pytest.raises(ContractError, match="map 2 "):
-        correlator_symmetry_check(np.stack([spin_hom(boost_z(0.5)), np.eye(4), stretch]), 5, [1, 2, 3])
+        correlator_symmetry_check(
+            np.stack([spin_hom(boost_z(0.5)), np.eye(4), stretch]), 5, rng_from_seed(1)
+        )
     with pytest.raises(ContractError, match="map 1 has non-finite"):
-        correlator_symmetry_check(np.stack([np.eye(4), np.full((4, 4), np.nan)]), 5, [1, 2])
+        correlator_symmetry_check(
+            np.stack([np.eye(4), np.full((4, 4), np.nan)]), 5, rng_from_seed(1)
+        )
 
 
 @pytest.mark.parametrize("k", [1, 3, 10])
@@ -309,26 +314,27 @@ def test_family_stack_deviations_equal_the_per_map_checks(k):
     rapidities = rng.uniform(-2.0, 2.0, size=k)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=k)
     stack = spin_images(np.concatenate([boosts_z(rapidities), rotations_z(angles)]))
-    seeds = [split_seed(106, offset + i) for offset in (0, 10_000) for i in range(k)]
-    devs = correlator_deviations(stack, 5, seeds)
+    devs = correlator_deviations(stack, 5, rng_from_seed(106))
     images = [spin_hom(boost_z(r)) for r in rapidities] + [spin_hom(rotation_z(t)) for t in angles]
-    singles = [correlator_symmetry_check(m[None], 5, [s]) for m, s in zip(images, seeds)]
+    singles = one_map_calls(images, 5, rng_from_seed(106))
     assert devs.tolist() == singles
     assert devs[:k].max() == max(singles[:k]) and devs[k:].max() == max(singles[k:])
-    assert correlator_symmetry_check(stack, 5, seeds) == max(singles)
-    assert correlator_deviations(np.stack(images), 5, seeds).tolist() == singles
+    assert correlator_symmetry_check(stack, 5, rng_from_seed(106)) == max(singles)
+    assert correlator_deviations(np.stack(images), 5, rng_from_seed(106)).tolist() == singles
 
 
 @pytest.mark.parametrize("counts", [[1, 5, 17, 5], [5, 5, 5, 5], [17, 1, 1, 2]])
 def test_uneven_pair_counts_match_the_one_map_calls(counts):
     # map j with its own c_j pairs: entry j is its one-map call bit for bit
     maps = np.concatenate([sampled_maps(107)[[0, 3, 6]], ETA[None]])
-    seeds = [split_seed(108, i) for i in range(len(maps))]
-    devs = correlator_deviations(maps, counts, seeds)
-    singles = [correlator_deviations(m[None], c, [s])[0] for m, c, s in zip(maps, counts, seeds)]
+    rng, twin = rng_from_seed(108), rng_from_seed(108)
+    devs = correlator_deviations(maps, counts, rng)
+    singles = one_map_calls(maps, counts, twin)
     assert devs.tolist() == singles
-    assert correlator_deviations(maps, tuple(counts), seeds).tolist() == singles
-    assert correlator_deviations(maps, np.array(counts), seeds).tolist() == singles
+    # the stack leaves the generator where the one-map calls in turn leave it
+    assert rng.standard_normal() == twin.standard_normal()
+    assert correlator_deviations(maps, tuple(counts), rng_from_seed(108)).tolist() == singles
+    assert correlator_deviations(maps, np.array(counts), rng_from_seed(108)).tolist() == singles
 
 
 def test_uneven_pair_counts_keep_each_map_to_its_own_pairs(monkeypatch):
@@ -337,7 +343,7 @@ def test_uneven_pair_counts_keep_each_map_to_its_own_pairs(monkeypatch):
     # against the pair counts would spread it to a neighbour or hide it
     monkeypatch.setattr(qlorentz.correlation, "require_lorentz", lambda lams: None)
     maps = np.concatenate([sampled_maps(109)[:3], np.diag([1.0, 1.0, 1.0, 2.0])[None]])
-    devs = correlator_deviations(maps, [5, 5, 5, 10], [split_seed(110, i) for i in range(4)])
+    devs = correlator_deviations(maps, [5, 5, 5, 10], rng_from_seed(110))
     assert devs[-1] > 1e-2
     assert devs[:-1].max() < 1e-8
 
@@ -346,8 +352,8 @@ def test_pair_counts_are_validated():
     maps = sampled_maps(111)[:3]
     for counts in ([5, 5], [5, 5, 5, 5], [5, 0, 5], [5, 5, -1], 0, -3):
         with pytest.raises(ValueError, match="pair count"):
-            correlator_deviations(maps, counts, [1, 2, 3])
-    assert correlator_deviations(maps, [1, 1, 1], [1, 2, 3]).shape == (3,)
+            correlator_deviations(maps, counts, rng_from_seed(1))
+    assert correlator_deviations(maps, [1, 1, 1], rng_from_seed(1)).shape == (3,)
 
 
 def test_stack_input_is_validated():
@@ -355,22 +361,21 @@ def test_stack_input_is_validated():
     bad = good.copy()
     bad[2] = np.diag([1.0, 1.0, 1.0, 2.0])
     with pytest.raises(ContractError, match="map 2 does not preserve"):
-        correlator_deviations(bad, 5, [1, 2, 3])
-    with pytest.raises(ValueError, match="one sub-seed per map"):
-        correlator_deviations(good, 5, [1, 2])
+        correlator_deviations(bad, 5, rng_from_seed(1))
     with pytest.raises(ValueError, match=r"\(k, 4, 4\)"):
-        correlator_deviations(np.zeros((3, 3, 3)), 5, [1, 2, 3])
+        correlator_deviations(np.zeros((3, 3, 3)), 5, rng_from_seed(1))
+    assert correlator_deviations(good, 5, rng_from_seed(1)).shape == (3,)
 
 
 def test_complex_stack_is_rejected():
     # a float cast would drop the imaginary part and check the real part alone
     with pytest.raises(ValueError, match="must be real"):
-        correlator_symmetry_check(np.eye(4)[None] + 0.5j, 5, [1])
+        correlator_symmetry_check(np.eye(4)[None] + 0.5j, 5, rng_from_seed(1))
     with pytest.raises(ValueError, match="must be real"):
-        correlator_deviations([np.eye(4, dtype=complex)], 5, [1])
+        correlator_deviations([np.eye(4, dtype=complex)], 5, rng_from_seed(1))
     # control: the same maps as a real stack pass
-    assert correlator_symmetry_check(np.eye(4)[None], 5, [1]) == 0.0
-    assert correlator_deviations([np.eye(4)], 5, [1]).tolist() == [0.0]
+    assert correlator_symmetry_check(np.eye(4)[None], 5, rng_from_seed(1)) == 0.0
+    assert correlator_deviations([np.eye(4)], 5, rng_from_seed(1)).tolist() == [0.0]
 
 
 def test_singlet_invariant_under_unit_determinant_family():

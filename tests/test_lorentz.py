@@ -398,3 +398,12 @@ def test_boosts_z_keeps_the_rapidity_guard():
     # a NaN rapidity fails the guard too, as no SL(2,C) check follows boost_z
     with pytest.raises(ValueError, match="conditioning guard"):
         boost_z(np.nan)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rotations_z_rejects_non_finite_angles():
+    # the first non-finite angle is named, before exp could warn about it
+    with pytest.raises(ValueError, match="^rotation angle inf is not finite$"):
+        rotations_z([0.3, np.inf, np.nan])
+    with pytest.raises(ValueError, match="^rotation angle nan is not finite$"):
+        rotation_z(np.nan)
