@@ -176,8 +176,10 @@ def correlator_deviations(lams: np.ndarray, trials, rng: np.random.Generator) ->
     """Per map, the largest correlator change over random Hermitian pairs, as a (k,) array.
 
     ``lams`` is a real (k, 4, 4) stack of maps on Pauli coordinates, checked
-    by one require_lorentz pass; ``trials`` is one pair count for every map or
-    k counts c_j. One rng.standard_normal((sum c_j, 2, 4)) draw holds all pairs,
+    by one require_lorentz pass: the one Minkowski-form check a spin image
+    gets, as spin_images returns its images unchecked. ``trials`` is one pair
+    count for every map or k counts c_j. One
+    rng.standard_normal((sum c_j, 2, 4)) draw holds all pairs,
     map j owning the c_j rows after those of maps 0..j-1, and one gathered
     pass moves them; so entry j equals the one-map call on lams[j:j+1] with c_j
     pairs made in turn on a twin generator, bit for bit. Entry j is the max

@@ -11,6 +11,8 @@ from qlorentz.states import QubitState, random_state, state_to_json_dict
 from qlorentz.cli import main
 import qlorentz.cli
 import qlorentz.correlation
+import qlorentz.lorentz
+import qlorentz.states
 from qlorentz.correlation import correlator_symmetry_check
 from qlorentz.linalg import MAX_QUBITS
 from qlorentz.lorentz import ETA, boost_z, rotation_z, spin_hom
@@ -455,6 +457,42 @@ def test_metric_builds_one_generator_per_stream(tmp_path, monkeypatch, flags):
     assert code == 0
     assert seeds == [split_seed(3, qlorentz.cli.STREAM_OBSERVABLE),
                      split_seed(3, qlorentz.cli.STREAM_SYMMETRY)]
+
+
+@pytest.mark.parametrize(
+    "argv, sl2c_checks, lorentz_checks",
+    [
+        (["metric", "--trials", "5", "--sym-trials", "3"], 1, 1),
+        (["invariants", "--random", "mixed", "--n", "3", "--trials", "4"], 4, 0),
+        (["boost", "--preset", "ghz3"], 1, 0),
+    ],
+    ids=["metric", "invariants", "boost"],
+)
+def test_each_map_is_checked_once_per_form(tmp_path, monkeypatch, argv, sl2c_checks, lorentz_checks):
+    # maps are checked where they enter, not where they are built: a metric map
+    # once as an SL(2,C) element (spin_images) and once as a Lorentz matrix
+    # (correlator_deviations), an invariance or boost factor once (apply_local)
+    counts = {"require_sl2c": 0, "require_lorentz": 0}
+
+    def counter(name):
+        check = getattr(qlorentz.lorentz, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return check(*args, **kwargs)
+
+        return counted
+
+    for name, modules in (
+        ("require_sl2c", (qlorentz.lorentz, qlorentz.states)),
+        ("require_lorentz", (qlorentz.lorentz, qlorentz.correlation)),
+    ):
+        counted = counter(name)
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    code, _ = run_report(tmp_path, argv)
+    assert code == 0
+    assert counts == {"require_sl2c": sl2c_checks, "require_lorentz": lorentz_checks}
 
 
 @pytest.mark.filterwarnings("error")

@@ -186,13 +186,22 @@ def test_spin_hom_kernel_is_sign():
 
 
 def test_spin_hom_checks_its_element():
+    # require_sl2c is the one check: an element within its determinant
+    # tolerance gets its image, though that image misses the Minkowski form
+    # by 1e-10, far above rounding
+    a = 1.0 + 0.5 * SL2C_DET_TOL
+    c, s = 0.5 * (a * a + 1.0), 0.5 * (a * a - 1.0)
+    expected = np.array([[c, 0, 0, s], [0, a, 0, 0], [0, 0, a, 0], [s, 0, 0, c]])
+    np.testing.assert_allclose(spin_hom(np.diag([a, 1.0])), expected, rtol=0, atol=1e-15)
+    with pytest.raises(ContractError, match="determinant"):
+        spin_hom(np.diag([1.0 + 2.0 * SL2C_DET_TOL, 1.0]))
     # the phase e^{i pi/4} has the same image as 1, but is not in SL(2,C)
     with pytest.raises(ContractError, match="determinant"):
         spin_hom(np.exp(0.25j * np.pi) * np.eye(2))
     with pytest.raises(ContractError, match="determinant"):
         spin_hom(np.diag([2.0, 1.0]))
     with pytest.raises(ContractError, match="non-finite"):
-        spin_hom(np.full((2, 2), np.nan))
+        spin_hom(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def test_spin_hom_images_are_restricted_lorentz():
@@ -341,12 +350,10 @@ def test_require_lorentz_names_the_failing_map():
         require_lorentz(np.stack([np.eye(4), ETA, stretch, np.eye(4)]))
     with pytest.raises(ContractError, match="map 7 does not preserve"):
         require_lorentz(np.stack([np.eye(4)] * 7 + [stretch, np.eye(4)]))
-    # parity (det -1) and PT = -I (L00 = -1) preserve the form but leave SO+(1,3)
-    require_lorentz(np.stack([np.eye(4), ETA, -np.eye(4)]))
-    with pytest.raises(ContractError, match="map 1 is not restricted"):
-        require_lorentz(np.stack([np.eye(4), ETA]), restricted=True)
-    with pytest.raises(ContractError, match="map 1 is not restricted"):
-        require_lorentz(np.stack([np.eye(4), -np.eye(4)]), restricted=True)
+    # parity P = ETA (det -1), time reversal T (det -1, L00 = -1) and PT = -I
+    # (L00 = -1) preserve the form: all three components outside SO+(1,3) pass
+    time_reversal = np.diag([-1.0, 1.0, 1.0, 1.0])
+    require_lorentz(np.stack([np.eye(4), ETA, time_reversal, -np.eye(4)]))
 
 
 @pytest.mark.parametrize("rapidity", [8.5, 12.0, 20.0])
@@ -398,6 +405,12 @@ def test_boosts_z_keeps_the_rapidity_guard():
     # a NaN rapidity fails the guard too, as no SL(2,C) check follows boost_z
     with pytest.raises(ValueError, match="conditioning guard"):
         boost_z(np.nan)
+    # a 0-d rapidity is guarded like a stacked one, and builds the same matrix
+    for bad in (np.inf, np.nan, 25.0):
+        with pytest.raises(ValueError, match="conditioning guard"):
+            boosts_z(bad)
+    assert boosts_z(0.5).shape == (2, 2)
+    assert boosts_z(0.5).tobytes() == boost_z(0.5).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
