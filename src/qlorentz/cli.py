@@ -12,10 +12,10 @@ Each command returns its checks as (deviation, tolerance) pairs, each judged
 against the tolerance its command states; one report path times it, echoes
 its flags as the config and assembles the report with the one verdict.
 Reports are byte-identical for identical configs and seeds, except for the
-wall_time_s field, and are strict JSON: the text is what json.dumps(indent=2,
-sort_keys=True, allow_nan=False) writes, produced by jsontext.json_text from
-one % template over the report's numbers rather than by json's pure-Python
-indent encoder.
+wall_time_s field, and are strict JSON on one line: the text is
+json.dumps(report, sort_keys=True, allow_nan=False) plus a newline, written by
+json's C encoder; `python -m json.tool` shows it indented. invariants, oracle
+and metric also write their per-trial records with --csv.
 Exit code 0 means every check passed, 1 means a property check failed, 2
 means the inputs were unusable, the report or CSV could not be written, or
 the report held a non-finite value. An exit 2 writes no report, no CSV and
@@ -61,7 +61,6 @@ from .lorentz import (
     sample_sl2c_stack,
     spin_images,
 )
-from .jsontext import json_text
 from .linalg import MAX_QUBITS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from .seeding import SEED_SPLIT_NAME, rng_from_seed, split_seed
 from .states import (
@@ -332,25 +331,27 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_inv, p_orc, p_met, p_twl, p_bst):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=None, help="write the JSON report here (default stdout)")
+    for p in (p_inv, p_orc, p_met):
         p.add_argument("--csv", default=None, help="write per-trial records as CSV here")
 
     return parser
 
 
 def _emit(report: dict, args) -> None:
-    """Write the report as indent-2, sorted-key JSON, the text of jsontext.json_text.
+    """Write the report as one line of sorted-key JSON from json's C encoder.
 
-    The CSV is written before the report and deleted again if the report
-    cannot be written, so a path that cannot be opened (exit 2) leaves
-    neither behind; a write that fails partway can leave a truncated one.
-    A NaN or an infinity in the report raises ValueError before either is
-    written.
+    The CSV, on the commands that offer --csv, is written before the report
+    and deleted again if the report cannot be written, so a path that cannot
+    be opened (exit 2) leaves neither behind; a write that fails partway can
+    leave a truncated one. A NaN or an infinity in the report raises
+    ValueError before either is written.
     """
-    text = json_text(report) + "\n"
-    if args.csv:
-        rows = report.get("trials", [])
+    text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+    csv_path = getattr(args, "csv", None)
+    if csv_path:
+        rows = report["trials"]
         fields = sorted({k for row in rows for k in row})
-        with open(args.csv, "w", newline="") as fh:
+        with open(csv_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
             writer.writerows(rows)
@@ -360,8 +361,8 @@ def _emit(report: dict, args) -> None:
         else:
             sys.stdout.write(text)
     except OSError:
-        if args.csv:
-            Path(args.csv).unlink()
+        if csv_path:
+            Path(csv_path).unlink()
         raise
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import cache
 from functools import reduce as _fold
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -387,9 +388,13 @@ def state_from_json_dict(payload: dict) -> QubitState:
     raw = payload["matrix"]
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state matrix: {exc}") from None
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"state matrix must be square with [re, im] entries, got shape {arr.shape}")
+    # asarray also takes numeric strings, booleans and null (as NaN): refuse them by type
+    if bad := set(map(type, chain.from_iterable(chain.from_iterable(raw)))) - {int, float}:
+        names = ", ".join(sorted(t.__name__ for t in bad))
+        raise ValueError(f"state matrix entries must be JSON numbers, got {names}")
     rho = arr[:, :, 0] + 1j * arr[:, :, 1]
     return QubitState(n, rho)

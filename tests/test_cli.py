@@ -322,6 +322,23 @@ def test_malformed_state_file_exits_two(tmp_path, capsys):
     assert main(["invariants", "--input", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ['"0.5"', '" 0.5 "', '"5e-1"', "true", "false", "null", "1" + "0" * 400],
+    ids=["string", "padded-string", "exponent-string", "true", "false", "null", "int-1e400"],
+)
+def test_non_numeric_state_entry_exits_two(tmp_path, capsys, entry):
+    # one error line naming the entry's type, and no report
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"n": 1, "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [{entry}, 0.0]]]}}')
+    out = tmp_path / "r.json"
+    assert main(["invariants", "--input", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert type(json.loads(entry)).__name__ in err
+    assert not out.exists()
+
+
 def test_near_pure_state_file_is_lorentz_invariant(tmp_path):
     # the W-spectrum keeps the 4e-11 eigenvalue on the base state and on every
     # moved copy, so the invariance deviation stays at rounding level
@@ -396,9 +413,12 @@ def test_reports_are_deterministic(tmp_path):
     ]
     for args in configs:
         _, first = run_report(tmp_path, args, "a.json")
-        # the writer's bytes are the stdlib's: floats round-trip exactly through repr
+        # one line of canonical JSON: floats round-trip exactly through repr,
+        # and the wall_time_s field keeps its ": " separator
         text = (tmp_path / "a.json").read_text()
-        assert text == json.dumps(first, indent=2, sort_keys=True) + "\n"
+        assert text == json.dumps(first, sort_keys=True) + "\n"
+        assert text.count("\n") == 1 and '"wall_time_s": ' in text
+        assert text.isascii()
         _, second = run_report(tmp_path, args, "b.json")
         assert strip_wall_time(first) == strip_wall_time(second)
 
@@ -515,16 +535,11 @@ def test_metric_huge_finite_rotation_passes(tmp_path):
 def test_parser_is_built_once_and_survives_a_bad_flag(tmp_path):
     argv = ["metric", "--trials", "20", "--sym-trials", "3", "--seed", "6"]
 
-    def report_text(name):
-        run_report(tmp_path, argv, name)
-        lines = (tmp_path / name).read_text().splitlines()
-        return [line for line in lines if '"wall_time_s"' not in line]
-
-    before = report_text("a.json")
+    before = strip_wall_time(run_report(tmp_path, argv, "a.json")[1])
     with pytest.raises(SystemExit) as exc:
         main(["metric", "--trials", "7", "--no-such-flag"])
     assert exc.value.code == 2
-    assert report_text("b.json") == before
+    assert strip_wall_time(run_report(tmp_path, argv, "b.json")[1]) == before
     assert qlorentz.cli.build_parser() is qlorentz.cli.build_parser()
 
 
@@ -578,6 +593,17 @@ def test_csv_projection(tmp_path):
     assert "i_l_trace" in rows[0]
 
 
+@pytest.mark.parametrize("command", ["twirl", "boost"])
+def test_csv_is_refused_without_trial_records(tmp_path, capsys, command):
+    # twirl and boost have no per-trial records, so they offer no --csv
+    csv_path = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--csv", str(csv_path)])
+    assert exc.value.code == 2
+    assert "--csv" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_stdout_default(capsys):
     code = main(["invariants", "--preset", "singlet", "--trials", "0"])
     assert code == 0
@@ -609,6 +635,8 @@ def test_config_echo_keys(tmp_path, argv, keys):
     state = tmp_path / "state.json"
     state.write_text(json.dumps(state_to_json_dict(random_state(1, "mixed", 4))))
     argv = [str(state) if a == "STATE" else a for a in argv]
-    _, report = run_report(tmp_path, argv + ["--csv", str(tmp_path / "t.csv")])
+    if argv[0] in ("invariants", "oracle", "metric"):
+        argv += ["--csv", str(tmp_path / "t.csv")]
+    _, report = run_report(tmp_path, argv)
     assert set(report["config"]) == COMMON | keys
     assert report["config"]["command"] == report["command"] == argv[0]

@@ -607,6 +607,13 @@ def test_json_rejects_malformed_payloads():
     for n in (None, 1.7, True, "1"):
         with pytest.raises(ValueError, match="'n'"):
             state_from_json_dict({"n": n, "matrix": basis0})
+    # entries must be JSON numbers that fit in a float: numeric strings, booleans
+    # and null are refused by type, as is an integer beyond the float range
+    for entry, name in (("0.5", "str"), (" 0.5 ", "str"), ("5e-1", "str"), (True, "bool"),
+                        (False, "bool"), (None, "NoneType"), (10**400, "int")):
+        matrix = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [entry, 0.0]]]
+        with pytest.raises(ValueError, match=name):
+            state_from_json_dict({"n": 1, "matrix": matrix})
     # valid shape but not a state
     with pytest.raises(ContractError):
         state_from_json_dict(
