@@ -96,7 +96,10 @@ def _load_state(args) -> tuple[QubitState, dict]:
     """Resolve the state source flags into a state and a config echo."""
     if args.input:
         path = Path(args.input)
-        payload = json.loads(path.read_text())
+        try:
+            payload = json.loads(path.read_text())
+        except RecursionError:
+            raise ValueError(f"state file {path} nests too deeply to parse") from None
         return state_from_json_dict(payload), {"source": "input", "input_path": str(path)}
     if args.random:
         state = random_state(args.n, args.random, split_seed(args.seed, STREAM_STATE))
@@ -346,7 +349,8 @@ def _emit(report: dict, args) -> None:
     leave a truncated one. A NaN or an infinity in the report raises
     ValueError before either is written.
     """
-    text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+    # _report builds a fresh tree, which cannot hold a cycle
+    text = json.dumps(report, sort_keys=True, allow_nan=False, check_circular=False) + "\n"
     csv_path = getattr(args, "csv", None)
     if csv_path:
         rows = report["trials"]

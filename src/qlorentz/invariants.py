@@ -43,12 +43,17 @@ def linear_entropy(s: QubitState) -> float:
 def spectral_invariants(s: QubitState) -> np.ndarray:
     """Elementary symmetric polynomials e_1..e_d of the W-spectrum.
 
-    The coefficients of prod_i (x + l_i) over w_spectrum, expanded one factor
-    at a time; every l_i is non-negative, so no term cancels another. e_1 is
-    Tr(W) and e_d is det(W). Each entry is separately invariant under local
-    SL(2,C) actions.
+    The coefficients of prod_i (x + l_i) over w_spectrum, by np.poly's update
+    e_j += l_i e_(j-1) in place over the nonzero l_i (a zero one changes none);
+    every l_i is non-negative, so no term cancels another. e_1 is Tr(W) and
+    e_d is det(W). Each entry is separately invariant under local SL(2,C) actions.
     """
-    return np.poly(-w_spectrum(s))[1:]
+    lam = w_spectrum(s)
+    c = np.zeros(len(lam) + 1)
+    c[0] = 1.0
+    for k, x in enumerate(lam[lam > 0.0]):
+        c[1 : k + 2] += x * c[: k + 1]
+    return c[1:]
 
 
 def concurrence(s: QubitState) -> float:

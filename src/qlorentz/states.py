@@ -37,35 +37,31 @@ SINGLET_COEFFS.setflags(write=False)
 class QubitState:
     """A possibly un-normalized n-qubit density matrix.
 
-    The constructor is the one validity gate: it checks Hermiticity
-    (require_hermitian), positive semidefiniteness (require_psd, which
-    raises PositivityError) and a positive trace, then stores a read-only
-    copy of the input. Internal builders whose output is valid by
-    construction hand a fresh matrix over, uncopied, to ``_adopt``, and the
-    kernels trust every QubitState they are given.
+    The constructor is the one validity gate: it checks the qubit count
+    (at most MAX_QUBITS), Hermiticity (require_hermitian), positive
+    semidefiniteness (require_psd, which raises PositivityError) and a
+    positive trace, then stores the Hermitian part (rho + rho^dag)/2 that
+    require_hermitian returns, read-only. Internal builders whose output is
+    valid by construction hand a fresh matrix over, uncopied, to ``_adopt``,
+    and the kernels trust every QubitState they are given.
     """
 
     __slots__ = ("n", "rho")
 
     def __init__(self, n: int, rho):
-        n = int(n)
-        if n < 1:
-            raise ValueError("qubit count must be positive")
+        n = _check_n(n)
         a = as_matrix(rho)
-        d = a.shape[0]
-        # compare qubit counts: 2**n for the n a state file holds could be huge
-        if d & (d - 1) or d.bit_length() - 1 != n:
-            raise ValueError(f"matrix dimension {d} does not match n={n} qubits")
+        if a.shape[0] != 2**n:
+            raise ValueError(f"matrix dimension {a.shape[0]} does not match n={n} qubits")
         h = require_hermitian(a, what="state")
         require_psd(np.linalg.eigvalsh(h), h, what="state")
         # the Hermitian part's trace is real by construction
         tr = np.trace(h).real
         if tr <= 0.0:
             raise ContractError(f"state trace {tr} is not positive")
-        a = a.copy()
-        a.setflags(write=False)
+        h.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rho", a)
+        object.__setattr__(self, "rho", h)
 
     @classmethod
     def _adopt(cls, n: int, a: np.ndarray, *, check_finite: bool = False) -> "QubitState":
@@ -140,7 +136,8 @@ def _rank_factor(rho: np.ndarray) -> np.ndarray:
     diag = rho.diagonal().real
     j = int(np.argmax(diag))
     if diag[j] > 0.0:
-        psi = rho[:, j : j + 1] / np.sqrt(diag[j])
+        # column j of the Hermitian part, in O(d): an _adopt-ed projector is Hermitian to 1 ulp
+        psi = (0.5 * (rho[:, j] + rho[j].conj()))[:, None] / np.sqrt(diag[j])
         tr, norm2 = diag.sum(), np.linalg.norm(psi) ** 2
         # |Tr X| <= sqrt(d) |X|_F for Hermitian X = rho - psi psi^dag: a trace gap 1e4 times
         # the residual's cut rules rank 1 out in O(d), before the d^2 residual
@@ -191,11 +188,12 @@ def w_spectrum(s: QubitState) -> np.ndarray:
     3. A = V sqrt(L) over the eigenpairs of rho above 1e-14 of the largest,
        which also decides positivity for the other inputs.
 
-    It works on the Hermitian part (rho + rho^dag)/2, as apply_local does, and
-    leaves the Hermiticity check to QubitState; branch 3 raises PositivityError
-    for an eigenvalue below the require_psd floor, the one QubitState applies.
+    It reads rho as its Hermitian part (rho + rho^dag)/2 without forming it:
+    Cholesky and eigh read only the lower triangle, and branch 1 symmetrizes
+    its one column. Hermiticity is QubitState's check; branch 3 raises
+    PositivityError for an eigenvalue below the require_psd floor, as QubitState.
     """
-    a = _rank_factor(0.5 * (s.rho + s.rho.conj().T))
+    a = _rank_factor(s.rho)
     b = a.T @ (_parity_signs(s.n)[:, None] * a[::-1])
     b = 0.5 * (b + (-1) ** s.n * b.T)
     lam = np.zeros(s.dim)

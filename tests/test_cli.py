@@ -384,13 +384,24 @@ def test_twirl_report_has_one_verdict(tmp_path, samples):
 
 
 def test_state_file_with_a_huge_qubit_count_exits_two_at_once(tmp_path, capsys):
-    # the mismatch is found without forming 2**n
+    # the qubit cap refuses it without forming 2**n
     path = tmp_path / "huge_n.json"
     path.write_text(json.dumps({"n": 10**12, "matrix": [[[1.0, 0.0]]]}))
     started = time.perf_counter()
     assert main(["invariants", "--input", str(path)]) == 2
     assert time.perf_counter() - started < 2.0
-    assert "matrix dimension 1 does not match n=1000000000000 qubits" in capsys.readouterr().err
+    assert "qubit count 1000000000000 outside 1..10" in capsys.readouterr().err
+
+
+def test_deeply_nested_state_file_exits_two(tmp_path, capsys):
+    # json.loads recurses once per bracket; the RecursionError must not escape
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 1, "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    output = tmp_path / "report.json"
+    assert main(["invariants", "--input", str(path), "--output", str(output)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: state file {path} nests too deeply to parse\n"
+    assert captured.out == "" and not output.exists()
 
 
 def test_reports_are_deterministic(tmp_path):

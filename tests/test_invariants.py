@@ -19,6 +19,7 @@ from qlorentz.states import (
     singlet,
     spin_flip,
     w_matrix,
+    w_spectrum,
     wstate,
 )
 import qlorentz.invariants
@@ -113,6 +114,27 @@ def test_spectral_invariants_match_eigvals_route():
             # negative control: Newton's identities on the same spectrum miss it
             newton = np.abs(newton_elementary(lam) - reference) / reference
             assert newton.max() > rtol, (n, trial)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_spectral_invariants_reproduce_np_poly(n):
+    # The in-place update is np.poly's two-term convolution, run over the r
+    # nonzero l only. Both are the recursion e_k += l e_(k-1), whose every term
+    # takes at most k multiplications and r additions with nothing cancelling,
+    # so each lies within (k + r) eps e_k of the exact value, plus a subnormal
+    # per rounding once e_k underflows: a numpy whose convolve fuses the
+    # multiply-add may differ that far. Scaled by 1e-100, the e_k underflow.
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    for kind in ("pure", "mixed"):
+        for scale in (1.0, 1e-100):
+            s = random_state(n, kind, split_seed(331, n)).scaled(scale)
+            lam = w_spectrum(s)
+            reference = np.poly(-lam)[1:]
+            roundings = np.arange(1, lam.size + 1) + np.count_nonzero(lam)
+            bound = 2 * roundings * (eps * reference + tiny)
+            assert (np.abs(spectral_invariants(s) - reference) <= bound).all(), (kind, scale)
+            if kind == "mixed" and scale < 1.0:
+                assert (reference == 0.0).any() and reference[0] > 0.0
 
 
 def test_spectral_invariants_under_local_actions():
@@ -253,8 +275,9 @@ def test_subset_route_expands_the_hermitian_part():
             skew = (g[0] + 1j * g[1]) - (g[0] - 1j * g[1]).T
             # an imaginary diagonal would put the trace off the real axis
             np.fill_diagonal(skew, 0.0)
-            skewed = QubitState(n, base.rho + 2e-12 * skew)
-            hermitian = QubitState(n, 0.5 * (skewed.rho + skewed.rho.conj().T))
+            # adopted, since the constructor would store the Hermitian part
+            skewed = QubitState._adopt(n, base.rho + 2e-12 * skew)
+            hermitian = QubitState(n, skewed.rho)
             tol = 1e-15 * skewed.trace() ** 2
             assert hermitian.rho.tobytes() != skewed.rho.tobytes()
             got = linear_mutual_info_subsets(skewed)

@@ -5,6 +5,7 @@ from functools import reduce as fold
 import numpy as np
 import pytest
 
+import qlorentz.states
 from qlorentz import ContractError, PositivityError, apply_local, boost_z, preset, random_sl2c
 from qlorentz.linalg import kron, mat_sqrt_psd, require_hermitian
 from qlorentz.states import (
@@ -53,12 +54,12 @@ def test_constructor_validates_trace():
 
 @pytest.mark.parametrize("n", [1, 6])
 def test_constructor_accepts_an_imaginary_trace_within_the_hermiticity_bound(n):
-    # I/d + 4e-11 i I passes require_hermitian (defect 8e-11); its Hermitian
-    # part I/d has trace exactly 1, though Im Tr(rho) = 4e-11 * d
+    # I/d + 4e-11 i I passes require_hermitian (defect 8e-11); the state stores
+    # its Hermitian part I/d, with trace exactly 1 and no imaginary part
     d = 2**n
     s = QubitState(n, np.eye(d) / d + 4e-11j * np.eye(d))
     assert s.trace() == 1.0
-    assert np.trace(s.rho).imag == pytest.approx(4e-11 * d)
+    assert np.trace(s.rho).imag == 0.0
 
 
 def test_constructor_validates_dimension():
@@ -67,9 +68,13 @@ def test_constructor_validates_dimension():
     for n in (1, 2):
         with pytest.raises(ValueError, match="dimension 3 does not match"):
             QubitState(n, np.eye(3, dtype=complex))
-    # refused by comparing qubit counts, without forming 2**n
-    with pytest.raises(ValueError, match=f"does not match n={10**12} qubits"):
+    # refused by the qubit cap, without forming 2**n
+    with pytest.raises(ValueError, match=f"qubit count {10**12} outside 1..{MAX_QUBITS}"):
         QubitState(10**12, np.eye(2, dtype=complex))
+    # the cap is checked before the matrix is read: no 2**11-dimensional eigvalsh runs
+    for n in (0, MAX_QUBITS + 1):
+        with pytest.raises(ValueError, match=f"qubit count {n} outside 1..{MAX_QUBITS}"):
+            QubitState(n, object())
 
 
 def test_states_are_immutable():
@@ -207,6 +212,22 @@ def test_w_spectrum_of_pure_odd_is_exactly_zero():
         for seed in range(20):
             lam = w_spectrum(random_state(n, "pure", split_seed(39, 100 * n + seed)))
             assert (lam == 0.0).all(), (n, seed)
+
+
+def test_w_spectrum_rank_one_column_is_the_hermitian_parts(monkeypatch):
+    # an np.outer projector is Hermitian only to 1 ulp, and w_spectrum forms no
+    # symmetrized copy: the rank-1 branch reads column j of (rho + rho^dag)/2,
+    # so it matches the symmetrize-first route bit for bit
+    s = random_state(4, "pure", split_seed(1, 0))
+    h = 0.5 * (s.rho + s.rho.conj().T)
+    expected = w_spectrum(QubitState._adopt(4, h))
+    assert np.count_nonzero(expected) == 1
+    assert w_spectrum(s).tobytes() == expected.tobytes()
+    # negative control: the raw column rho[:, j] moves e_1 = l_1 on this state
+    j = int(np.argmax(s.rho.diagonal().real))
+    raw_column = lambda rho: rho[:, j : j + 1] / np.sqrt(rho[j, j].real)
+    monkeypatch.setattr(qlorentz.states, "_rank_factor", raw_column)
+    assert w_spectrum(s)[0] != expected[0]
 
 
 def test_w_spectrum_rejects_invalid_input():
