@@ -44,12 +44,10 @@ from .correlation import (
     polarized_determinant,
 )
 from .invariants import (
-    concurrence,
-    invariant_report,
+    _invariant_report,
     linear_entropy,
     linear_mutual_info_subsets,
     linear_mutual_info_trace,
-    spectral_invariants,
 )
 from .lorentz import (
     ETA,
@@ -62,7 +60,7 @@ from .lorentz import (
     spin_images,
 )
 from .linalg import MAX_QUBITS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from .seeding import SEED_SPLIT_NAME, rng_from_seed, split_seed
+from .seeding import MASK64, SEED_SPLIT_NAME, rng_from_seed, split_seed
 from .states import (
     QubitState,
     apply_local,
@@ -70,6 +68,7 @@ from .states import (
     random_state,
     state_from_json_dict,
     state_to_json_dict,
+    w_spectrum,
 )
 
 # fixed sub-seed streams so each randomness consumer is independent; metric and
@@ -129,12 +128,23 @@ def _parse_observable(text: str, rng: np.random.Generator) -> np.ndarray:
 
 
 def cmd_invariants(args):
+    """Invariants of one state, and their invariance under random local actions.
+
+    The state's W-spectrum is computed once: the reported e_k and, at n = 2,
+    the concurrence are read off it, and it is each trial's reference. A
+    trial moves the state by one sampled SL(2,C)^(x)n action and computes the
+    moved state's W-spectrum once; its deviation is the worst _rel_dev of
+    the trace route of I_L and of the sorted spectra, entry by entry. The
+    e_k and the concurrence are functions of the spectrum, so they are not
+    compared again.
+    """
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
     if not 0.0 < args.max_rapidity <= MAX_RAPIDITY:
         raise ValueError(f"max_rapidity must lie in (0, {MAX_RAPIDITY}]")
     state, source = _load_state(args)
-    base = invariant_report(state)
+    lam = w_spectrum(state)
+    base = _invariant_report(state, lam)
 
     checks = {
         "subset_vs_trace": (_rel_dev(base.i_l_subset, base.i_l_trace), 1e-8),
@@ -149,10 +159,8 @@ def cmd_invariants(args):
         moved = apply_local(state, sample_sl2c_stack(rng, state.n, args.max_rapidity))
         dev = max(
             _rel_dev(linear_mutual_info_trace(moved), base.i_l_trace),
-            *_rel_dev(spectral_invariants(moved), base.spectral_invariants),
+            *_rel_dev(w_spectrum(moved), lam),
         )
-        if state.n == 2:
-            dev = max(dev, _rel_dev(concurrence(moved), base.concurrence))
         worst = max(worst, dev)
         trials.append({"trial": i, "deviation": dev})
     if args.trials:
@@ -332,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bst.set_defaults(func=cmd_boost)
 
     for p in (p_inv, p_orc, p_met, p_twl, p_bst):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="master seed, 0..2**64 - 1")
         p.add_argument("--output", default=None, help="write the JSON report here (default stdout)")
     for p in (p_inv, p_orc, p_met):
         p.add_argument("--csv", default=None, help="write per-trial records as CSV here")
@@ -376,9 +384,13 @@ def _report(args) -> tuple[dict, bool]:
     The config echoes every flag but the output paths; for a command that
     loads a state, the source echo stands in for the state flags. This is
     the one place a verdict is formed: each check passes when its deviation
-    is within the tolerance its command states.
+    is within the tolerance its command states. It is also the one place
+    the seed is checked: splitmix64 reads it modulo 2**64, so a seed outside
+    0..2**64 - 1 would repeat another seed's report under its own echo.
     """
     started = time.perf_counter()
+    if not 0 <= args.seed <= MASK64:
+        raise ValueError(f"--seed must lie in 0..2**64 - 1, got {args.seed}")
     source, trials, pairs, extra = args.func(args)
     config = {k: v for k, v in vars(args).items() if k not in ("func", "output", "csv")}
     if source is not None:

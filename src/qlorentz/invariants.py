@@ -40,15 +40,12 @@ def linear_entropy(s: QubitState) -> float:
     return _linear_entropy(s.rho)
 
 
-def spectral_invariants(s: QubitState) -> np.ndarray:
-    """Elementary symmetric polynomials e_1..e_d of the W-spectrum.
+def _symmetric_polys(lam: np.ndarray) -> np.ndarray:
+    """e_1..e_d of a non-negative spectrum: the coefficients of prod_i (x + l_i).
 
-    The coefficients of prod_i (x + l_i) over w_spectrum, by np.poly's update
-    e_j += l_i e_(j-1) in place over the nonzero l_i (a zero one changes none);
-    every l_i is non-negative, so no term cancels another. e_1 is Tr(W) and
-    e_d is det(W). Each entry is separately invariant under local SL(2,C) actions.
+    np.poly's update e_j += l_i e_(j-1), in place over the nonzero l_i (a zero
+    one changes none); every l_i is non-negative, so no term cancels another.
     """
-    lam = w_spectrum(s)
     c = np.zeros(len(lam) + 1)
     c[0] = 1.0
     for k, x in enumerate(lam[lam > 0.0]):
@@ -56,16 +53,31 @@ def spectral_invariants(s: QubitState) -> np.ndarray:
     return c[1:]
 
 
+def _concurrence(lam: np.ndarray) -> float:
+    roots = np.sqrt(lam)
+    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+
+
+def spectral_invariants(s: QubitState) -> np.ndarray:
+    """Elementary symmetric polynomials e_1..e_d of the W-spectrum.
+
+    e_1 is Tr(W) and e_d is det(W). Each entry is separately invariant under
+    local SL(2,C) actions. One w_spectrum call; invariant_report shares its
+    spectrum with the concurrence instead.
+    """
+    return _symmetric_polys(w_spectrum(s))
+
+
 def concurrence(s: QubitState) -> float:
     """max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)} over the descending W-spectrum.
 
     Defined for two qubits only, and deliberately for un-normalized states:
-    the underlying spectrum is what local SL(2,C) actions preserve.
+    the underlying spectrum is what local SL(2,C) actions preserve. One
+    w_spectrum call; invariant_report shares its spectrum with the e_k instead.
     """
     if s.n != 2:
         raise ValueError(f"concurrence is defined for 2 qubits, got n={s.n}")
-    roots = np.sqrt(w_spectrum(s))
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    return _concurrence(w_spectrum(s))
 
 
 #: Row k turns a qubit's 2x2 block, flattened as 2r + c, into Tr(block Q_k) for the
@@ -155,13 +167,21 @@ class InvariantSet:
 
 
 def invariant_report(s: QubitState) -> InvariantSet:
-    """Full invariant summary; trace_w and i_l_trace are the same number."""
+    """Full invariant summary; trace_w and i_l_trace are the same number.
+
+    The e_k and, at n = 2, the concurrence are read off one w_spectrum call.
+    """
+    return _invariant_report(s, w_spectrum(s))
+
+
+def _invariant_report(s: QubitState, lam: np.ndarray) -> InvariantSet:
+    """invariant_report of s, given its W-spectrum lam."""
     i_l_trace = linear_mutual_info_trace(s)
     return InvariantSet(
         linear_entropy=linear_entropy(s),
         trace_w=i_l_trace,
-        spectral_invariants=tuple(float(e) for e in spectral_invariants(s)),
-        concurrence=concurrence(s) if s.n == 2 else None,
+        spectral_invariants=tuple(_symmetric_polys(lam).tolist()),
+        concurrence=_concurrence(lam) if s.n == 2 else None,
         i_l_subset=linear_mutual_info_subsets(s),
         i_l_trace=i_l_trace,
     )

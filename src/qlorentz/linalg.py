@@ -165,21 +165,3 @@ def det(m):
         raise ValueError(f"det is the 2x2 closed form, got shape {a.shape}")
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
 
-
-def char_poly_coeffs(m) -> np.ndarray:
-    """Coefficients c_0..c_{d-1} of det(lambda*I - m), leading coefficient 1.
-
-    Computed by the Faddeev-LeVerrier recurrence, which extracts each
-    coefficient from traces of matrix powers; no eigensolver involved.
-    """
-    a = as_matrix(m)
-    d = a.shape[0]
-    coeffs = np.empty(d, dtype=complex)
-    mk = a.copy()
-    eye = np.eye(d, dtype=complex)
-    for k in range(1, d + 1):
-        c = -np.trace(mk) / k
-        coeffs[d - k] = c
-        if k < d:
-            mk = a @ (mk + c * eye)
-    return coeffs

@@ -121,11 +121,6 @@ def spin_flip(s: QubitState) -> QubitState:
     return QubitState._adopt(s.n, _flip_signs(s.n) * np.conj(s.rho)[::-1, ::-1])
 
 
-def w_matrix(s: QubitState) -> np.ndarray:
-    """The product rho * spin_flip(rho); not Hermitian in general."""
-    return s.rho @ spin_flip(s).rho
-
-
 # eigenvalues of rho at or below this fraction of the largest count as zero in w_spectrum
 _EIG_CUT = 1e-14
 
@@ -236,21 +231,6 @@ def reduce(s: QubitState, subset: Iterable[int]) -> QubitState:
     """Reduced state on the given qubits (1-based, relative order preserved)."""
     kept = sorted(set(int(q) for q in subset))
     return QubitState._adopt(len(kept), partial_trace(s.rho, s.n, kept), check_finite=True)
-
-
-def depolarize(s: QubitState, p: float) -> QubitState:
-    """Mix the state with white noise: (1-p)*rho + p*Tr(rho)*I/dim.
-
-    Trace-preserving and completely positive, but not entropy-preserving,
-    which is exactly why it serves as the negative control for the
-    conjugation-map characterization.
-    """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing weight {p} outside [0, 1]")
-    d = s.dim
-    noise = np.trace(s.rho).real * np.eye(d, dtype=complex) / d
-    return QubitState._adopt(s.n, (1.0 - p) * s.rho + p * noise, check_finite=True)
 
 
 def _projector(psi: np.ndarray) -> np.ndarray:
@@ -367,7 +347,8 @@ def random_state(n: int, kind: str, rng_seed: int) -> QubitState:
     if kind == "mixed":
         g = _gaussian(rng, (d, d))
         rho = g @ g.conj().T
-        return QubitState._adopt(n, rho / np.trace(rho).real)
+        rho /= np.trace(rho).real
+        return QubitState._adopt(n, rho)
     raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
 
 

@@ -21,7 +21,6 @@ from qlorentz.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron
 from qlorentz.lorentz import ETA, herm_from_vector, rotation_z, sample_sl2c
 from qlorentz.states import (
     QubitState,
-    depolarize,
     ghz,
     product_of_singlets,
     random_state,
@@ -44,6 +43,7 @@ from qlorentz.correlation import (
 )
 from qlorentz.cli import main
 from qlorentz.seeding import rng_from_seed, split_seed
+from reference import depolarize
 
 MASTER_SEED = 20240915
 

@@ -350,6 +350,91 @@ def test_near_pure_state_file_is_lorentz_invariant(tmp_path):
     assert report["invariants"]["spectral_invariants"][0] > 0.0
 
 
+@pytest.mark.parametrize("n", [2, 7])
+def test_invariants_computes_one_w_spectrum_per_state(tmp_path, monkeypatch, n):
+    # the base state's spectrum feeds the e_k, the concurrence and every
+    # trial's reference; a trial computes its moved state's spectrum and
+    # nothing else spectral, so 1 + trials spectra and one e_k expansion
+    counts = {"w_spectrum": 0, "_symmetric_polys": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            counts[name] += 1
+            return func(*args)
+
+        return wrapper
+
+    spectrum = counted("w_spectrum", qlorentz.states.w_spectrum)
+    for module in (qlorentz.states, qlorentz.invariants, qlorentz.cli):
+        if hasattr(module, "w_spectrum"):
+            monkeypatch.setattr(module, "w_spectrum", spectrum)
+    monkeypatch.setattr(
+        qlorentz.invariants,
+        "_symmetric_polys",
+        counted("_symmetric_polys", qlorentz.invariants._symmetric_polys),
+    )
+    code, report = run_report(
+        tmp_path, ["invariants", "--random", "mixed", "--n", str(n), "--trials", "4", "--seed", "2"]
+    )
+    assert code == 0
+    assert counts == {"w_spectrum": 5, "_symmetric_polys": 1}
+    assert (report["invariants"]["concurrence"] is None) == (n != 2)
+
+
+BELL_STATES = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2.0)
+
+
+def bell_diagonal(weights):
+    return QubitState(2, np.einsum("k,ki,kj->ij", weights, BELL_STATES, BELL_STATES))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-5])
+def test_invariants_sees_a_spectrum_shift_the_e_k_hide(tmp_path, monkeypatch, eps):
+    # negative control: a Bell-diagonal state is its own spin flip, so its
+    # W-spectrum is its squared weights. Moving eps between the two equal
+    # weights keeps I_L = sum w^2 to 2 eps^2, and every e_k to O(eps^2), but
+    # moves the top two W values by 0.6 eps: the spectrum check must fail
+    weights = np.array([0.3, 0.3, 0.25, 0.15])
+    path = tmp_path / "bell.json"
+    path.write_text(json.dumps(state_to_json_dict(bell_diagonal(weights))))
+    moved = bell_diagonal(weights + np.array([eps, -eps, 0.0, 0.0]))
+    monkeypatch.setattr(qlorentz.cli, "apply_local", lambda s, factors: moved)
+    code, report = run_report(tmp_path, ["invariants", "--input", str(path), "--trials", "4"])
+    check = report["checks"]["lorentz_invariance"]
+    assert check["deviation"] == pytest.approx(0.6 * eps + eps * eps, rel=1e-6, abs=1e-14)
+    assert code == (0 if eps == 0.0 else 1)
+    assert check["pass"] is (eps == 0.0)
+    assert report["checks"]["subset_vs_trace"]["pass"] is True
+
+
+SEED_ARGV = {
+    "invariants": ["invariants", "--trials", "1"],
+    "oracle": ["oracle", "--n", "2", "--trials", "2"],
+    "metric": ["metric", "--trials", "2", "--sym-trials", "1"],
+    "twirl": ["twirl", "--samples", "1000"],
+    "boost": ["boost"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_ARGV))
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_exits_two(tmp_path, capsys, command, seed):
+    # splitmix64 reads a seed modulo 2**64, so -1 and 2**64 would repeat the
+    # reports of 2**64 - 1 and 0 under their own echo
+    out = tmp_path / "r.json"
+    assert main(SEED_ARGV[command] + [f"--seed={seed}", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --seed must lie in 0..2**64 - 1, got {seed}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SEED_ARGV))
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_ends_run(tmp_path, command, seed):
+    code, report = run_report(tmp_path, SEED_ARGV[command] + ["--seed", str(seed)])
+    assert code == 0
+    assert report["config"]["seed"] == seed
+
+
 @pytest.mark.parametrize("command", ["invariants", "boost"])
 def test_state_below_the_psd_floor_exits_two(tmp_path, capsys, command):
     # smallest eigenvalue -6e-10 * max|rho| is refused at load, before any command runs

