@@ -30,9 +30,13 @@ __all__ = [
 
 
 def _linear_entropy(rho: np.ndarray) -> float:
+    """Tr(rho)^2 - Tr(rho^2), with Tr(rho^2) as Re Tr(rho^dagger rho): one contiguous dot.
+
+    Its terms |rho_ij|^2 are non-negative; it differs from Re Tr(rho^2) only by
+    the anti-Hermitian rounding of rho, at second order (see linear_mutual_info_trace).
+    """
     tr = np.trace(rho).real
-    tr_sq = np.einsum("ij,ji->", rho, rho).real
-    return float(tr * tr - tr_sq)
+    return float(tr * tr - np.vdot(rho, rho).real)
 
 
 def linear_entropy(s: QubitState) -> float:
@@ -96,16 +100,18 @@ def _subset_purities(rho: np.ndarray, n: int) -> np.ndarray:
     Expands the Hermitian part H of rho, whose Pauli coefficients are real. For
     P = (-i)^m Q with Q real, Tr(H P) real makes Tr(Re H Q) vanish for odd m and
     Tr(Im H Q) for even m, so Tr(H P)^2 = Tr(M Q)^2 with M = Re H + Im H: real
-    arithmetic throughout.
+    arithmetic throughout. M and the squares are formed in place.
     """
     re, im = rho.real, rho.imag
-    m = 0.5 * ((re + im) + (re - im).T)
+    m = re + im
+    m += (re - im).T
+    m *= 0.5
     # (r1..rn, c1..cn) -> (r1, c1, ..., rn, cn): one 4-valued axis per qubit
     t = m.reshape((2,) * (2 * n)).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
     # each product contracts the leading axis and appends its result axis last
     for _ in range(n):
         t = t.reshape(4, -1).T @ _PAULI_MAP.T
-    t = t * t
+    t *= t
     for _ in range(n):
         t = t.reshape(4, -1).T @ _SUBSET_WEIGHT.T
     return t.reshape((2,) * n)
@@ -145,9 +151,14 @@ def linear_mutual_info_subsets(s: QubitState) -> float:
 
 
 def linear_mutual_info_trace(s: QubitState) -> float:
-    """Tr(rho * spin_flip(rho)): the closed-form route to the same quantity."""
-    star = spin_flip(s).rho
-    return float(np.einsum("ij,ji->", s.rho, star).real)
+    """Tr(rho * spin_flip(rho)): the closed-form route to the same quantity.
+
+    Computed as Re Tr(spin_flip(rho)^dagger rho), one contiguous dot. Write
+    rho = H + A, A the anti-Hermitian rounding; the flip splits alike. Both
+    forms equal the value for H up to O(||A||^2), as each cross term is the
+    trace of a Hermitian times an anti-Hermitian matrix: purely imaginary.
+    """
+    return float(np.vdot(spin_flip(s).rho, s.rho).real)
 
 
 @dataclass(frozen=True)

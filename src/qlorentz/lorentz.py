@@ -17,11 +17,12 @@ from .seeding import rng_from_seed
 #: Minkowski metric in (t, x, y, z) coordinates.
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
-SL2C_DET_TOL = 1e-10
 MAX_RAPIDITY = 20.0
 
 #: c of the Minkowski tolerance c*eps*||L||_F^2 in require_lorentz; see there.
 LORENTZ_TOL_FACTOR = 16.0
+#: c of the determinant tolerance c*eps*||L||_F^2 in require_sl2c; see there.
+SL2C_TOL_FACTOR = 8.0
 _EPS = np.finfo(float).eps
 
 _SIGMA = np.stack(PAULIS)
@@ -33,9 +34,10 @@ def require_sl2c(m) -> np.ndarray:
 
     Returns the input as a complex array. Raises ValueError for any other
     shape, and ContractError naming the first failing element by its position
-    in the flattened stack when an entry is non-finite or the determinant lies
-    farther than SL2C_DET_TOL from 1 (so a unit-modulus phase times an element
-    fails).
+    in the flattened stack when an entry is non-finite, the scale overflows, or
+    |det L - 1| exceeds c*eps*||L||_F^2, c = SL2C_TOL_FACTOR: the scale of det's
+    rounding, on which sample_sl2c_stack draws read at most 1.4. At c = 8 every
+    admitted element's spin image passes require_lorentz; a phase times L fails.
     """
     a = np.asarray(m, dtype=complex)
     if a.shape[-2:] != (2, 2):
@@ -43,7 +45,8 @@ def require_sl2c(m) -> np.ndarray:
     # a non-finite entry makes its element's determinant non-finite, so one test catches both
     with np.errstate(over="ignore", invalid="ignore"):
         d = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    bad = ~(np.abs(d - 1.0) <= SL2C_DET_TOL)
+        tol = SL2C_TOL_FACTOR * _EPS * (np.abs(a) ** 2).sum(axis=(-2, -1))
+    bad = ~(np.abs(d - 1.0) <= tol) | np.isinf(tol)
     if bad.any():
         i = int(np.argmax(bad))
         where = f" {i}" if a.ndim > 2 else ""
@@ -51,7 +54,7 @@ def require_sl2c(m) -> np.ndarray:
             raise ContractError(f"SL(2,C) element{where} has non-finite entries")
         raise ContractError(
             f"SL(2,C) element{where} has determinant {d.flat[i]}, "
-            f"not within {SL2C_DET_TOL:.1e} of 1"
+            f"not within {tol.flat[i]:.1e} of 1"
         )
     return a
 

@@ -27,6 +27,17 @@ def char_poly_coeffs(m) -> np.ndarray:
     return coeffs
 
 
+def linear_entropy_einsum(s: QubitState) -> float:
+    """Tr(rho)^2 - Tr(rho^2), with Tr(rho^2) contracted as sum_ij rho_ij rho_ji."""
+    tr = np.trace(s.rho).real
+    return float(tr * tr - np.einsum("ij,ji->", s.rho, s.rho).real)
+
+
+def trace_route_einsum(s: QubitState) -> float:
+    """Tr(rho * spin_flip(rho)), contracted as sum_ij rho_ij spin_flip(rho)_ji."""
+    return float(np.einsum("ij,ji->", s.rho, spin_flip(s).rho).real)
+
+
 def w_matrix(s: QubitState) -> np.ndarray:
     """The product rho * spin_flip(rho); not Hermitian in general."""
     return s.rho @ spin_flip(s).rho

@@ -81,6 +81,44 @@ def test_oracle_runs_and_reports(tmp_path):
     assert any(row["scaled"] for row in report["trials"])
 
 
+@pytest.mark.parametrize(
+    "argv", [["oracle", "--n", "2"], ["oracle", "--n", "3", "--trials", "4"]], ids=["n2", "n3"]
+)
+def test_oracle_fails_a_wrong_spin_flip_sign(tmp_path, monkeypatch, argv):
+    # negative control: entry (0, 0) of the spin flip's sign table negated
+    # moves the trace route by 2 rho_00 rho_dd, and leaves the subset route
+    real = qlorentz.states._flip_signs
+
+    def wrong(n):
+        table = real(n).copy()
+        table[0, 0] = -table[0, 0]
+        return table
+
+    monkeypatch.setattr(qlorentz.states, "_flip_signs", wrong)
+    code, report = run_report(tmp_path, argv)
+    assert code == 1
+    assert report["checks"]["trace_formula"]["pass"] is False
+
+
+@pytest.mark.parametrize("trials", [1, 6])
+def test_oracle_takes_one_deviation_pass_per_report(tmp_path, monkeypatch, trials):
+    # one _rel_dev call over the (trials,) arrays, bit for bit the per-trial calls
+    real = qlorentz.cli._rel_dev
+    shapes = []
+
+    def spy(a, b):
+        shapes.append(np.shape(a))
+        return real(a, b)
+
+    monkeypatch.setattr(qlorentz.cli, "_rel_dev", spy)
+    code, report = run_report(tmp_path, ["oracle", "--n", "3", "--trials", str(trials)])
+    assert code == 0
+    assert shapes == [(trials,)]
+    rows = report["trials"]
+    assert [r["deviation"] for r in rows] == [real(r["i_l_subset"], r["i_l_trace"]) for r in rows]
+    assert report["checks"]["trace_formula"]["deviation"] == max(r["deviation"] for r in rows)
+
+
 def test_oracle_rejects_large_n(tmp_path):
     assert main(["oracle", "--n", str(MAX_QUBITS + 1), "--trials", "2"]) == 2
 
@@ -249,6 +287,29 @@ def test_boost_basis0(tmp_path):
     assert abs(report["linear_entropy_before"]) < 1e-12
     assert abs(report["linear_entropy_after"]) < 1e-12
     assert abs(report["trace_after"] - np.e) < 1e-12
+
+
+def test_boost_default_is_one_maximally_mixed_qubit(tmp_path):
+    # I/2 has S_L = I_L = 1/2 before and after, so both checks compare nonzero
+    # values; a pure default would compare 0.0 with 0.0 under any map
+    code, report = run_report(tmp_path, ["boost"])
+    assert code == 0
+    assert report["config"]["source"] == "preset"
+    assert report["config"]["preset"] == "maximally_mixed1"
+    assert report["config"]["rapidity"] == 1.0
+    assert set(report["checks"]) == {"i_l_preserved", "entropy_preserved"}
+    assert report["linear_entropy_before"] == 0.5
+    assert report["linear_entropy_after"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_boost_default_fails_a_non_unimodular_conjugation(tmp_path, monkeypatch):
+    # negative control: diag(2, 1) sends I/2 to diag(2, 1/2), whose S_L = I_L = 2
+    m = np.diag([2.0, 1.0])
+    monkeypatch.setattr(qlorentz.cli, "apply_local", lambda s, _: QubitState(s.n, m @ s.rho @ m))
+    code, report = run_report(tmp_path, ["boost"])
+    assert code == 1
+    deviations = {name: check["deviation"] for name, check in report["checks"].items()}
+    assert deviations == {"i_l_preserved": 0.75, "entropy_preserved": 0.75}
 
 
 def test_boost_zero_rapidity_is_identity(tmp_path):

@@ -31,8 +31,15 @@ from qlorentz.invariants import (
     spectral_invariants,
 )
 from qlorentz.linalg import MAX_QUBITS
-from qlorentz.seeding import split_seed
-from reference import char_poly_coeffs, depolarize, w_matrix
+from qlorentz.lorentz import sample_sl2c_stack
+from qlorentz.seeding import rng_from_seed, split_seed
+from reference import (
+    char_poly_coeffs,
+    depolarize,
+    linear_entropy_einsum,
+    trace_route_einsum,
+    w_matrix,
+)
 
 
 def rel_dev(a, b):
@@ -309,6 +316,34 @@ def test_trace_route_frozen_cases():
     assert abs(linear_mutual_info_trace(ghz(4)) - 1.0) < 1e-9
     assert abs(linear_mutual_info_trace(wstate(4))) < 1e-9
     assert abs(linear_mutual_info_trace(product_of_singlets(2)) - 1.0) < 1e-8
+
+
+def dot_route_cases():
+    """Random pure and mixed states at n = 1..8, scaled and moved, and the presets."""
+    for n in range(1, 9):
+        for kind in ("pure", "mixed"):
+            for seed in range(3):
+                base = random_state(n, kind, split_seed(330 + seed, n))
+                yield base
+                yield base.scaled(1e-6)
+                yield base.scaled(1e6)
+                rng = rng_from_seed(split_seed(340 + seed, n))
+                yield apply_local(base, sample_sl2c_stack(rng, n, 2.0))
+    for name in ("singlet", "ghz3", "ghz4", "wstate3", "wstate4", "product_of_singlets2",
+                 "maximally_mixed1", "maximally_mixed3", "basis0", "basis03"):
+        yield preset(name)
+
+
+def test_dot_forms_match_the_einsum_contractions():
+    # linear_entropy and the trace route contract rho as one conjugated dot,
+    # Re Tr(A^dagger B); the references contract sum_ij A_ij B_ji. The two
+    # agree to rounding, also on the random pure states, whose np.outer rho
+    # is Hermitian only up to rounding
+    eps = np.finfo(float).eps
+    for s in dot_route_cases():
+        tol = 16.0 * eps * s.trace() ** 2
+        assert abs(linear_entropy(s) - linear_entropy_einsum(s)) <= tol, (s.n, s.trace())
+        assert abs(linear_mutual_info_trace(s) - trace_route_einsum(s)) <= tol, (s.n, s.trace())
 
 
 def test_trace_formula_oracle_random_states():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qlorentz import ContractError, boost_z, random_sl2c, spin_hom
+from qlorentz.correlation import correlator_deviations
 from qlorentz.linalg import PAULIS, det
 from qlorentz.lorentz import (
     ETA,
-    SL2C_DET_TOL,
+    SL2C_TOL_FACTOR,
     boosts_z,
     herm_from_vector,
     require_lorentz,
@@ -91,6 +92,10 @@ def test_herm_from_vector_rejects_a_last_axis_other_than_four(bad):
         herm_from_vector(bad)
 
 
+#: require_sl2c's tolerance c*eps*||L||_F^2 at diag(a, 1) with a ~ 1, where ||L||_F^2 ~ 2
+_DET_TOL_DIAG = SL2C_TOL_FACTOR * np.finfo(float).eps * 2.0
+
+
 def test_sl2c_rejects_wrong_determinant():
     assert require_sl2c(np.eye(2)).dtype == complex
     with pytest.raises(ContractError, match="determinant"):
@@ -104,10 +109,10 @@ def test_sl2c_rejects_wrong_determinant():
     require_sl2c(lam)
     with pytest.raises(ContractError, match="determinant"):
         require_sl2c(np.exp(0.3j) * lam)
-    # just inside and just outside the determinant tolerance
-    require_sl2c(np.diag([1.0 + 0.5 * SL2C_DET_TOL, 1.0]))
+    # at 0.5x and 2x of the determinant tolerance c*eps*||L||_F^2, ||diag(a, 1)||_F^2 ~ 2
+    require_sl2c(np.diag([1.0 + 0.5 * _DET_TOL_DIAG, 1.0]))
     with pytest.raises(ContractError, match="determinant"):
-        require_sl2c(np.diag([1.0 + 2.0 * SL2C_DET_TOL, 1.0]))
+        require_sl2c(np.diag([1.0 + 2.0 * _DET_TOL_DIAG, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -132,6 +137,17 @@ def test_require_sl2c_names_the_failing_element():
     bad = stack.copy()
     bad[2] = [[1e200, 0.0], [0.0, 1e200]]
     with pytest.raises(ContractError, match=r"element 2 has determinant \(inf"):
+        require_sl2c(bad)
+    # so does a unit determinant whose scale ||L||_F^2 overflows: its tolerance would be infinite
+    bad[2] = [[1e160, 0.0], [0.0, 1e-160]]
+    with pytest.raises(ContractError, match="element 2 has determinant"):
+        require_sl2c(bad)
+    # at 0.5x and 2x of the tolerance, element by element
+    bad = stack.copy()
+    bad[4] = np.diag([1.0 + 0.5 * _DET_TOL_DIAG, 1.0])
+    require_sl2c(bad)
+    bad[4] = np.diag([1.0 + 2.0 * _DET_TOL_DIAG, 1.0])
+    with pytest.raises(ContractError, match="element 4 has determinant"):
         require_sl2c(bad)
 
 
@@ -187,14 +203,14 @@ def test_spin_hom_kernel_is_sign():
 
 def test_spin_hom_checks_its_element():
     # require_sl2c is the one check: an element within its determinant
-    # tolerance gets its image, though that image misses the Minkowski form
-    # by 1e-10, far above rounding
-    a = 1.0 + 0.5 * SL2C_DET_TOL
+    # tolerance gets its image, and that image passes require_lorentz
+    a = 1.0 + 0.5 * _DET_TOL_DIAG
     c, s = 0.5 * (a * a + 1.0), 0.5 * (a * a - 1.0)
     expected = np.array([[c, 0, 0, s], [0, a, 0, 0], [0, 0, a, 0], [s, 0, 0, c]])
     np.testing.assert_allclose(spin_hom(np.diag([a, 1.0])), expected, rtol=0, atol=1e-15)
+    require_lorentz(spin_hom(np.diag([a, 1.0]))[None])
     with pytest.raises(ContractError, match="determinant"):
-        spin_hom(np.diag([1.0 + 2.0 * SL2C_DET_TOL, 1.0]))
+        spin_hom(np.diag([1.0 + 2.0 * _DET_TOL_DIAG, 1.0]))
     # the phase e^{i pi/4} has the same image as 1, but is not in SL(2,C)
     with pytest.raises(ContractError, match="determinant"):
         spin_hom(np.exp(0.25j * np.pi) * np.eye(2))
@@ -202,6 +218,42 @@ def test_spin_hom_checks_its_element():
         spin_hom(np.diag([2.0, 1.0]))
     with pytest.raises(ContractError, match="non-finite"):
         spin_hom(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def test_require_sl2c_admits_sampled_elements_boosts_and_rotations():
+    # in units of eps*||L||_F^2, sampled draws read at most about 1.4 and z
+    # boosts and rotations at most 0.5, against SL2C_TOL_FACTOR = 8
+    rng = rng_from_seed(35)
+    for max_rapidity in (2.0, 8.0, 20.0):
+        require_sl2c(sample_sl2c_stack(rng, 20_000, max_rapidity))
+    require_sl2c(boosts_z(np.linspace(-20.0, 20.0, 401)))
+    require_sl2c(rotations_z(np.linspace(0.0, 4.0 * np.pi, 401)))
+
+
+def test_require_sl2c_admits_only_elements_whose_images_require_lorentz_admits():
+    # elements moved onto the determinant tolerance, on either side of 1, and
+    # kept where rounding leaves them inside it: their spin images read up to
+    # about 9 of require_lorentz's 16 (at a factor of 16 they would read up to
+    # about 17, and be refused)
+    rng = rng_from_seed(36)
+    eps = np.finfo(float).eps
+    for max_rapidity in (2.0, 8.0, 20.0):
+        stack = sample_sl2c_stack(rng, 2000, max_rapidity)
+        tol = SL2C_TOL_FACTOR * eps * (np.abs(stack) ** 2).sum(axis=(1, 2))
+        for sign in (1.0, -1.0):
+            edge = stack * np.sqrt(1.0 + sign * tol)[:, None, None]
+            edge_tol = SL2C_TOL_FACTOR * eps * (np.abs(edge) ** 2).sum(axis=(1, 2))
+            inside = np.abs(det(edge) - 1.0) <= edge_tol
+            assert inside.sum() > 500
+            require_lorentz(spin_images(edge[inside]))
+
+
+def test_spin_images_refuses_an_element_whose_image_require_lorentz_refuses():
+    # negative control: diag(1 + 5e-11, 1) reads 1.1e5 in units of
+    # eps*||L||_F^2; an absolute 1e-10 determinant tolerance admitted it, and
+    # its image then failed the Minkowski check inside correlator_deviations
+    with pytest.raises(ContractError, match="has determinant"):
+        correlator_deviations(spin_images(np.diag([1.0 + 5e-11, 1.0])[None]), 1, rng_from_seed(37))
 
 
 def test_spin_hom_images_are_restricted_lorentz():
