@@ -14,8 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SizeError
-from .linalg import MAX_QUBITS
 from .states import QubitState, spin_flip, w_spectrum
 
 __all__ = [
@@ -30,10 +28,9 @@ __all__ = [
 
 
 def _linear_entropy(rho: np.ndarray) -> float:
-    """Tr(rho)^2 - Tr(rho^2), with Tr(rho^2) as Re Tr(rho^dagger rho): one contiguous dot.
+    """Tr(rho)^2 - Tr(rho^2), with Tr(rho^2) = Tr(rho^dagger rho) as one contiguous dot.
 
-    Its terms |rho_ij|^2 are non-negative; it differs from Re Tr(rho^2) only by
-    the anti-Hermitian rounding of rho, at second order (see linear_mutual_info_trace).
+    Its terms |rho_ij|^2 are non-negative.
     """
     tr = np.trace(rho).real
     return float(tr * tr - np.vdot(rho, rho).real)
@@ -97,15 +94,12 @@ _SUBSET_WEIGHT = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]])
 def _subset_purities(rho: np.ndarray, n: int) -> np.ndarray:
     """Tr(rho_S^2) for every qubit subset S, as a (2,)*n tensor; axis q is 1 when qubit q+1 is in S.
 
-    Expands the Hermitian part H of rho, whose Pauli coefficients are real. For
-    P = (-i)^m Q with Q real, Tr(H P) real makes Tr(Re H Q) vanish for odd m and
-    Tr(Im H Q) for even m, so Tr(H P)^2 = Tr(M Q)^2 with M = Re H + Im H: real
-    arithmetic throughout. M and the squares are formed in place.
+    The Pauli coefficients of the Hermitian rho are real. For P = (-i)^m Q with
+    Q real, Tr(rho P) real makes Tr(Re rho Q) vanish for odd m and Tr(Im rho Q)
+    for even m, so Tr(rho P)^2 = Tr(M Q)^2 with M = Re rho + Im rho: real
+    arithmetic throughout. The squares are formed in place.
     """
-    re, im = rho.real, rho.imag
-    m = re + im
-    m += (re - im).T
-    m *= 0.5
+    m = rho.real + rho.imag
     # (r1..rn, c1..cn) -> (r1, c1, ..., rn, cn): one 4-valued axis per qubit
     t = m.reshape((2,) * (2 * n)).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
     # each product contracts the leading axis and appends its result axis last
@@ -132,16 +126,14 @@ def linear_mutual_info_subsets(s: QubitState) -> float:
     Odd-sized subsets enter with +, even-sized with -: the definitional route
     that linear_mutual_info_trace must reproduce. The full set's term is
     linear_entropy; every proper subset's purity comes from one Pauli
-    expansion of the Hermitian part H of rho, Tr(rho_S^2) = 2^-|S| sum of
-    Tr(H P)^2 over the Pauli strings P supported in S, in O(n 4^n) time, hence
-    the qubit cap. The coefficients Tr(H P) are real and equal Tr(M Q) up to
-    sign, with M = Re H + Im H and Q = P with each Y replaced by the real iY,
-    so the expansion runs in real arithmetic. No spin flip, Y^(x)n or parity
+    expansion of rho, Tr(rho_S^2) = 2^-|S| sum of Tr(rho P)^2 over the Pauli
+    strings P supported in S, in O(n 4^n) time, hence the qubit cap. The
+    coefficients Tr(rho P) are real and equal Tr(M Q) up to sign, with
+    M = Re rho + Im rho and Q = P with each Y replaced by the real iY, so the
+    expansion runs in real arithmetic. No spin flip, Y^(x)n or parity
     sign enters, and the purities are summed subset by subset, so the route
     shares no kernel with the trace formula it checks.
     """
-    if s.n > MAX_QUBITS:
-        raise SizeError(f"subset sum needs 2^n-1 terms; n={s.n} exceeds {MAX_QUBITS}")
     n = s.n
     tr = np.trace(s.rho).real
     terms = _subset_signs(n) * (tr * tr - _subset_purities(s.rho, n))
@@ -153,10 +145,8 @@ def linear_mutual_info_subsets(s: QubitState) -> float:
 def linear_mutual_info_trace(s: QubitState) -> float:
     """Tr(rho * spin_flip(rho)): the closed-form route to the same quantity.
 
-    Computed as Re Tr(spin_flip(rho)^dagger rho), one contiguous dot. Write
-    rho = H + A, A the anti-Hermitian rounding; the flip splits alike. Both
-    forms equal the value for H up to O(||A||^2), as each cross term is the
-    trace of a Hermitian times an anti-Hermitian matrix: purely imaginary.
+    Computed as Re Tr(spin_flip(rho)^dagger rho), one contiguous dot; both
+    matrices are Hermitian, so the adjoint changes nothing.
     """
     return float(np.vdot(spin_flip(s).rho, s.rho).real)
 

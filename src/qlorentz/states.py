@@ -42,8 +42,9 @@ class QubitState:
     semidefiniteness (require_psd, which raises PositivityError) and a
     positive trace, then stores the Hermitian part (rho + rho^dag)/2 that
     require_hermitian returns, read-only. Internal builders whose output is
-    valid by construction hand a fresh matrix over, uncopied, to ``_adopt``,
-    and the kernels trust every QubitState they are given.
+    valid by construction hand a fresh matrix over, uncopied, to ``_adopt``.
+    Either way rho is exactly Hermitian, rho == rho^dag bit for bit, and the
+    kernels trust every QubitState they are given: none re-derives its Hermitian part.
     """
 
     __slots__ = ("n", "rho")
@@ -65,7 +66,10 @@ class QubitState:
 
     @classmethod
     def _adopt(cls, n: int, a: np.ndarray, *, check_finite: bool = False) -> "QubitState":
-        """Own a fresh complex128 (2**n, 2**n) array, set read-only; check_finite stops overflow."""
+        """Own a fresh complex128 (2**n, 2**n) array, set read-only; check_finite stops overflow.
+
+        The array must be exactly Hermitian; a product that rounds unevenly goes through _hermitize.
+        """
         if check_finite and not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
         a.setflags(write=False)
@@ -93,6 +97,13 @@ class QubitState:
         return f"QubitState(n={self.n}, trace={self.trace():.6g})"
 
 
+def _hermitize(a: np.ndarray) -> np.ndarray:
+    """Overwrite the square array a with its exactly Hermitian part (a + a^dag)/2; returns a."""
+    a += a.T.conj()
+    a *= 0.5
+    return a
+
+
 @cache
 def _parity_signs(n: int) -> np.ndarray:
     """s_x = (-1)^popcount(x) for x = 0..2**n - 1, built once per n and read-only."""
@@ -118,7 +129,9 @@ def spin_flip(s: QubitState) -> QubitState:
     conj(rho) with both indices complemented (reversed), times s_x s_y with
     s_x = (-1)^popcount(x): O(d^2), and bit-identical to the dense products.
     """
-    return QubitState._adopt(s.n, _flip_signs(s.n) * np.conj(s.rho)[::-1, ::-1])
+    flipped = np.conj(s.rho[::-1, ::-1])
+    flipped *= _flip_signs(s.n)
+    return QubitState._adopt(s.n, flipped)
 
 
 # eigenvalues of rho at or below this fraction of the largest count as zero in w_spectrum
@@ -131,8 +144,7 @@ def _rank_factor(rho: np.ndarray) -> np.ndarray:
     diag = rho.diagonal().real
     j = int(np.argmax(diag))
     if diag[j] > 0.0:
-        # column j of the Hermitian part, in O(d): an _adopt-ed projector is Hermitian to 1 ulp
-        psi = (0.5 * (rho[:, j] + rho[j].conj()))[:, None] / np.sqrt(diag[j])
+        psi = rho[:, j : j + 1] / np.sqrt(diag[j])
         tr, norm2 = diag.sum(), np.linalg.norm(psi) ** 2
         # |Tr X| <= sqrt(d) |X|_F for Hermitian X = rho - psi psi^dag: a trace gap 1e4 times
         # the residual's cut rules rank 1 out in O(d), before the d^2 residual
@@ -183,10 +195,8 @@ def w_spectrum(s: QubitState) -> np.ndarray:
     3. A = V sqrt(L) over the eigenpairs of rho above 1e-14 of the largest,
        which also decides positivity for the other inputs.
 
-    It reads rho as its Hermitian part (rho + rho^dag)/2 without forming it:
-    Cholesky and eigh read only the lower triangle, and branch 1 symmetrizes
-    its one column. Hermiticity is QubitState's check; branch 3 raises
-    PositivityError for an eigenvalue below the require_psd floor, as QubitState.
+    Hermiticity is QubitState's check; branch 3 raises PositivityError for an
+    eigenvalue below the require_psd floor, as QubitState.
     """
     a = _rank_factor(s.rho)
     b = a.T @ (_parity_signs(s.n)[:, None] * a[::-1])
@@ -209,8 +219,8 @@ def apply_local(s: QubitState, factors) -> QubitState:
 
     ``factors`` is an (n, 2, 2) stack or a list of n 2x2 matrices; factor j
     acts on qubit j + 1, and require_sl2c names a failing factor by j.
-    Returns M H M^dag for H = (rho + rho^dag)/2, exactly Hermitian and intentionally
-    un-normalized; ValueError if it overflows. M = M_hi (x) M_lo, split after qubit
+    Returns M rho M^dag, made exactly Hermitian and intentionally un-normalized;
+    ValueError if it overflows. M = M_hi (x) M_lo, split after qubit
     n // 2, acts on reshaped views of rho: O(d^2 (d_hi + d_lo)), not 2 d^3 (Van Loan 2000).
     """
     f = require_sl2c(factors)
@@ -222,9 +232,7 @@ def apply_local(s: QubitState, factors) -> QubitState:
     y = np.matmul(lo, (hi @ s.rho.reshape(d_hi, -1)).reshape(d_hi, d_lo, d))
     y = (y.reshape(-1, d_lo) @ lo.conj().T).reshape(d, d_hi, d_lo)
     y = np.matmul(hi.conj(), y).reshape(d, d)
-    y += y.T.conj()
-    y *= 0.5
-    return QubitState._adopt(s.n, y, check_finite=True)
+    return QubitState._adopt(s.n, _hermitize(y), check_finite=True)
 
 
 def reduce(s: QubitState, subset: Iterable[int]) -> QubitState:
@@ -234,7 +242,7 @@ def reduce(s: QubitState, subset: Iterable[int]) -> QubitState:
 
 
 def _projector(psi: np.ndarray) -> np.ndarray:
-    return np.outer(psi, psi.conj())
+    return _hermitize(np.outer(psi, psi.conj()))
 
 
 def _singlet_rho() -> np.ndarray:
@@ -335,7 +343,8 @@ def random_state(n: int, kind: str, rng_seed: int) -> QubitState:
     """Seeded random state: 'pure' draws a Gaussian ket, 'mixed' a Wishart matrix.
 
     Both are normalized to unit trace; rescale afterwards if an un-normalized
-    state is wanted.
+    state is wanted. The stored matrix is the exactly Hermitian part of the
+    draw, psi psi^dag or g g^dag / Tr(g g^dag).
     """
     n = _check_n(n)
     rng = rng_from_seed(rng_seed)
@@ -348,7 +357,7 @@ def random_state(n: int, kind: str, rng_seed: int) -> QubitState:
         g = _gaussian(rng, (d, d))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        return QubitState._adopt(n, rho)
+        return QubitState._adopt(n, _hermitize(rho))
     raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
 
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from qlorentz import SizeError, apply_local, concurrence, invariant_report, preset, random_sl2c
+from qlorentz import apply_local, concurrence, invariant_report, preset, random_sl2c
 from qlorentz.linalg import kron
 from qlorentz.states import (
     QubitState,
@@ -185,12 +185,12 @@ def test_subset_sum_frozen_cases():
     assert linear_mutual_info_subsets(s) == linear_entropy(s)
 
 
-def test_subset_sum_size_guard():
-    n = MAX_QUBITS + 1
-    # adopted: validating a 2048 x 2048 identity costs seconds and is not under test here
-    s = QubitState._adopt(n, np.eye(2**n, dtype=complex))
-    with pytest.raises(SizeError):
-        linear_mutual_info_subsets(s)
+def test_subset_sum_at_the_qubit_cap():
+    # no state past MAX_QUBITS can be built, so the route's cap is the state's;
+    # at the cap itself it still agrees with the exact value and the trace route
+    assert abs(linear_mutual_info_subsets(ghz(MAX_QUBITS)) - 1.0) < 1e-12
+    s = random_state(MAX_QUBITS, "pure", split_seed(324, 0))
+    assert abs(linear_mutual_info_subsets(s) - linear_mutual_info_trace(s)) < 1e-12
 
 
 def subset_sum_reference(s, flipped_mask=0):
@@ -270,24 +270,20 @@ def test_subset_purities_real_map_negative_control(monkeypatch):
         assert purity_deviation(s) > 1e-13, (s.n, s.trace())
 
 
-def test_subset_route_expands_the_hermitian_part():
-    # an anti-Hermitian part of about 1e-11, inside HERMITIAN_TOL, must not enter
-    # the purities: expanding Re rho + Im rho of the raw matrix moves I_L by
-    # 2e-14 to 2e-12 Tr(rho)^2 on these states at n >= 2
-    for n in range(1, 7):
-        for kind in ("pure", "mixed"):
-            base = random_state(n, kind, split_seed(323, n)).scaled(5.0)
-            g = np.random.default_rng(n).standard_normal((2, base.dim, base.dim))
-            skew = (g[0] + 1j * g[1]) - (g[0] - 1j * g[1]).T
-            # an imaginary diagonal would put the trace off the real axis
-            np.fill_diagonal(skew, 0.0)
-            # adopted, since the constructor would store the Hermitian part
-            skewed = QubitState._adopt(n, base.rho + 2e-12 * skew)
-            hermitian = QubitState(n, skewed.rho)
-            tol = 1e-15 * skewed.trace() ** 2
-            assert hermitian.rho.tobytes() != skewed.rho.tobytes()
-            got = linear_mutual_info_subsets(skewed)
-            assert abs(got - linear_mutual_info_subsets(hermitian)) <= tol, (n, kind)
+def test_subset_route_expands_the_hermitian_part(monkeypatch):
+    # the route expands Re rho + Im rho of rho as stored, with no symmetrized copy;
+    # every state is stored exactly Hermitian, so it matches the constructor's
+    # copy, which stores require_hermitian's (rho + rho^dag)/2, bit for bit
+    def deviations():
+        for n in range(1, 7):
+            for kind in ("pure", "mixed"):
+                s = random_state(n, kind, split_seed(323, n)).scaled(5.0)
+                yield linear_mutual_info_subsets(s) - linear_mutual_info_subsets(QubitState(n, s.rho))
+
+    assert not any(deviations())
+    # negative control: the raw np.outer projector, Hermitian only to 1 ulp, moves I_L
+    monkeypatch.setattr(qlorentz.states, "_projector", lambda psi: np.outer(psi, psi.conj()))
+    assert any(deviations())
 
 
 def test_subset_route_shares_no_kernel_with_the_trace_route(monkeypatch):
@@ -337,8 +333,7 @@ def dot_route_cases():
 def test_dot_forms_match_the_einsum_contractions():
     # linear_entropy and the trace route contract rho as one conjugated dot,
     # Re Tr(A^dagger B); the references contract sum_ij A_ij B_ji. The two
-    # agree to rounding, also on the random pure states, whose np.outer rho
-    # is Hermitian only up to rounding
+    # agree to rounding
     eps = np.finfo(float).eps
     for s in dot_route_cases():
         tol = 16.0 * eps * s.trace() ** 2

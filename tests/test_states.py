@@ -1,5 +1,6 @@
 """State construction, the spin flip, W-matrices, local actions, serialization."""
 
+import json
 from functools import reduce as fold
 
 import numpy as np
@@ -97,6 +98,41 @@ def test_internally_built_states_are_read_only():
         assert not built.rho.flags.writeable
         with pytest.raises(ValueError):
             built.rho[0, 0] = 5.0
+
+
+def built_states(tmp_path):
+    """(label, state) from every builder: presets, random draws, derived and loaded states."""
+    for family, sizes in [("singlet", [""]), ("singlets", [1, 2, 4]), ("ghz", [1, 3, 4, 8]),
+                          ("wstate", [2, 3, 8]), ("maximally_mixed", [1, 4]), ("basis0", [1, 5])]:
+        for size in sizes:
+            yield f"{family}{size}", preset(f"{family}{size}")
+    for n in range(1, 9):
+        for kind in ("pure", "mixed"):
+            for seed in range(3):
+                s = random_state(n, kind, split_seed(55 + seed, n))
+                yield f"random {kind} n={n} seed={seed}", s
+            rng = rng_from_seed(split_seed(58, n))
+            yield f"scaled {kind} n={n}", s.scaled(0.3)
+            yield f"spin_flip {kind} n={n}", spin_flip(s)
+            yield f"apply_local {kind} n={n}", apply_local(s, sample_sl2c_stack(rng, n, 2.0))
+            yield f"reduce {kind} n={n}", reduce(s, range(1, n + 1, 2))
+    # a file with an anti-Hermitian part inside HERMITIAN_TOL
+    rho = random_state(3, "pure", 59).rho + 1e-12j * np.triu(np.ones((8, 8)), 1)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json_dict(QubitState._adopt(3, rho))))
+    yield "loaded n=3", state_from_json_dict(json.loads(path.read_text()))
+
+
+def test_every_builder_stores_an_exactly_hermitian_matrix(tmp_path):
+    bad = [label for label, s in built_states(tmp_path) if not np.array_equal(s.rho, s.rho.conj().T)]
+    assert not bad
+
+
+def test_exact_hermiticity_sweep_negative_control(monkeypatch, tmp_path):
+    # the raw outer product rounds psi_i conj(psi_j) and psi_j conj(psi_i) apart
+    monkeypatch.setattr(qlorentz.states, "_projector", lambda psi: np.outer(psi, psi.conj()))
+    bad = [label for label, s in built_states(tmp_path) if not np.array_equal(s.rho, s.rho.conj().T)]
+    assert any(label.startswith("random pure") for label in bad)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -214,19 +250,17 @@ def test_w_spectrum_of_pure_odd_is_exactly_zero():
 
 
 def test_w_spectrum_rank_one_column_is_the_hermitian_parts(monkeypatch):
-    # an np.outer projector is Hermitian only to 1 ulp, and w_spectrum forms no
-    # symmetrized copy: the rank-1 branch reads column j of (rho + rho^dag)/2,
-    # so it matches the symmetrize-first route bit for bit
+    # the rank-1 branch reads column j of rho as stored, with no symmetrized copy:
+    # random_state stores the Hermitian part of psi psi^dag, so the branch
+    # matches the symmetrize-first route bit for bit
     s = random_state(4, "pure", split_seed(1, 0))
-    h = 0.5 * (s.rho + s.rho.conj().T)
-    expected = w_spectrum(QubitState._adopt(4, h))
+    expected = w_spectrum(QubitState._adopt(4, 0.5 * (s.rho + s.rho.conj().T)))
     assert np.count_nonzero(expected) == 1
     assert w_spectrum(s).tobytes() == expected.tobytes()
-    # negative control: the raw column rho[:, j] moves e_1 = l_1 on this state
-    j = int(np.argmax(s.rho.diagonal().real))
-    raw_column = lambda rho: rho[:, j : j + 1] / np.sqrt(rho[j, j].real)
-    monkeypatch.setattr(qlorentz.states, "_rank_factor", raw_column)
-    assert w_spectrum(s)[0] != expected[0]
+    # negative control: the raw np.outer projector, Hermitian only to 1 ulp,
+    # moves e_1 = l_1 on this state
+    monkeypatch.setattr(qlorentz.states, "_projector", lambda psi: np.outer(psi, psi.conj()))
+    assert w_spectrum(random_state(4, "pure", split_seed(1, 0)))[0] != expected[0]
 
 
 def test_w_spectrum_rejects_invalid_input():
@@ -425,14 +459,13 @@ def test_apply_local_takes_plain_arrays():
     factors = [boost_z(0.7), np.eye(2), random_sl2c(48, 2.0)]
     assert np.array_equal(apply_local(s, factors).rho, apply_local(s, np.stack(factors)).rho)
     assert dense_action_error(s, factors) <= 1.0
-    # real identity factors leave the bits of the state's Hermitian part alone
+    # real identity factors leave the bits of the state alone
     t = random_state(2, "mixed", 49)
     assert np.array_equal(apply_local(t, [np.eye(2)] * 2).rho, t.rho)
     for n in range(1, 8):
         for kind in ("pure", "mixed"):
             t = random_state(n, kind, split_seed(49, n))
-            hermitian_part = 0.5 * (t.rho + t.rho.conj().T)
-            assert np.array_equal(apply_local(t, [np.eye(2)] * n).rho, hermitian_part), (n, kind)
+            assert np.array_equal(apply_local(t, [np.eye(2)] * n).rho, t.rho), (n, kind)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -583,7 +616,9 @@ def test_random_state_contracts():
 
 @pytest.mark.parametrize("n", [1, 3, 6, 7])
 def test_random_state_draws_match_the_seed_contract(n):
-    # the documented draws, which seed-replay tools reproduce with this exact expression
+    # the Hermitian parts of the documented draws, which seed-replay tools
+    # reproduce with this exact expression
+    hermitian_part = lambda a: 0.5 * (a + a.conj().T)
     d = 2**n
     for seed in (0, 48, split_seed(49, n), 2**64 - 1):
         rng = rng_from_seed(seed)
@@ -594,8 +629,8 @@ def test_random_state_draws_match_the_seed_contract(n):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         mixed = g @ g.conj().T
         mixed = mixed / np.trace(mixed).real
-        assert random_state(n, "pure", seed).rho.tobytes() == pure.tobytes(), seed
-        assert random_state(n, "mixed", seed).rho.tobytes() == mixed.tobytes(), seed
+        assert random_state(n, "pure", seed).rho.tobytes() == hermitian_part(pure).tobytes(), seed
+        assert random_state(n, "mixed", seed).rho.tobytes() == hermitian_part(mixed).tobytes(), seed
 
 
 def test_depolarize_limits():
