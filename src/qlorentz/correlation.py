@@ -11,11 +11,9 @@ determinant-preserving maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import PAULIS, as_matrix, det, kron, require_hermitian
+from .linalg import PAULIS, as_matrix, det, require_hermitian
 from .lorentz import herm_from_vector, require_lorentz
 from .seeding import rng_from_seed
 from .states import SINGLET_COEFFS
@@ -91,85 +89,61 @@ def haar_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
     return q * phases[:, None, :]
 
 
-@dataclass(frozen=True)
-class TwirlEstimate:
-    """Monte Carlo group average of a conjugated observable pair over U(2)."""
-
-    sample_count: int
-    mean: np.ndarray
-    std_error: float
-    chi: float
-    zeta: float
-    max_abs_deviation: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "samples": self.sample_count,
-            "chi": self.chi,
-            "zeta": self.zeta,
-            "max_abs_deviation": self.max_abs_deviation,
-            "std_error": self.std_error,
-        }
-
-
-def twirl_coefficients(o1, o2) -> tuple[float, float]:
-    """Closed-form (chi, zeta) of the twirl: chi*I - zeta*F is the exact average."""
-    a = _check_observable(as_matrix(o1), "o1")
-    b = _check_observable(as_matrix(o2), "o2")
-    t1 = np.trace(a).real
-    t2 = np.trace(b).real
-    t12 = np.trace(a @ b).real
-    chi = t1 * t2 / 3.0 - t12 / 6.0
-    zeta = t1 * t2 / 6.0 - t12 / 3.0
-    return float(chi), float(zeta)
-
-
-def haar_twirl_mc(o1, o2, samples: int, rng_seed: int) -> TwirlEstimate:
+def haar_twirl_mc(o1, o2, samples: int, rng_seed: int) -> dict:
     """Average (U(x)U)(o1(x)o2)(U(x)U)^dag over Haar samples and compare to chi*I - zeta*F.
 
-    Reports the largest entrywise deviation from the closed form and the
+    chi = t1*t2/3 - t12/6 and zeta = t1*t2/6 - t12/3, with t1 = Tr o1,
+    t2 = Tr o2 and t12 = Tr(o1 o2), make chi*I - zeta*F the exact average.
+    Returns the report's twirl block: the sample count, chi, zeta, the
+    largest entrywise deviation of the mean from the closed form and the
     largest entrywise standard error of the mean; it forms no verdict. The
     CLI's twirl check passes when the deviation is within five standard
     errors plus TWIRL_ABS_FLOOR, so exactly invariant pairs are not failed on
-    rounding noise.
+    rounding noise. A pair too large for float64, whose chi, zeta or sums
+    come out non-finite, raises ValueError.
     """
     samples = int(samples)
     if samples < MIN_TWIRL_SAMPLES:
         raise ValueError(f"need at least {MIN_TWIRL_SAMPLES} samples, got {samples}")
-    a = _check_observable(as_matrix(o1), "o1")
-    b = _check_observable(as_matrix(o2), "o2")
-    chi, zeta = twirl_coefficients(a, b)
-    target = chi * np.eye(4, dtype=complex) - zeta * SWAP
+    # overflow is refused below by a finiteness check, not reported as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _check_observable(as_matrix(o1), "o1")
+        b = _check_observable(as_matrix(o2), "o2")
+        t1 = np.trace(a).real
+        t2 = np.trace(b).real
+        t12 = np.trace(a @ b).real
+        chi = float(t1 * t2 / 3.0 - t12 / 6.0)
+        zeta = float(t1 * t2 / 6.0 - t12 / 3.0)
+        if not np.isfinite([chi, zeta]).all():
+            raise ValueError("o1 and o2 are too large to twirl: chi or zeta is not finite")
+        target = chi * np.eye(4, dtype=complex) - zeta * SWAP
 
-    pair = kron(a, b)
-    rng = rng_from_seed(rng_seed)
-    total = np.zeros((4, 4), dtype=complex)
-    total_sq = np.zeros((4, 4))
-    done = 0
-    while done < samples:
-        count = min(TWIRL_CHUNK, samples - done)
-        u = haar_unitaries(rng, count)
-        uu = np.einsum("nab,ncd->nacbd", u, u).reshape(count, 4, 4)
-        conjugated = uu @ pair @ np.conj(np.swapaxes(uu, 1, 2))
-        total += conjugated.sum(axis=0)
-        total_sq += (np.abs(conjugated) ** 2).sum(axis=0)
-        done += count
+        pair = np.kron(a, b)
+        rng = rng_from_seed(rng_seed)
+        total = np.zeros((4, 4), dtype=complex)
+        total_sq = np.zeros((4, 4))
+        done = 0
+        while done < samples:
+            count = min(TWIRL_CHUNK, samples - done)
+            u = haar_unitaries(rng, count)
+            uu = np.einsum("nab,ncd->nacbd", u, u).reshape(count, 4, 4)
+            conjugated = uu @ pair @ np.conj(np.swapaxes(uu, 1, 2))
+            total += conjugated.sum(axis=0)
+            total_sq += (np.abs(conjugated) ** 2).sum(axis=0)
+            done += count
+        if not (np.isfinite(total).all() and np.isfinite(total_sq).all()):
+            raise ValueError("o1 and o2 are too large to twirl: the sample sums are not finite")
 
-    mean = total / samples
-    # entrywise variance of complex samples: E|z|^2 - |E z|^2
-    variance = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
-    sem = np.sqrt(variance / samples)
-    std_error = float(sem.max())
-    max_dev = float(np.abs(mean - target).max())
-    mean.setflags(write=False)
-    return TwirlEstimate(
-        sample_count=samples,
-        mean=mean,
-        std_error=std_error,
-        chi=chi,
-        zeta=zeta,
-        max_abs_deviation=max_dev,
-    )
+        mean = total / samples
+        # entrywise variance of complex samples: E|z|^2 - |E z|^2
+        variance = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
+        return {
+            "samples": samples,
+            "chi": chi,
+            "zeta": zeta,
+            "max_abs_deviation": float(np.abs(mean - target).max()),
+            "std_error": float(np.sqrt(variance / samples).max()),
+        }
 
 
 def correlator_deviations(lams: np.ndarray, trials, rng: np.random.Generator) -> np.ndarray:

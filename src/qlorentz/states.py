@@ -18,7 +18,6 @@ from .errors import ContractError
 from .linalg import (
     MAX_QUBITS,
     PSD_TOL,
-    as_matrix,
     kron_all,
     partial_trace,
     require_hermitian,
@@ -51,10 +50,9 @@ class QubitState:
 
     def __init__(self, n: int, rho):
         n = _check_n(n)
-        a = as_matrix(rho)
-        if a.shape[0] != 2**n:
-            raise ValueError(f"matrix dimension {a.shape[0]} does not match n={n} qubits")
-        h = require_hermitian(a, what="state")
+        h = require_hermitian(rho, what="state")
+        if h.shape != (2**n, 2**n):
+            raise ValueError(f"matrix dimension {h.shape[0]} does not match n={n} qubits")
         require_psd(np.linalg.eigvalsh(h), h, what="state")
         # the Hermitian part's trace is real by construction
         tr = np.trace(h).real

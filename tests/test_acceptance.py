@@ -211,8 +211,8 @@ def test_criterion_07_haar_twirl():
     details = []
     ok = True
     for index, (label, (o1, o2)) in enumerate(pairs.items()):
-        est = haar_twirl_mc(o1, o2, 100_000, split_seed(MASTER_SEED + 16, index))
-        ok = ok and est.max_abs_deviation <= 5.0 * est.std_error + TWIRL_ABS_FLOOR
+        tw = haar_twirl_mc(o1, o2, 100_000, split_seed(MASTER_SEED + 16, index))
+        ok = ok and tw["max_abs_deviation"] <= 5.0 * tw["std_error"] + TWIRL_ABS_FLOOR
         if label in expected_coeffs:
             chi_ref, zeta_ref = expected_coeffs[label]
         else:
@@ -220,8 +220,8 @@ def test_criterion_07_haar_twirl():
             t12 = np.trace(o1 @ o2).real
             chi_ref = t1 * t2 / 3.0 - t12 / 6.0
             zeta_ref = t1 * t2 / 6.0 - t12 / 3.0
-        ok = ok and abs(est.chi - chi_ref) < 1e-15 and abs(est.zeta - zeta_ref) < 1e-15
-        details.append(f"{label} dev {est.max_abs_deviation:.2e} vs 5se {5*est.std_error:.2e}")
+        ok = ok and abs(tw["chi"] - chi_ref) < 1e-15 and abs(tw["zeta"] - zeta_ref) < 1e-15
+        details.append(f"{label} dev {tw['max_abs_deviation']:.2e} vs 5se {5*tw['std_error']:.2e}")
     report("criterion 07 Haar twirl", ok, "; ".join(details))
 
 

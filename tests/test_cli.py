@@ -11,6 +11,7 @@ from qlorentz.states import QubitState, random_state, state_to_json_dict
 from qlorentz.cli import main
 import qlorentz.cli
 import qlorentz.correlation
+import qlorentz.linalg
 import qlorentz.lorentz
 import qlorentz.states
 from qlorentz.correlation import correlator_symmetry_check
@@ -274,6 +275,57 @@ def test_twirl_observable_forms(tmp_path):
     assert code == 0
     assert main(["twirl", "--o1", "bogus", "--samples", "2000"]) == 2
     assert main(["twirl", "--samples", "100"]) == 2
+
+
+def test_twirl_checks_each_observable_once(tmp_path, monkeypatch):
+    # one require_hermitian and one as_matrix per observable, wherever they are called from
+    counts = {"require_hermitian": 0, "as_matrix": 0}
+
+    def counter(name):
+        check = getattr(qlorentz.linalg, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return check(*args, **kwargs)
+
+        return counted
+
+    for name in counts:
+        counted = counter(name)
+        for module in (qlorentz.linalg, qlorentz.correlation, qlorentz.states, qlorentz.lorentz):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    code, _ = run_report(tmp_path, ["twirl", "--o1", "random", "--o2", "Z", "--samples", "1000"])
+    assert code == 0
+    assert counts == {"require_hermitian": 2, "as_matrix": 2}
+
+
+@pytest.mark.parametrize(
+    "o1, o2",
+    [
+        ("1e308,0,0,0", "1e308,0,0,0"),
+        ("1e200,0,0,0", "1e200,0,0,0"),
+        ("1e154,1e154,0,0", "Z"),
+        # t + z overflows while the coordinates become a matrix
+        ("1e308,0,0,1e308", "Z"),
+    ],
+)
+def test_twirl_overflow_exits_two_with_one_error_line(tmp_path, capsys, o1, o2):
+    # no numpy warning may escape ahead of the error line; RuntimeWarning is an error here
+    out = tmp_path / "r.json"
+    argv = ["twirl", "--o1", o1, "--o2", o2, "--samples", "1000", "--output", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+def test_twirl_large_pair_within_range_still_reports(tmp_path):
+    code, report = run_report(
+        tmp_path, ["twirl", "--o1", "1e100,0,0,0", "--o2", "Z", "--samples", "1000"]
+    )
+    assert code == 0
+    assert report["twirl"]["chi"] == report["twirl"]["zeta"] == 0.0
 
 
 def test_boost_basis0(tmp_path):

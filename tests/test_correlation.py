@@ -25,7 +25,6 @@ from qlorentz.correlation import (
     haar_unitaries,
     polarized_determinant,
     singlet_correlation,
-    twirl_coefficients,
 )
 from qlorentz.seeding import rng_from_seed
 
@@ -140,14 +139,21 @@ def test_haar_sampling_mean_is_zero():
 
 
 def test_twirl_coefficients_closed_forms():
-    assert twirl_coefficients(PAULI_I, PAULI_I) == (1.0, 0.0)
-    chi, zeta = twirl_coefficients(PAULI_Z, PAULI_Z)
-    assert abs(chi + 1.0 / 3.0) < 1e-14
-    assert abs(zeta + 2.0 / 3.0) < 1e-14
-    assert twirl_coefficients(PAULI_X, PAULI_Y) == (0.0, 0.0)
-    # one pair only: a stack of observables is refused, not broadcast
-    with pytest.raises(ValueError):
-        twirl_coefficients(np.stack([PAULI_Z, PAULI_Z, PAULI_Z]), PAULI_Z)
+    # chi = t1 t2 / 3 - t12 / 6 and zeta = t1 t2 / 6 - t12 / 3, read off the report block
+    tw = haar_twirl_mc(PAULI_I, PAULI_I, 1000, 1)
+    assert (tw["chi"], tw["zeta"]) == (1.0, 0.0)
+    tw = haar_twirl_mc(PAULI_Z, PAULI_Z, 1000, 1)
+    assert abs(tw["chi"] + 1.0 / 3.0) < 1e-14
+    assert abs(tw["zeta"] + 2.0 / 3.0) < 1e-14
+    tw = haar_twirl_mc(PAULI_X, PAULI_Y, 1000, 1)
+    assert (tw["chi"], tw["zeta"]) == (0.0, 0.0)
+
+
+def test_twirl_returns_the_report_block():
+    tw = haar_twirl_mc(PAULI_Z, PAULI_X, 1000, 1)
+    assert set(tw) == {"samples", "chi", "zeta", "max_abs_deviation", "std_error"}
+    assert tw["samples"] == 1000 and type(tw["samples"]) is int
+    assert all(type(tw[k]) is float for k in ("chi", "zeta", "max_abs_deviation", "std_error"))
 
 
 def test_twirl_requires_minimum_samples():
@@ -158,32 +164,18 @@ def test_twirl_requires_minimum_samples():
 
 
 def test_twirl_identity_pair_is_exact():
-    est = haar_twirl_mc(PAULI_I, PAULI_I, 1000, 2)
-    assert est.max_abs_deviation <= 5.0 * est.std_error + TWIRL_ABS_FLOOR
-    np.testing.assert_allclose(est.mean, np.eye(4), atol=1e-12)
-    assert est.chi == 1.0 and est.zeta == 0.0
+    tw = haar_twirl_mc(PAULI_I, PAULI_I, 1000, 2)
+    assert tw["max_abs_deviation"] <= 5.0 * tw["std_error"] + TWIRL_ABS_FLOOR
+    assert tw["chi"] == 1.0 and tw["zeta"] == 0.0
 
 
 def test_twirl_zz_pair_converges():
-    est = haar_twirl_mc(PAULI_Z, PAULI_Z, 30_000, 3)
-    assert est.max_abs_deviation <= 5.0 * est.std_error + TWIRL_ABS_FLOOR
-    target = est.chi * np.eye(4) - est.zeta * SWAP
-    assert np.abs(est.mean - target).max() <= 5.0 * est.std_error + 1e-12
-
-
-def test_twirl_mean_lies_in_the_commutant():
-    est = haar_twirl_mc(PAULI_X, PAULI_Z, 30_000, 4)
-    v = haar_unitaries(rng_from_seed(87), 1)[0]
-    vv = np.kron(v, v)
-    comm = vv @ est.mean - est.mean @ vv
-    assert np.abs(comm).max() < 10.0 * est.std_error + 1e-10
+    tw = haar_twirl_mc(PAULI_Z, PAULI_Z, 30_000, 3)
+    assert tw["max_abs_deviation"] <= 5.0 * tw["std_error"] + TWIRL_ABS_FLOOR
 
 
 def test_twirl_deterministic_per_seed():
-    a = haar_twirl_mc(PAULI_Z, PAULI_X, 2000, 11)
-    b = haar_twirl_mc(PAULI_Z, PAULI_X, 2000, 11)
-    np.testing.assert_allclose(a.mean, b.mean, atol=0)
-    assert a.max_abs_deviation == b.max_abs_deviation
+    assert haar_twirl_mc(PAULI_Z, PAULI_X, 2000, 11) == haar_twirl_mc(PAULI_Z, PAULI_X, 2000, 11)
 
 
 def test_symmetry_check_identity_map():

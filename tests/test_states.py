@@ -68,6 +68,9 @@ def test_constructor_validates_dimension():
     for n in (1, 2):
         with pytest.raises(ValueError, match="dimension 3 does not match"):
             QubitState(n, np.eye(3, dtype=complex))
+    # require_hermitian takes a stack of matrices; the state is one (2**n, 2**n) matrix
+    with pytest.raises(ValueError, match="does not match n=1 qubits"):
+        QubitState(1, np.stack([np.eye(2, dtype=complex) / 2] * 2))
     # refused by the qubit cap, without forming 2**n
     with pytest.raises(ValueError, match=f"qubit count {10**12} outside 1..{MAX_QUBITS}"):
         QubitState(10**12, np.eye(2, dtype=complex))
