@@ -59,7 +59,7 @@ from .lorentz import (
     sample_sl2c_stack,
     spin_images,
 )
-from .linalg import MAX_QUBITS, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from .linalg import MAX_QUBITS, PAULIS
 from .seeding import MASK64, SEED_SPLIT_NAME, rng_from_seed, split_seed
 from .states import (
     QubitState,
@@ -82,7 +82,7 @@ STREAM_SYMMETRY = 4
 # the flags _load_state reads; its source echo replaces them in the config
 STATE_FLAGS = ("preset", "random", "n", "input")
 
-_PAULI_BY_NAME = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+_PAULI_BY_NAME = dict(zip("IXYZ", PAULIS))
 
 
 def _rel_dev(a, b):
@@ -176,8 +176,6 @@ def cmd_oracle(args):
     One _rel_dev pass over the two routes' (trials,) arrays gives each trial's
     deviation, bit for bit the elementwise operations of a call per trial.
     """
-    if not 1 <= args.n <= MAX_QUBITS:
-        raise ValueError(f"oracle supports n in 1..{MAX_QUBITS}, got {args.n}")
     if args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     state_seed = split_seed(args.seed, STREAM_STATE)

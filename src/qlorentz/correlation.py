@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PAULIS, as_matrix, det, require_hermitian
+from .linalg import PAULIS, _kron_fold, as_matrix, det, require_hermitian
 from .lorentz import herm_from_vector, require_lorentz
 from .seeding import rng_from_seed
 from .states import SINGLET_COEFFS
@@ -72,8 +72,7 @@ def polarized_determinant(o1, o2):
 
 def pauli_correlation_table() -> np.ndarray:
     """The 4x4 matrix of correlators between Pauli observables; diag(1,-1,-1,-1)."""
-    sigma = np.stack(PAULIS)
-    return _singlet_correlation(sigma[:, None], sigma[None, :])
+    return _singlet_correlation(PAULIS[:, None], PAULIS[None, :])
 
 
 def haar_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -118,7 +117,7 @@ def haar_twirl_mc(o1, o2, samples: int, rng_seed: int) -> dict:
             raise ValueError("o1 and o2 are too large to twirl: chi or zeta is not finite")
         target = chi * np.eye(4, dtype=complex) - zeta * SWAP
 
-        pair = np.kron(a, b)
+        pair = _kron_fold([a, b])
         rng = rng_from_seed(rng_seed)
         total = np.zeros((4, 4), dtype=complex)
         total_sq = np.zeros((4, 4))
@@ -149,31 +148,18 @@ def haar_twirl_mc(o1, o2, samples: int, rng_seed: int) -> dict:
 def correlator_deviations(lams: np.ndarray, trials, rng: np.random.Generator) -> np.ndarray:
     """Per map, the largest correlator change over random Hermitian pairs, as a (k,) array.
 
-    ``lams`` is a real (k, 4, 4) stack of maps on Pauli coordinates, checked
-    by one require_lorentz pass: the one Minkowski-form check a spin image
-    gets, as spin_images returns its images unchecked. ``trials`` is one pair
-    count for every map or k counts c_j. One
-    rng.standard_normal((sum c_j, 2, 4)) draw holds all pairs,
-    map j owning the c_j rows after those of maps 0..j-1, and one gathered
-    pass moves them; so entry j equals the one-map call on lams[j:j+1] with c_j
-    pairs made in turn on a twin generator, bit for bit. Entry j is the max
-    over its pairs of |C(o1,o2) - C(L o1, L o2)| / max(1, |C(o1,o2)|), at
-    rounding scale for any determinant-preserving map. A complex stack raises
-    ValueError, even with zero imaginary parts; a map that fails validation
-    raises ContractError naming its index.
+    ``lams``, a stack of maps on Pauli coordinates, passes require_lorentz: the
+    one Minkowski-form check of a spin image. ``trials`` is one pair count for
+    every map or k counts c_j. One rng.standard_normal((sum c_j, 2, 4)) draw
+    holds all pairs, map j owning the c_j rows after those of maps 0..j-1, and
+    one gathered pass moves them; so entry j is, bit for bit, the one-map call
+    on lams[j:j+1] with c_j pairs made in turn on a twin generator: the max over
+    its pairs of |C(o1,o2) - C(L o1, L o2)| / max(1, |C(o1,o2)|).
     """
-    if np.shape(lams)[1:] != (4, 4):
-        raise ValueError(f"maps must be a (k, 4, 4) stack, got shape {np.shape(lams)}")
-    if np.iscomplexobj(lams):
-        # the float cast below would keep only the real part
-        raise ValueError("maps must be real; got a complex stack")
-    lams = np.asarray(lams, dtype=float)
-    if not len(lams):
-        raise ValueError("need at least one map")
+    lams = require_lorentz(lams)
     counts = [int(c) for c in trials] if np.ndim(trials) else [int(trials)] * len(lams)
     if len(counts) != len(lams) or min(counts) < 1:
         raise ValueError(f"need one positive pair count per map, got {counts}")
-    require_lorentz(lams)
     # (v1, v2) coordinate pairs, drawn 4-vector by 4-vector, map 0's rows first
     v = rng.standard_normal((sum(counts), 2, 4))
     h = herm_from_vector(v)

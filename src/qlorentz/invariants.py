@@ -46,11 +46,13 @@ def _symmetric_polys(lam: np.ndarray) -> np.ndarray:
 
     np.poly's update e_j += l_i e_(j-1), in place over the nonzero l_i (a zero
     one changes none); every l_i is non-negative, so no term cancels another.
+    An e_k past float64 comes out inf, without a warning, for the report to refuse.
     """
     c = np.zeros(len(lam) + 1)
     c[0] = 1.0
-    for k, x in enumerate(lam[lam > 0.0]):
-        c[1 : k + 2] += x * c[: k + 1]
+    with np.errstate(over="ignore"):
+        for k, x in enumerate(lam[lam > 0.0]):
+            c[1 : k + 2] += x * c[: k + 1]
     return c[1:]
 
 

@@ -10,6 +10,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, PositivityError, SizeError
@@ -27,13 +29,10 @@ MAX_DIM = 2**MAX_QUBITS
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-#: Pauli basis in the index order matched to (t, x, y, z) coordinates.
-PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+#: Pauli basis I, X, Y, Z, matched to (t, x, y, z), as one read-only (4, 2, 2) stack and its rows.
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+PAULIS.setflags(write=False)
+PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = PAULIS
 
 
 def as_matrix(m) -> np.ndarray:
@@ -76,7 +75,14 @@ def require_hermitian(m, what: str = "matrix") -> np.ndarray:
         raise ContractError(
             f"{what} is not Hermitian: max asymmetry {defect:.3e} exceeds atol {HERMITIAN_TOL:.1e}"
         )
-    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
+    return _hermitize(a.copy())
+
+
+def _hermitize(a: np.ndarray) -> np.ndarray:
+    """Overwrite a (..., d, d) array with its exactly Hermitian part (a + a^dag)/2; returns it."""
+    a += np.swapaxes(a, -1, -2).conj()
+    a *= 0.5
+    return a
 
 
 def require_psd(evals: np.ndarray, m: np.ndarray, what: str = "matrix") -> None:
@@ -91,25 +97,24 @@ def require_psd(evals: np.ndarray, m: np.ndarray, what: str = "matrix") -> None:
         raise PositivityError(f"{what} is not PSD: eigenvalue {low:.3e} below {floor:.3e}")
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the MAX_DIM size guard."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > MAX_DIM:
-        raise SizeError(f"Kronecker product dimension {out_dim} exceeds maximum {MAX_DIM}")
-    return np.kron(a, b)
-
-
 def kron_all(mats) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left slot most significant."""
-    mats = list(mats)
+    """Kronecker product of square matrices, left slot first; SizeError past MAX_DIM, before any product."""
+    mats = [as_matrix(m) for m in mats]
     if not mats:
         raise ValueError("need at least one factor")
-    out = as_matrix(mats[0])
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
+    dim = math.prod(len(m) for m in mats)
+    if dim > MAX_DIM:
+        raise SizeError(f"Kronecker product dimension {dim} exceeds maximum {MAX_DIM}")
+    return _kron_fold(mats)
+
+
+def _kron_fold(mats) -> np.ndarray:
+    """kron_all unchecked: one broadcast product per square factor (Van Loan 2000); [[1]] for none."""
+    m = np.ones((1, 1))
+    for a in mats:
+        k = len(m) * len(a)
+        m = (m[:, None, :, None] * a[:, None]).reshape(k, k)
+    return m
 
 
 def partial_trace(rho, n: int, keep) -> np.ndarray:
@@ -154,8 +159,7 @@ def mat_sqrt_psd(m) -> np.ndarray:
     if evals.size and evals[-1] > 0.0:
         evals[evals < 1e-14 * evals[-1]] = 0.0
     roots = np.sqrt(evals)
-    s = (vecs * roots) @ vecs.conj().T
-    return 0.5 * (s + s.conj().T)
+    return _hermitize((vecs * roots) @ vecs.conj().T)
 
 
 def det(m):
@@ -163,5 +167,10 @@ def det(m):
     a = _as_square_stack(m)
     if a.shape[-1] != 2:
         raise ValueError(f"det is the 2x2 closed form, got shape {a.shape}")
+    return _det2(a)
+
+
+def _det2(a: np.ndarray) -> np.ndarray:
+    """det unchecked, for a (..., 2, 2) array."""
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
-from .linalg import PAULIS, det
+from .linalg import PAULIS, _det2
 from .seeding import rng_from_seed
 
 #: Minkowski metric in (t, x, y, z) coordinates.
@@ -24,9 +24,6 @@ LORENTZ_TOL_FACTOR = 16.0
 #: c of the determinant tolerance c*eps*||L||_F^2 in require_sl2c; see there.
 SL2C_TOL_FACTOR = 8.0
 _EPS = np.finfo(float).eps
-
-_SIGMA = np.stack(PAULIS)
-_SIGMA.setflags(write=False)
 
 
 def require_sl2c(m) -> np.ndarray:
@@ -44,7 +41,7 @@ def require_sl2c(m) -> np.ndarray:
         raise ValueError(f"SL(2,C) elements must be 2x2, got shape {a.shape}")
     # a non-finite entry makes its element's determinant non-finite, so one test catches both
     with np.errstate(over="ignore", invalid="ignore"):
-        d = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        d = _det2(a)
         tol = SL2C_TOL_FACTOR * _EPS * (np.abs(a) ** 2).sum(axis=(-2, -1))
     bad = ~(np.abs(d - 1.0) <= tol) | np.isinf(tol)
     if bad.any():
@@ -59,13 +56,13 @@ def require_sl2c(m) -> np.ndarray:
     return a
 
 
-def require_lorentz(a: np.ndarray) -> None:
-    """Check that every matrix of a real (k, 4, 4) stack preserves the Minkowski form.
+def require_lorentz(a) -> np.ndarray:
+    """The one gate for a map stack: check it and return it as a float (k, 4, 4) array.
 
-    Raises ContractError naming the first failing map by its position.
-    Non-finite entries fail, and the test is written so that a NaN fails it.
-    Parity, time reversal and PT pass: the form check does not ask for the
-    identity component.
+    ValueError unless it is a non-empty real (k, 4, 4) stack (a complex one fails even with
+    zero imaginary parts, which a float cast would drop); ContractError, naming the first
+    failing map, unless every map is finite and preserves the Minkowski form, a test that a
+    NaN fails. Parity, time reversal and PT pass: the check asks for no component.
 
     The test allows c*eps*||L||_F^2 with c = LORENTZ_TOL_FACTOR: rounding in
     L^T eta L scales with ||L||_2^2 <= ||L||_F^2. The worst measured value is
@@ -74,6 +71,13 @@ def require_lorentz(a: np.ndarray) -> None:
     rapidity-1 boost scaled by 1.01 reads 9e12 and diag(1, 1, 1, 2) 6e14. A
     form whose scale overflows fails.
     """
+    if np.shape(a)[1:] != (4, 4):
+        raise ValueError(f"maps must be a (k, 4, 4) stack, got shape {np.shape(a)}")
+    if np.iscomplexobj(a):
+        raise ValueError("maps must be real; got a complex stack")
+    a = np.asarray(a, dtype=float)
+    if not len(a):
+        raise ValueError("need at least one map")
     finite = np.isfinite(a).all(axis=(1, 2))
     if not finite.all():
         raise ContractError(f"map {int(np.argmin(finite))} has non-finite entries")
@@ -88,6 +92,7 @@ def require_lorentz(a: np.ndarray) -> None:
             f"map {i} does not preserve the Minkowski form: "
             f"defect {defect[i]:.3e} exceeds {tol[i]:.1e}"
         )
+    return a
 
 
 def herm_from_vector(v) -> np.ndarray:
@@ -112,7 +117,7 @@ def spin_images(m) -> np.ndarray:
     images are returned unchecked.
     """
     m = require_sl2c(m)
-    traces = np.einsum("mab,kbc,ncd,kad->kmn", _SIGMA, m, _SIGMA, m.conj())
+    traces = np.einsum("mab,kbc,ncd,kad->kmn", PAULIS, m, PAULIS, m.conj())
     return 0.5 * traces.real
 
 
@@ -128,11 +133,7 @@ def boosts_z(rapidities) -> np.ndarray:
     if over.any():
         bad = abs(float(r[over].flat[0]))
         raise ValueError(f"|rapidity| {bad} exceeds conditioning guard {MAX_RAPIDITY}")
-    half = 0.5 * r
-    out = np.zeros(r.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(half)
-    out[..., 1, 1] = np.exp(-half)
-    return out
+    return _diag_exp(0.5 * r)
 
 
 def rotations_z(thetas) -> np.ndarray:
@@ -140,10 +141,13 @@ def rotations_z(thetas) -> np.ndarray:
     t = np.asarray(thetas, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError(f"rotation angle {t[~np.isfinite(t)].flat[0]} is not finite")
-    half = 0.5 * t
-    out = np.zeros(half.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(-1j * half)
-    out[..., 1, 1] = np.exp(1j * half)
+    return _diag_exp(-1j * (0.5 * t))
+
+
+def _diag_exp(z) -> np.ndarray:
+    """diag(exp(z), exp(-z)) for each entry of z, as a (..., 2, 2) complex stack."""
+    out = np.zeros(np.shape(z) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = np.exp(z), np.exp(-z)
     return out
 
 
@@ -169,14 +173,14 @@ def sample_sl2c_stack(rng: np.random.Generator, k: int, max_rapidity: float = 2.
     while len(g) < k:
         z = rng.standard_normal((k - len(g), 2, 2, 2))
         new = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-        g = np.concatenate([g, new[np.abs(det(new)) >= 1e-6]])
-    lam = g / np.sqrt(det(g))[:, None, None]
+        g = np.concatenate([g, new[np.abs(_det2(new)) >= 1e-6]])
+    lam = g / np.sqrt(_det2(g))[:, None, None]
     u, s, vh = np.linalg.svd(lam)
     clamp = s[:, 0] / s[:, 1] > np.exp(max_rapidity)
     # det(u @ vh) is already 1: unit-product singular values keep the determinant fixed
     s = np.array([np.exp(0.5 * max_rapidity), np.exp(-0.5 * max_rapidity)])
     lam[clamp] = (u[clamp] * s) @ vh[clamp]
-    return lam / np.sqrt(det(lam))[:, None, None]
+    return lam / np.sqrt(_det2(lam))[:, None, None]
 
 
 def sample_sl2c(rng: np.random.Generator, max_rapidity: float = 2.0) -> np.ndarray:

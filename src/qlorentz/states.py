@@ -7,6 +7,7 @@ the trace, and nothing here ever renormalizes behind your back.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from functools import reduce as _fold
 from itertools import chain
@@ -18,6 +19,8 @@ from .errors import ContractError
 from .linalg import (
     MAX_QUBITS,
     PSD_TOL,
+    _hermitize,
+    _kron_fold,
     kron_all,
     partial_trace,
     require_hermitian,
@@ -38,9 +41,9 @@ class QubitState:
 
     The constructor is the one validity gate: it checks the qubit count
     (at most MAX_QUBITS), Hermiticity (require_hermitian), positive
-    semidefiniteness (require_psd, which raises PositivityError) and a
-    positive trace, then stores the Hermitian part (rho + rho^dag)/2 that
-    require_hermitian returns, read-only. Internal builders whose output is
+    semidefiniteness (require_psd, which raises PositivityError), a positive
+    trace and a finite Tr(rho)^2, then stores the Hermitian part (rho + rho^dag)/2
+    that require_hermitian returns, read-only. Internal builders whose output is
     valid by construction hand a fresh matrix over, uncopied, to ``_adopt``.
     Either way rho is exactly Hermitian, rho == rho^dag bit for bit, and the
     kernels trust every QubitState they are given: none re-derives its Hermitian part.
@@ -55,7 +58,7 @@ class QubitState:
             raise ValueError(f"matrix dimension {h.shape[0]} does not match n={n} qubits")
         require_psd(np.linalg.eigvalsh(h), h, what="state")
         # the Hermitian part's trace is real by construction
-        tr = np.trace(h).real
+        tr = _check_scale(h)
         if tr <= 0.0:
             raise ContractError(f"state trace {tr} is not positive")
         h.setflags(write=False)
@@ -68,8 +71,8 @@ class QubitState:
 
         The array must be exactly Hermitian; a product that rounds unevenly goes through _hermitize.
         """
-        if check_finite and not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
+        if check_finite:
+            _check_scale(a)
         a.setflags(write=False)
         s = object.__new__(cls)
         object.__setattr__(s, "n", n)
@@ -95,11 +98,16 @@ class QubitState:
         return f"QubitState(n={self.n}, trace={self.trace():.6g})"
 
 
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    """Overwrite the square array a with its exactly Hermitian part (a + a^dag)/2; returns a."""
-    a += a.T.conj()
-    a *= 0.5
-    return a
+def _check_scale(a: np.ndarray) -> float:
+    """Re Tr(a); ValueError unless every entry and Tr(a)^2, the scale of each invariant, are finite."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    with np.errstate(over="ignore"):
+        tr = float(np.trace(a).real)
+    # a product of Python floats overflows to inf silently, where numpy's would warn
+    if not math.isfinite(tr * tr):
+        raise ValueError(f"state trace {tr:.3e} is too large: Tr(rho)^2 is not finite")
+    return tr
 
 
 @cache
@@ -204,27 +212,19 @@ def w_spectrum(s: QubitState) -> np.ndarray:
     return lam
 
 
-def _kron_block(f: np.ndarray) -> np.ndarray:
-    """Kronecker product of a (k, 2, 2) stack, left slot most significant; [[1]] for k = 0."""
-    m = np.ones((1, 1))
-    for a in f:
-        m = (m[:, None, :, None] * a[:, None]).reshape(2 * len(m), -1)
-    return m
-
-
 def apply_local(s: QubitState, factors) -> QubitState:
     """Conjugate the state by the Kronecker product M of the per-qubit SL(2,C) factors.
 
     ``factors`` is an (n, 2, 2) stack or a list of n 2x2 matrices; factor j
     acts on qubit j + 1, and require_sl2c names a failing factor by j.
     Returns M rho M^dag, made exactly Hermitian and intentionally un-normalized;
-    ValueError if it overflows. M = M_hi (x) M_lo, split after qubit
+    ValueError if it or its Tr^2 overflows. M = M_hi (x) M_lo, split after qubit
     n // 2, acts on reshaped views of rho: O(d^2 (d_hi + d_lo)), not 2 d^3 (Van Loan 2000).
     """
     f = require_sl2c(factors)
     if f.shape != (s.n, 2, 2):
         raise ValueError(f"action needs an ({s.n}, 2, 2) stack of factors, got shape {f.shape}")
-    hi, lo = _kron_block(f[: s.n // 2]), _kron_block(f[s.n // 2 :])
+    hi, lo = _kron_fold(f[: s.n // 2]), _kron_fold(f[s.n // 2 :])
     d, d_hi, d_lo = s.dim, len(hi), len(lo)
     # a row or column index is a (hi, lo) pair; the column side takes the conjugate blocks
     y = np.matmul(lo, (hi @ s.rho.reshape(d_hi, -1)).reshape(d_hi, d_lo, d))

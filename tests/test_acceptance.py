@@ -17,7 +17,7 @@ from qlorentz import (
     random_sl2c,
     spin_hom,
 )
-from qlorentz.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron
+from qlorentz.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron_all
 from qlorentz.lorentz import ETA, herm_from_vector, rotation_z, sample_sl2c
 from qlorentz.states import (
     QubitState,
@@ -158,7 +158,7 @@ def test_criterion_05_multiplicativity():
         ]
         rho = factors[0].rho
         for f in factors[1:]:
-            rho = kron(rho, f.rho)
+            rho = kron_all([rho, f.rho])
         whole = linear_mutual_info_trace(QubitState(sum(sizes), rho))
         parts = float(np.prod([linear_mutual_info_trace(f) for f in factors]))
         worst = max(worst, rel_dev(whole, parts))

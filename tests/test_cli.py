@@ -3,6 +3,7 @@
 import csv
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qlorentz.states import QubitState, random_state, state_to_json_dict
 from qlorentz.cli import main
 import qlorentz.cli
 import qlorentz.correlation
+import qlorentz.invariants
 import qlorentz.linalg
 import qlorentz.lorentz
 import qlorentz.states
@@ -231,6 +233,46 @@ def test_metric_explicit_flag_report_deviations_are_frozen(tmp_path):
         "rotation_symmetry": 1.7101376142694816e-16,
         "parity_symmetry": 2.2609319541102883e-16,
     }
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--boost", "1.5", "--rotation", "0.9", "--parity"]],
+    ids=["sampled", "all-fixed"],
+)
+def test_metric_symmetry_tolerance_fails_a_map_scaled_by_one_ppm(tmp_path, monkeypatch, flags):
+    # negative control pinning the 1e-8 symmetry tolerance: every map scaled by
+    # 1 + 1e-6, past a disabled Minkowski check, moves the correlator by about
+    # 2e-6, which a tolerance loosened to 1e-4 would pass
+    deviations = qlorentz.correlation.correlator_deviations
+    monkeypatch.setattr(qlorentz.correlation, "require_lorentz", lambda lams: lams)
+    monkeypatch.setattr(
+        qlorentz.cli, "correlator_deviations",
+        lambda lams, *args: deviations((1.0 + 1e-6) * lams, *args),
+    )
+    code, report = run_report(tmp_path, ["metric", "--trials", "5"] + flags)
+    assert code == 1
+    symmetry = {k: v for k, v in report["checks"].items() if k.endswith("_symmetry")}
+    assert sorted(symmetry) == ["boost_symmetry", "parity_symmetry", "rotation_symmetry"]
+    for check in symmetry.values():
+        assert check["pass"] is False
+        assert check["deviation"] == pytest.approx(2e-6, rel=0.01)
+
+
+def test_subset_vs_trace_tolerance_fails_a_route_scaled_by_one_ppm(tmp_path, monkeypatch):
+    # negative control pinning the 1e-8 subset_vs_trace tolerance: the subset
+    # route scaled by 1 + 1e-6 reads 1e-6 on the singlet (I_L = 1), which a
+    # tolerance loosened to 1e-5 would pass
+    subsets = qlorentz.invariants.linear_mutual_info_subsets
+    monkeypatch.setattr(
+        qlorentz.invariants, "linear_mutual_info_subsets", lambda s: (1.0 + 1e-6) * subsets(s)
+    )
+    code, report = run_report(tmp_path, ["invariants", "--preset", "singlet", "--trials", "2"])
+    assert code == 1
+    check = report["checks"]["subset_vs_trace"]
+    assert check["pass"] is False
+    assert check["deviation"] == pytest.approx(1e-6, rel=1e-5)
+    assert report["checks"]["lorentz_invariance"]["pass"] is True
 
 
 @pytest.mark.parametrize(
@@ -769,22 +811,41 @@ def test_unwritable_output_exits_two(tmp_path, capsys, target):
         assert captured.err.startswith("error:")
 
 
-# finite entries, but Tr(rho)^2 overflows, so the invariants come out NaN or Infinity
-BIG_STATE = {"n": 1, "matrix": [[[1e300, 0], [0, 0]], [[0, 0], [1e300, 0]]]}
+def diag_state(a: float, b: float) -> dict:
+    """The one-qubit state file of diag(a, b)."""
+    return {"n": 1, "matrix": [[[a, 0], [0, 0]], [[0, 0], [b, 0]]]}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
-    "argv",
-    [["invariants", "--trials", "0"], ["boost", "--rapidity=0.1"]],
-    ids=["invariants", "boost"],
+    "state, argv",
+    [
+        # finite entries, but Tr(rho)^2 overflows: refused where the state is loaded
+        (diag_state(1e300, 1e300), ["invariants", "--trials", "0"]),
+        (diag_state(1e300, 1e300), ["boost", "--rapidity=0.1"]),
+        (diag_state(1e155, 5e154), ["invariants", "--trials", "3"]),
+        (diag_state(1e155, 5e154), ["invariants", "--trials", "0"]),
+        (diag_state(1e155, 5e154), ["boost"]),
+        # a loadable state whose moved Tr(rho)^2 overflows: refused by apply_local
+        (diag_state(1e150, 5e149), ["boost", "--rapidity", "20"]),
+        (diag_state(1e150, 5e149), ["invariants", "--trials", "5", "--max-rapidity", "20"]),
+        # Tr(rho)^2 is finite, but e_2 overflows: refused by the report's allow_nan=False
+        (diag_state(1e100, 5e99), ["invariants", "--trials", "0"]),
+    ],
+    ids=["invariants", "boost", "1e155-invariants-trials3", "1e155-invariants-trials0",
+         "1e155-boost", "1e150-boost-rapidity20", "1e150-invariants-rapidity20",
+         "1e100-invariants"],
 )
-def test_non_finite_report_exits_two(tmp_path, capsys, argv):
+def test_non_finite_report_exits_two(tmp_path, capsys, state, argv):
+    # exactly one error line, and no numpy warning, which the console would print ahead of it
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(BIG_STATE))
+    path.write_text(json.dumps(state))
     out = tmp_path / "r.json"
-    assert main(argv + ["--input", str(path), "--output", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--input", str(path), "--output", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -206,7 +206,7 @@ def test_symmetry_check_rejects_bad_maps():
 def test_symmetry_check_applies_the_map(monkeypatch):
     # negative control: a map that does not preserve the form, admitted without
     # validation, must move the correlator; a check that skips the map reads 0
-    monkeypatch.setattr(qlorentz.correlation, "require_lorentz", lambda lams: None)
+    monkeypatch.setattr(qlorentz.correlation, "require_lorentz", lambda lams: lams)
     stretch = np.diag([1.0, 1.0, 1.0, 2.0])[None]
     assert correlator_symmetry_check(stretch, 20, rng_from_seed(97)) > 1e-2
 
@@ -262,7 +262,7 @@ def test_stacked_check_applies_each_map_to_its_own_draws(position, monkeypatch):
     # negative control: a stretch admitted past validation must show at the
     # first, a middle and the last position of a stack of valid maps; a
     # broadcast that applied map 0 to every draw would read rounding noise
-    monkeypatch.setattr(qlorentz.correlation, "require_lorentz", lambda lams: None)
+    monkeypatch.setattr(qlorentz.correlation, "require_lorentz", lambda lams: lams)
     maps = np.insert(sampled_maps(102)[:14], position, np.diag([1.0, 1.0, 1.0, 2.0]), axis=0)
     dev = correlator_symmetry_check(maps, 5, rng_from_seed(103))
     assert dev > 1e-2
@@ -333,7 +333,7 @@ def test_uneven_pair_counts_keep_each_map_to_its_own_pairs(monkeypatch):
     # negative control: a stretch in the last, parity-sized slot, admitted past
     # validation, shows in its own entry only; a gather that slid the map rows
     # against the pair counts would spread it to a neighbour or hide it
-    monkeypatch.setattr(qlorentz.correlation, "require_lorentz", lambda lams: None)
+    monkeypatch.setattr(qlorentz.correlation, "require_lorentz", lambda lams: lams)
     maps = np.concatenate([sampled_maps(109)[:3], np.diag([1.0, 1.0, 1.0, 2.0])[None]])
     devs = correlator_deviations(maps, [5, 5, 5, 10], rng_from_seed(110))
     assert devs[-1] > 1e-2

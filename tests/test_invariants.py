@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qlorentz import apply_local, concurrence, invariant_report, preset, random_sl2c
-from qlorentz.linalg import kron
+from qlorentz.linalg import kron_all
 from qlorentz.states import (
     QubitState,
     ghz,
@@ -159,7 +159,7 @@ def test_concurrence_frozen_cases():
     assert concurrence(maximally_mixed(2)) == 0.0
     a = random_state(1, "pure", 67)
     b = random_state(1, "pure", 68)
-    prod = QubitState(2, kron(a.rho, b.rho))
+    prod = QubitState(2, kron_all([a.rho, b.rho]))
     assert concurrence(prod) < 1e-7
 
 
@@ -377,7 +377,7 @@ def test_multiplicativity_over_tensor_products():
         ]
         rho = factors[0].rho
         for f in factors[1:]:
-            rho = kron(rho, f.rho)
+            rho = kron_all([rho, f.rho])
         whole = linear_mutual_info_trace(QubitState(sum(sizes), rho))
         parts = float(np.prod([linear_mutual_info_trace(f) for f in factors]))
         assert rel_dev(whole, parts) < 1e-8

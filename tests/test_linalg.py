@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+import qlorentz.linalg
 from qlorentz import ContractError, PositivityError, SizeError
 from qlorentz.linalg import (
     PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PAULIS,
     det,
-    kron,
     kron_all,
     mat_sqrt_psd,
     partial_trace,
@@ -43,7 +44,7 @@ def test_kron_of_x_and_y_frozen():
             [1j, 0, 0, 0],
         ]
     )
-    np.testing.assert_allclose(kron(PAULI_X, PAULI_Y), expected, atol=0)
+    np.testing.assert_allclose(kron_all([PAULI_X, PAULI_Y]), expected, atol=0)
 
 
 def test_kron_identity_and_associativity():
@@ -51,26 +52,50 @@ def test_kron_identity_and_associativity():
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    np.testing.assert_allclose(kron(np.eye(1), a), a, atol=0)
+    np.testing.assert_allclose(kron_all([np.eye(1), a]), a, atol=0)
     np.testing.assert_allclose(
-        kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12
+        kron_all([kron_all([a, b]), c]), kron_all([a, kron_all([b, c])]), atol=1e-12
     )
-    np.testing.assert_allclose(kron_all([a, b, c]), kron(a, kron(b, c)), atol=1e-12)
+    np.testing.assert_allclose(kron_all([a, b, c]), kron_all([a, kron_all([b, c])]), atol=1e-12)
 
 
-def test_kron_dimension_guard():
+def test_kron_dimension_guard(monkeypatch):
+    # the guard reads the factor shapes: no product is formed before it refuses
+    products = []
+    monkeypatch.setattr(qlorentz.linalg, "_kron_fold", lambda mats: products.append(mats))
     big = np.eye(128)
     with pytest.raises(SizeError):
-        kron(big, np.eye(64))
-    with pytest.raises(SizeError):
+        kron_all([big, np.eye(64)])
+    with pytest.raises(SizeError, match="dimension 8192 exceeds maximum 1024"):
         kron_all([np.eye(2)] * 13)
+    with pytest.raises(SizeError):
+        kron_all([np.eye(4), np.eye(3), np.eye(100)])
+    with pytest.raises(ValueError, match="at least one factor"):
+        kron_all([])
+    with pytest.raises(ValueError, match="square"):
+        kron_all([np.eye(2), np.zeros((2, 3))])
+    assert products == []
+
+
+def test_kron_all_agrees_with_numpy_kron():
+    # to rounding, not bit for bit: the two differ in the last bit on 1x1 (x) 1x1
+    rng = np.random.default_rng(13)
+    for trial in range(40):
+        dims = rng.integers(1, 5, size=int(rng.integers(1, 4)))
+        mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims]
+        expected = mats[0]
+        for m in mats[1:]:
+            expected = np.kron(expected, m)
+        got = kron_all(mats)
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
 
 def test_partial_trace_of_product_state():
     rng = np.random.default_rng(5)
     a = random_hermitian(rng, 2)
     b = random_hermitian(rng, 2)
-    rho = kron(a, b)
+    rho = kron_all([a, b])
     np.testing.assert_allclose(
         partial_trace(rho, 2, [1]), np.trace(b) * a, atol=1e-12
     )
@@ -91,7 +116,7 @@ def test_partial_trace_keep_all_and_trace_consistency():
 
 def test_partial_trace_qubit_one_is_most_significant():
     # rho = |0><0| (x) I/2: tracing qubit 2 must leave |0><0|
-    rho = kron(np.diag([1.0, 0.0]).astype(complex), 0.5 * np.eye(2, dtype=complex))
+    rho = kron_all([np.diag([1.0, 0.0]).astype(complex), 0.5 * np.eye(2, dtype=complex)])
     np.testing.assert_allclose(
         partial_trace(rho, 2, [1]), np.diag([1.0, 0.0]), atol=1e-15
     )
@@ -169,6 +194,15 @@ def test_char_poly_annihilates_eigenvalues():
     for lam in np.linalg.eigvals(m):
         value = lam**4 + sum(c * lam**k for k, c in enumerate(coeffs))
         assert abs(value) < 1e-9
+
+
+def test_paulis_are_one_read_only_stack():
+    assert PAULIS.shape == (4, 2, 2) and PAULIS.dtype == complex
+    for i, p in enumerate((PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)):
+        assert np.array_equal(PAULIS[i], p)
+    for view in (PAULIS, PAULI_X):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 2.0
 
 
 def test_pauli_algebra():

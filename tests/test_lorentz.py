@@ -472,3 +472,34 @@ def test_rotations_z_rejects_non_finite_angles():
         rotations_z([0.3, np.inf, np.nan])
     with pytest.raises(ValueError, match="^rotation angle nan is not finite$"):
         rotation_z(np.nan)
+
+
+def test_diagonal_stacks_equal_their_closed_forms():
+    # diag(exp(r/2), exp(-r/2)) and diag(exp(-i t/2), exp(i t/2)), entry for entry
+    rng = np.random.default_rng(30)
+    r = np.concatenate([rng.uniform(-20.0, 20.0, 50), [-20.0, -0.0, 0.0, 20.0]])
+    t = np.concatenate([rng.uniform(-50.0, 50.0, 50), [0.0, np.pi, 1e300, -1e300]])
+    for stack, upper, lower in (
+        (boosts_z(r), np.exp(r / 2), np.exp(-r / 2)),
+        (rotations_z(t), np.exp(-0.5j * t), np.exp(0.5j * t)),
+    ):
+        assert stack.shape == (54, 2, 2) and stack.dtype == complex
+        assert (stack[:, 0, 0] == upper).all() and (stack[:, 1, 1] == lower).all()
+        assert (stack[:, 0, 1] == 0).all() and (stack[:, 1, 0] == 0).all()
+
+
+def test_require_lorentz_is_the_one_map_stack_gate():
+    # it returns the checked stack as floats, as require_sl2c returns its elements
+    maps = [np.eye(4, dtype=int), ETA]
+    checked = require_lorentz(maps)
+    assert checked.dtype == float and checked.shape == (2, 4, 4)
+    assert np.array_equal(checked, np.stack([np.eye(4), ETA]))
+    for bad, message in (
+        (ETA, r"\(k, 4, 4\) stack"),
+        (np.eye(4)[None, None], r"\(k, 4, 4\) stack"),
+        (boosts_z([0.5]), r"\(k, 4, 4\) stack"),
+        (np.eye(4, dtype=complex)[None], "must be real"),
+        (np.empty((0, 4, 4)), "at least one map"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            require_lorentz(bad)

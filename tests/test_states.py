@@ -8,7 +8,7 @@ import pytest
 
 import qlorentz.states
 from qlorentz import ContractError, PositivityError, apply_local, boost_z, preset, random_sl2c
-from qlorentz.linalg import kron, mat_sqrt_psd, require_hermitian
+from qlorentz.linalg import kron_all, mat_sqrt_psd, require_hermitian
 from qlorentz.states import (
     QubitState,
     _rank_factor,
@@ -149,9 +149,25 @@ def test_scaled_rejects_a_bad_factor_or_an_overflow(c):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_apply_local_rejects_an_overflowing_result():
-    s = QubitState(1, np.diag([1e300, 1.0]))
-    with pytest.raises(ValueError, match="finite"):
+    # the moved Tr(rho)^2 overflows, though every entry is finite
+    s = QubitState(1, np.diag([1e150, 1.0]))
+    with pytest.raises(ValueError, match="Tr\\(rho\\)\\^2 is not finite"):
         apply_local(s, [boost_z(20.0)])
+    # a moved entry overflows
+    with pytest.raises(ValueError, match="entries must be finite"):
+        apply_local(QubitState(1, np.diag([1e10, 1.0])), [np.diag([1e150, 1e-150])])
+
+
+@pytest.mark.filterwarnings("error")
+def test_states_refuse_a_non_finite_square_trace():
+    # every invariant is of degree 2 in rho: a state whose Tr(rho)^2 overflows
+    # is refused where it is built, without a numpy warning
+    with pytest.raises(ValueError, match="Tr\\(rho\\)\\^2 is not finite"):
+        QubitState(1, np.diag([1e155, 5e154]))
+    assert QubitState(1, np.diag([1e154, 0.0])).trace() == 1e154
+    with pytest.raises(ValueError, match="Tr\\(rho\\)\\^2 is not finite"):
+        maximally_mixed(1).scaled(3e154)
+    assert maximally_mixed(1).scaled(1e154).trace() == 1e154
 
 
 def test_spin_flip_single_qubit_closed_form():
@@ -192,16 +208,16 @@ def test_w_matrix_frozen_cases():
 def test_w_matrix_pure_product_has_zero_trace():
     a = random_state(1, "pure", 33)
     b = random_state(1, "pure", 34)
-    s = QubitState(2, kron(a.rho, b.rho))
+    s = QubitState(2, kron_all([a.rho, b.rho]))
     assert abs(np.trace(w_matrix(s))) < 1e-12
 
 
 def test_w_matrix_factorizes_over_products():
     a = random_state(1, "mixed", 35)
     b = random_state(2, "mixed", 36)
-    s = QubitState(3, kron(a.rho, b.rho))
+    s = QubitState(3, kron_all([a.rho, b.rho]))
     np.testing.assert_allclose(
-        w_matrix(s), kron(w_matrix(a), w_matrix(b)), atol=1e-10
+        w_matrix(s), kron_all([w_matrix(a), w_matrix(b)]), atol=1e-10
     )
 
 
@@ -315,7 +331,7 @@ def test_w_spectrum_factor_branches(monkeypatch, branch):
     s = build()
     # diag(2, 1) on qubit 1 scales the W-spectrum by |det|^2 = 4; it would
     # stay put if the moved state's spectrum came from the base state's factor
-    m = kron(np.diag([2.0, 1.0]), np.eye(s.dim // 2))
+    m = kron_all([np.diag([2.0, 1.0]), np.eye(s.dim // 2)])
     moved = QubitState._adopt(s.n, np.asarray(m @ s.rho @ m.conj().T, complex))
     calls = spy_factor_calls(monkeypatch)
     lam = w_spectrum(s)
@@ -513,7 +529,7 @@ def test_spin_flip_twisted_commutation():
         moved = apply_local(s, factors)
         m = factors[0]
         for f in factors[1:]:
-            m = kron(m, f)
+            m = kron_all([m, f])
         m_inv = np.linalg.inv(m)
         expected = m_inv.conj().T @ spin_flip(s).rho @ m_inv
         scale = max(1.0, np.abs(expected).max())
@@ -527,7 +543,7 @@ def test_w_matrix_conjugates_under_local_actions():
         factors = [random_sl2c(split_seed(44, 10 * trial + j), 2.0) for j in range(n)]
         m = factors[0]
         for f in factors[1:]:
-            m = kron(m, f)
+            m = kron_all([m, f])
         expected = m @ w_matrix(s) @ np.linalg.inv(m)
         got = w_matrix(apply_local(s, factors))
         scale = max(1.0, np.abs(expected).max())
