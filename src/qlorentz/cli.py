@@ -103,8 +103,7 @@ def _load_state(args) -> tuple[QubitState, dict]:
     if args.random:
         state = random_state(args.n, args.random, split_seed(args.seed, STREAM_STATE))
         return state, {"source": "random", "random_kind": args.random, "n": args.n}
-    name = args.preset or "singlet"
-    return preset(name), {"source": "preset", "preset": name}
+    return preset(args.preset), {"source": "preset", "preset": args.preset}
 
 
 def _parse_observable(text: str, rng: np.random.Generator) -> np.ndarray:
@@ -421,7 +420,7 @@ def main(argv=None) -> int:
     try:
         report, ok = _report(args)
         _emit(report, args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import PAULIS, _kron_fold, as_matrix, det, require_hermitian
 from .lorentz import herm_from_vector, require_lorentz
-from .seeding import rng_from_seed
+from .seeding import _gaussian, rng_from_seed
 from .states import SINGLET_COEFFS
 
 MIN_TWIRL_SAMPLES = 1000
@@ -79,10 +79,7 @@ def haar_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
     """Stack of `count` Haar-distributed U(2) matrices (Ginibre QR with phase fix)."""
     if count < 1:
         raise ValueError("count must be positive")
-    g = (
-        rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
-    ) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(_gaussian(rng, (count, 2, 2)) / np.sqrt(2.0))
     diag = np.diagonal(r, axis1=1, axis2=2)
     phases = diag / np.abs(diag)
     return q * phases[:, None, :]

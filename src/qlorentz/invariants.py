@@ -27,18 +27,14 @@ __all__ = [
 ]
 
 
-def _linear_entropy(rho: np.ndarray) -> float:
-    """Tr(rho)^2 - Tr(rho^2), with Tr(rho^2) = Tr(rho^dagger rho) as one contiguous dot.
-
-    Its terms |rho_ij|^2 are non-negative.
-    """
-    tr = np.trace(rho).real
-    return float(tr * tr - np.vdot(rho, rho).real)
-
-
 def linear_entropy(s: QubitState) -> float:
-    """Tr(rho)^2 - Tr(rho^2), without normalizing; zero iff pure up to scale."""
-    return _linear_entropy(s.rho)
+    """Tr(rho)^2 - Tr(rho^2), without normalizing; zero iff pure up to scale.
+
+    Tr(rho^2) = Tr(rho^dagger rho) is one contiguous dot, whose terms |rho_ij|^2
+    are non-negative.
+    """
+    tr = np.trace(s.rho).real
+    return float(tr * tr - np.vdot(s.rho, s.rho).real)
 
 
 def _symmetric_polys(lam: np.ndarray) -> np.ndarray:
@@ -98,8 +94,8 @@ def _subset_purities(rho: np.ndarray, n: int) -> np.ndarray:
 
     The Pauli coefficients of the Hermitian rho are real. For P = (-i)^m Q with
     Q real, Tr(rho P) real makes Tr(Re rho Q) vanish for odd m and Tr(Im rho Q)
-    for even m, so Tr(rho P)^2 = Tr(M Q)^2 with M = Re rho + Im rho: real
-    arithmetic throughout. The squares are formed in place.
+    for even m, so Tr(rho P)^2 = Tr(M Q)^2 with M = Re rho + Im rho: 2n real
+    matrix products. The squares are formed in place.
     """
     m = rho.real + rho.imag
     # (r1..rn, c1..cn) -> (r1, c1, ..., rn, cn): one 4-valued axis per qubit
@@ -141,7 +137,7 @@ def linear_mutual_info_subsets(s: QubitState) -> float:
     terms = _subset_signs(n) * (tr * tr - _subset_purities(s.rho, n))
     # flat index 0 is the empty set, -1 the full set
     proper = float(terms.ravel()[1:-1].sum())
-    return _linear_entropy(s.rho) * (1.0 if n % 2 == 1 else -1.0) + proper
+    return linear_entropy(s) * (1.0 if n % 2 == 1 else -1.0) + proper
 
 
 def linear_mutual_info_trace(s: QubitState) -> float:

@@ -29,6 +29,10 @@ MAX_DIM = 2**MAX_QUBITS
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 
+#: The one eigenvalue cut: an eigenvalue this small a fraction of the largest
+#: counts as zero, in mat_sqrt_psd and in the factor of states.w_spectrum.
+_EIG_CUT = 1e-14
+
 #: Pauli basis I, X, Y, Z, matched to (t, x, y, z), as one read-only (4, 2, 2) stack and its rows.
 PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 PAULIS.setflags(write=False)
@@ -58,30 +62,28 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-norm distance between a matrix, or every matrix of a stack, and its conjugate transpose."""
-    return max_abs(m - np.swapaxes(m, -1, -2).conj())
-
-
 def require_hermitian(m, what: str = "matrix") -> np.ndarray:
-    """Check Hermiticity within HERMITIAN_TOL and return the symmetrized matrix.
+    """Check Hermiticity within HERMITIAN_TOL and return the Hermitian part (m + m^dag)/2.
 
-    ``m`` may be a (..., d, d) stack; every matrix in it is checked. Raises
-    ContractError naming the max asymmetry when the check fails.
+    ``m`` may be a (..., d, d) stack; every matrix in it is checked. Raises ContractError
+    naming the max asymmetry max|m - m^dag|, inf past float64, when the check fails. The
+    input is halved first, exactly, so neither that nor the Hermitian part overflows.
     """
-    a = _as_square_stack(m)
-    defect = hermiticity_defect(a)
+    h = 0.5 * _as_square_stack(m)
+    adj = np.swapaxes(h, -1, -2).conj()
+    defect = 2.0 * max_abs(h - adj)
     if defect > HERMITIAN_TOL:
         raise ContractError(
             f"{what} is not Hermitian: max asymmetry {defect:.3e} exceeds atol {HERMITIAN_TOL:.1e}"
         )
-    return _hermitize(a.copy())
+    h += adj
+    return h
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
-    """Overwrite a (..., d, d) array with its exactly Hermitian part (a + a^dag)/2; returns it."""
-    a += np.swapaxes(a, -1, -2).conj()
+    """Overwrite a (..., d, d) array with its exactly Hermitian part a/2 + a^dag/2; returns it."""
     a *= 0.5
+    a += np.swapaxes(a, -1, -2).conj()
     return a
 
 
@@ -98,7 +100,8 @@ def require_psd(evals: np.ndarray, m: np.ndarray, what: str = "matrix") -> None:
 
 
 def kron_all(mats) -> np.ndarray:
-    """Kronecker product of square matrices, left slot first; SizeError past MAX_DIM, before any product."""
+    """Kronecker product of the coerced square factors, left slot first; ValueError for none,
+    SizeError past MAX_DIM before any product."""
     mats = [as_matrix(m) for m in mats]
     if not mats:
         raise ValueError("need at least one factor")
@@ -109,7 +112,8 @@ def kron_all(mats) -> np.ndarray:
 
 
 def _kron_fold(mats) -> np.ndarray:
-    """kron_all unchecked: one broadcast product per square factor (Van Loan 2000); [[1]] for none."""
+    """kron_all unchecked, as apply_local and the twirl run it: one broadcast product per
+    square factor (Van Loan 2000); [[1]] for none."""
     m = np.ones((1, 1))
     for a in mats:
         k = len(m) * len(a)
@@ -122,7 +126,8 @@ def partial_trace(rho, n: int, keep) -> np.ndarray:
 
     ``keep`` is a nonempty subset of {1..n} (qubit 1 is the most significant
     index factor). Kept qubits retain their relative order in the output,
-    which has dimension 2**len(keep). The total trace is preserved.
+    which has dimension 2**len(keep). The total trace is preserved. It is the
+    kernel of states.reduce, the tests' reference route to reduced states.
     """
     rho = as_matrix(rho)
     if rho.shape[0] != 2**n:
@@ -157,7 +162,7 @@ def mat_sqrt_psd(m) -> np.ndarray:
     evals = np.clip(evals, 0.0, None)
     # zero out eigensolver noise at 1e-16 scale: sqrt would amplify it to 1e-8
     if evals.size and evals[-1] > 0.0:
-        evals[evals < 1e-14 * evals[-1]] = 0.0
+        evals[evals < _EIG_CUT * evals[-1]] = 0.0
     roots = np.sqrt(evals)
     return _hermitize((vecs * roots) @ vecs.conj().T)
 
@@ -171,6 +176,6 @@ def det(m):
 
 
 def _det2(a: np.ndarray) -> np.ndarray:
-    """det unchecked, for a (..., 2, 2) array."""
+    """det unchecked, for a (..., 2, 2) array, as require_sl2c and the sampler run it."""
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
 

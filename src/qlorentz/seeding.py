@@ -1,4 +1,4 @@
-"""Deterministic 64-bit seed derivation (splitmix64 output stream).
+"""Deterministic 64-bit seed derivation (splitmix64 output stream) and the complex-normal draw.
 
 Every randomized routine in the package takes an explicit seed. Experiment
 drivers expand one master seed into per-trial sub-seeds with
@@ -37,3 +37,14 @@ def split_seed(master: int, stream: int) -> int:
 def rng_from_seed(seed: int) -> np.random.Generator:
     """PCG64 generator for an arbitrary (possibly negative) 64-bit seed."""
     return np.random.default_rng(seed & MASK64)
+
+
+def _gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """rng.standard_normal(shape) + 1j * rng.standard_normal(shape), bit for bit.
+
+    Filled in place, without the two complex temporaries of the expression.
+    """
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z

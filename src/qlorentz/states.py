@@ -19,6 +19,7 @@ from .errors import ContractError
 from .linalg import (
     MAX_QUBITS,
     PSD_TOL,
+    _EIG_CUT,
     _hermitize,
     _kron_fold,
     kron_all,
@@ -27,7 +28,7 @@ from .linalg import (
     require_psd,
 )
 from .lorentz import require_sl2c
-from .seeding import rng_from_seed
+from .seeding import _gaussian, rng_from_seed
 
 #: The singlet psi- = (|01> - |10>) / sqrt(2) as its unscaled 2x2 coefficient
 #: matrix, psi_{2i+j} = SINGLET_COEFFS[i, j] / sqrt(2). Callers apply the
@@ -140,10 +141,6 @@ def spin_flip(s: QubitState) -> QubitState:
     return QubitState._adopt(s.n, flipped)
 
 
-# eigenvalues of rho at or below this fraction of the largest count as zero in w_spectrum
-_EIG_CUT = 1e-14
-
-
 def _rank_factor(rho: np.ndarray) -> np.ndarray:
     """A factor A of the Hermitian matrix rho = A A^dag, chosen by case; see w_spectrum."""
     d = rho.shape[0]
@@ -191,7 +188,8 @@ def w_spectrum(s: QubitState) -> np.ndarray:
        then at most about 1e-14 of the largest in magnitude, so branch 3
        would drop it too, and none is below about -1e-14 * d * max|rho|,
        inside the PSD_TOL bound for every d up to 10^4. The matrix is then
-       1 x 1, Wootters' preconcurrence psi^T Y^(x)n psi. O(d^2).
+       1 x 1, Wootters' preconcurrence psi^T Y^(x)n psi. O(d^2), and an O(d)
+       trace test rules rank 1 out before the d^2 residual is formed.
     2. Cholesky, rho = L L^dag, when it succeeds with every pivot L_ii^2 above
        1e-12 of the largest. It is backward stable (Higham, Accuracy and
        Stability of Numerical Algorithms, 2nd ed., ch. 10): success puts rho
@@ -295,46 +293,36 @@ def basis0(n: int = 1) -> QubitState:
 
 
 _PRESET_BUILDERS = {
-    "singlet": (singlet, None),
-    "ghz": (ghz, 3),
-    "wstate": (wstate, 3),
-    "product_of_singlets": (product_of_singlets, 2),
-    "singlets": (product_of_singlets, 2),
-    "maximally_mixed": (maximally_mixed, 1),
-    "basis0": (basis0, 1),
+    "singlet": singlet,
+    "ghz": ghz,
+    "wstate": wstate,
+    "product_of_singlets": product_of_singlets,
+    "singlets": product_of_singlets,
+    "maximally_mixed": maximally_mixed,
+    "basis0": basis0,
 }
+
 
 def preset(name: str) -> QubitState:
     """Named state, with an optional size suffix: 'singlet', 'ghz4', 'wstate4', ...
 
     Recognized families: singlet, ghz(n), wstate(n), product_of_singlets(k)
-    (alias 'singlets'), maximally_mixed(n), basis0(n).
+    (alias 'singlets'), maximally_mixed(n), basis0(n); no suffix means the builder's default.
     """
     text = name.strip().lower()
     # longest family name first so 'basis0' is not read as 'basis' + size 0
     for key in sorted(_PRESET_BUILDERS, key=len, reverse=True):
-        builder, default = _PRESET_BUILDERS[key]
+        builder = _PRESET_BUILDERS[key]
         if text == key:
-            return builder() if default is None else builder(default)
+            return builder()
         if text.startswith(key):
             rest = text[len(key):].lstrip("_")
             if rest.isdigit():
-                if default is None:
+                if builder is singlet:
                     raise ValueError(f"preset {key!r} does not take a size suffix")
                 return builder(int(rest))
     known = ", ".join(sorted(_PRESET_BUILDERS))
     raise ValueError(f"unknown preset {name!r}; known families: {known}")
-
-
-def _gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """rng.standard_normal(shape) + 1j * rng.standard_normal(shape), bit for bit.
-
-    Filled in place, without the two complex temporaries of the expression.
-    """
-    z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
-    return z
 
 
 def random_state(n: int, kind: str, rng_seed: int) -> QubitState:

@@ -604,6 +604,15 @@ def test_unknown_preset_exits_two():
     assert main(["invariants", "--preset", "nosuchstate"]) == 2
 
 
+@pytest.mark.parametrize("command", ["invariants", "boost"])
+def test_empty_preset_exits_two(capsys, command):
+    # each command's parser default is its only default: an empty name is not the singlet
+    assert main([command, "--preset", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown preset ''") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["invariants", "oracle", "metric", "twirl", "boost"])
 def test_tolerance_flag_is_refused(tmp_path, capsys, command):
     # each check is judged only against the tolerance its command states
@@ -830,10 +839,15 @@ def diag_state(a: float, b: float) -> dict:
         (diag_state(1e150, 5e149), ["invariants", "--trials", "5", "--max-rapidity", "20"]),
         # Tr(rho)^2 is finite, but e_2 overflows: refused by the report's allow_nan=False
         (diag_state(1e100, 5e99), ["invariants", "--trials", "0"]),
+        # entries at the float64 limit: the Hermitian gate forms neither m + m^dag nor
+        # m - m^dag unhalved, so it overflows nothing ahead of the refusal
+        (diag_state(1.7e308, 1.7e308), ["invariants"]),
+        (diag_state(1.7e308, 1.7e308), ["boost"]),
+        ({"n": 1, "matrix": [[[1, 0], [1e308, 0]], [[-1e308, 0], [1, 0]]]}, ["invariants"]),
     ],
     ids=["invariants", "boost", "1e155-invariants-trials3", "1e155-invariants-trials0",
          "1e155-boost", "1e150-boost-rapidity20", "1e150-invariants-rapidity20",
-         "1e100-invariants"],
+         "1e100-invariants", "1.7e308-invariants", "1.7e308-boost", "1e308-asymmetric"],
 )
 def test_non_finite_report_exits_two(tmp_path, capsys, state, argv):
     # exactly one error line, and no numpy warning, which the console would print ahead of it

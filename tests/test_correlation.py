@@ -129,6 +129,22 @@ def test_haar_unitaries_are_unitary_and_deterministic():
     np.testing.assert_allclose(u, v, atol=0)
 
 
+def test_haar_unitaries_keep_the_inline_complex_draw_bit_for_bit():
+    # the reference draws (normal + 1j * normal) / sqrt(2) in one expression
+    for seed in range(6):
+        for count in (1, 2, 7, 100):
+            rng, twin = rng_from_seed(seed), rng_from_seed(seed)
+            g = (
+                twin.standard_normal((count, 2, 2)) + 1j * twin.standard_normal((count, 2, 2))
+            ) / np.sqrt(2.0)
+            q, r = np.linalg.qr(g)
+            diag = np.diagonal(r, axis1=1, axis2=2)
+            expected = q * (diag / np.abs(diag))[:, None, :]
+            assert haar_unitaries(rng, count).tobytes() == expected.tobytes()
+            # both generators are left in the same state
+            assert rng.standard_normal() == twin.standard_normal()
+
+
 def test_haar_sampling_mean_is_zero():
     # entries of a Haar-distributed unitary average to zero
     u = haar_unitaries(rng_from_seed(86), 100_000)

@@ -17,7 +17,7 @@ from qlorentz.linalg import (
     partial_trace,
     require_hermitian,
 )
-from qlorentz.linalg import as_matrix, hermiticity_defect, max_abs
+from qlorentz.linalg import _hermitize, as_matrix, max_abs
 from reference import char_poly_coeffs
 
 
@@ -134,11 +134,42 @@ def test_partial_trace_argument_errors():
         partial_trace(rho, 2, [3])
 
 
+@pytest.mark.filterwarnings("error")
 def test_require_hermitian():
     h = require_hermitian(np.array([[1.0, 1j], [-1j, 2.0]]))
-    assert hermiticity_defect(h) == 0.0
+    assert max_abs(h - h.conj().T) == 0.0
     with pytest.raises(ContractError):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # at the float64 limit: unhalved, m - m^dag and m + m^dag would overflow with a warning
+    with pytest.raises(ContractError, match="max asymmetry inf exceeds"):
+        require_hermitian(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+    big = np.diag([1.7e308, 1.7e308])
+    assert np.array_equal(require_hermitian(big), big)
+    assert np.array_equal(_hermitize(big.astype(complex)), big)
+
+
+@pytest.mark.filterwarnings("error")
+def test_hermitian_gate_keeps_the_old_formulas_bit_for_bit():
+    # halving first is exact away from underflow, so it changes no bit of (a + a^dag)/2,
+    # and the asymmetry it reports is max|a - a^dag|
+    rng = np.random.default_rng(26)
+    accepted = refused = 0
+    for d in (1, 2, 3, 8):
+        a = rng.standard_normal((125, d, d)) + 1j * rng.standard_normal((125, d, d))
+        # matrix j scaled by 10**e_j, e_j uniform in [-300, 300]
+        a *= 10.0 ** rng.uniform(-300, 300, size=(125, 1, 1))
+        ref = (a + np.swapaxes(a, -1, -2).conj()) / 2
+        assert _hermitize(a.copy()).tobytes() == ref.tobytes()
+        defects = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(1, 2))
+        ok = defects <= 1e-10
+        assert require_hermitian(a[ok]).tobytes() == ref[ok].tobytes()
+        for m, defect in zip(a[~ok], defects[~ok]):
+            with pytest.raises(ContractError) as info:
+                require_hermitian(m)
+            assert f"max asymmetry {defect:.3e} exceeds" in str(info.value)
+        accepted += int(ok.sum())
+        refused += int((~ok).sum())
+    assert accepted > 100 and refused > 100
 
 
 def test_mat_sqrt_psd_squares_back():
@@ -148,7 +179,7 @@ def test_mat_sqrt_psd_squares_back():
         m = g @ g.conj().T
         root = mat_sqrt_psd(m)
         np.testing.assert_allclose(root @ root, m, atol=1e-8 * max(1.0, max_abs(m)))
-        assert hermiticity_defect(root) < 1e-10
+        assert max_abs(root - root.conj().T) < 1e-10
 
 
 def test_mat_sqrt_psd_rejects_negative():

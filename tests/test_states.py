@@ -168,6 +168,9 @@ def test_states_refuse_a_non_finite_square_trace():
     with pytest.raises(ValueError, match="Tr\\(rho\\)\\^2 is not finite"):
         maximally_mixed(1).scaled(3e154)
     assert maximally_mixed(1).scaled(1e154).trace() == 1e154
+    # entries at the float64 limit: the Hermitian part is formed without overflow
+    with pytest.raises(ValueError, match="Tr\\(rho\\)\\^2 is not finite"):
+        QubitState(1, np.diag([1.7e308, 1.7e308]))
 
 
 def test_spin_flip_single_qubit_closed_form():
@@ -598,6 +601,22 @@ def test_preset_parsing():
         preset("bell")
     with pytest.raises(ValueError):
         preset("ghz99")
+    with pytest.raises(ValueError, match="does not take a size suffix"):
+        preset("singlet2")
+    with pytest.raises(ValueError, match="unknown preset ''"):
+        preset("")
+
+
+@pytest.mark.parametrize(
+    "family, builder",
+    [("singlet", singlet), ("ghz", ghz), ("wstate", wstate),
+     ("product_of_singlets", product_of_singlets), ("singlets", product_of_singlets),
+     ("maximally_mixed", maximally_mixed), ("basis0", basis0)],
+)
+def test_preset_family_is_its_builder_at_its_default_size(family, builder):
+    # each default size is stated once, in the builder's signature
+    s = preset(family)
+    assert s.n == builder().n and s.rho.tobytes() == builder().rho.tobytes()
 
 
 def test_singlet_entries_frozen():
