@@ -25,7 +25,7 @@ MAX_DIM = 2**MAX_QUBITS
 #: The one validity policy for states and observables: a matrix is Hermitian
 #: when no entry of m - m† exceeds HERMITIAN_TOL (require_hermitian), and
 #: positive semidefinite when no eigenvalue lies below -PSD_TOL * max|m|
-#: (require_psd). QubitState applies both; the PSD kernels apply the same floor.
+#: (require_psd). QubitState applies both where a state enters; mat_sqrt_psd, the floor too.
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 

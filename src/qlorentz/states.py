@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ContractError
 from .linalg import (
     MAX_QUBITS,
-    PSD_TOL,
     _EIG_CUT,
     _hermitize,
     _kron_fold,
@@ -47,7 +46,10 @@ class QubitState:
     that require_hermitian returns, read-only. Internal builders whose output is
     valid by construction hand a fresh matrix over, uncopied, to ``_adopt``.
     Either way rho is exactly Hermitian, rho == rho^dag bit for bit, and the
-    kernels trust every QubitState they are given: none re-derives its Hermitian part.
+    kernels trust every QubitState they are given: none re-derives its Hermitian part or
+    re-checks positivity, since a congruence by an invertible M keeps the inertia (Sylvester;
+    Ostrowski bounds each moved eigenvalue by ||M||_2^2 times its input's; Horn & Johnson,
+    Matrix Analysis, 2nd ed., Thms 4.5.8-4.5.9) and the other derived states are PSD too.
     """
 
     __slots__ = ("n", "rho")
@@ -93,7 +95,8 @@ class QubitState:
     def scaled(self, c: float) -> "QubitState":
         if not c > 0.0:  # NaN fails too; an infinite c fails the finiteness check
             raise ValueError(f"scale factor must be positive, got {c}")
-        return QubitState._adopt(self.n, c * self.rho, check_finite=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is one ValueError
+            return QubitState._adopt(self.n, c * self.rho, check_finite=True)
 
     def __repr__(self):
         return f"QubitState(n={self.n}, trace={self.trace():.6g})"
@@ -143,7 +146,6 @@ def spin_flip(s: QubitState) -> QubitState:
 
 def _rank_factor(rho: np.ndarray) -> np.ndarray:
     """A factor A of the Hermitian matrix rho = A A^dag, chosen by case; see w_spectrum."""
-    d = rho.shape[0]
     diag = rho.diagonal().real
     j = int(np.argmax(diag))
     if diag[j] > 0.0:
@@ -154,17 +156,15 @@ def _rank_factor(rho: np.ndarray) -> np.ndarray:
         if abs(tr - norm2) <= 1e-8 * (tr + norm2):
             if np.linalg.norm(rho - psi @ psi.conj().T) <= _EIG_CUT * norm2:
                 return psi
-    if d * (d + 1) * np.finfo(float).eps / 2 <= PSD_TOL:
-        try:
-            low = np.linalg.cholesky(rho)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            pivots = low.diagonal().real ** 2
-            if pivots.min() > 1e-12 * pivots.max():
-                return low
+    try:
+        low = np.linalg.cholesky(rho)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        pivots = low.diagonal().real ** 2
+        if pivots.min() > 1e-12 * pivots.max():
+            return low
     evals, vecs = np.linalg.eigh(rho)
-    require_psd(evals, rho, what="state")
     keep = evals > _EIG_CUT * evals[-1]
     return vecs[:, keep] * np.sqrt(evals[keep])
 
@@ -186,21 +186,16 @@ def w_spectrum(s: QubitState) -> np.ndarray:
        entry, accepted when the Frobenius norm of rho - psi psi^dag is at most
        1e-14 |psi|^2. By Weyl's inequality every other eigenvalue of rho is
        then at most about 1e-14 of the largest in magnitude, so branch 3
-       would drop it too, and none is below about -1e-14 * d * max|rho|,
-       inside the PSD_TOL bound for every d up to 10^4. The matrix is then
-       1 x 1, Wootters' preconcurrence psi^T Y^(x)n psi. O(d^2), and an O(d)
-       trace test rules rank 1 out before the d^2 residual is formed.
+       would drop it too. The matrix is then 1 x 1, Wootters' preconcurrence
+       psi^T Y^(x)n psi. O(d^2), and an O(d) trace test rules rank 1 out
+       before the d^2 residual is formed.
     2. Cholesky, rho = L L^dag, when it succeeds with every pivot L_ii^2 above
        1e-12 of the largest. It is backward stable (Higham, Accuracy and
-       Stability of Numerical Algorithms, 2nd ed., ch. 10): success puts rho
-       within d (d + 1) eps/2 * max|rho| of a positive semidefinite matrix in
-       the 2-norm, so the branch runs only where that is at most
-       PSD_TOL * max|rho|, for d up to 512.
-    3. A = V sqrt(L) over the eigenpairs of rho above 1e-14 of the largest,
-       which also decides positivity for the other inputs.
+       Stability of Numerical Algorithms, 2nd ed., ch. 10).
+    3. A = V sqrt(L) over the eigenpairs of rho above 1e-14 of the largest;
+       the rest, rounding drift below zero included, are dropped.
 
-    Hermiticity is QubitState's check; branch 3 raises PositivityError for an
-    eigenvalue below the require_psd floor, as QubitState.
+    Hermiticity and positivity are QubitState's checks, made once where a state enters.
     """
     a = _rank_factor(s.rho)
     b = a.T @ (_parity_signs(s.n)[:, None] * a[::-1])
@@ -225,10 +220,11 @@ def apply_local(s: QubitState, factors) -> QubitState:
     hi, lo = _kron_fold(f[: s.n // 2]), _kron_fold(f[s.n // 2 :])
     d, d_hi, d_lo = s.dim, len(hi), len(lo)
     # a row or column index is a (hi, lo) pair; the column side takes the conjugate blocks
-    y = np.matmul(lo, (hi @ s.rho.reshape(d_hi, -1)).reshape(d_hi, d_lo, d))
-    y = (y.reshape(-1, d_lo) @ lo.conj().T).reshape(d, d_hi, d_lo)
-    y = np.matmul(hi.conj(), y).reshape(d, d)
-    return QubitState._adopt(s.n, _hermitize(y), check_finite=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is one ValueError
+        y = np.matmul(lo, (hi @ s.rho.reshape(d_hi, -1)).reshape(d_hi, d_lo, d))
+        y = (y.reshape(-1, d_lo) @ lo.conj().T).reshape(d, d_hi, d_lo)
+        y = np.matmul(hi.conj(), y).reshape(d, d)
+        return QubitState._adopt(s.n, _hermitize(y), check_finite=True)
 
 
 def reduce(s: QubitState, subset: Iterable[int]) -> QubitState:

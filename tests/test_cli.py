@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import stat
 import time
 import warnings
 
@@ -363,6 +364,21 @@ def test_twirl_overflow_exits_two_with_one_error_line(tmp_path, capsys, o1, o2):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["twirl", "--o1", "1,2,x,4", "--samples", "1000"], "bad observable coordinates '1,2,x,4'"),
+        (["boost", "--preset", "singlets6"], "singlet pair count 6 outside 1..5"),
+    ],
+    ids=["twirl-coordinates", "boost-singlets6"],
+)
+def test_unparsable_argument_exits_two_with_one_error_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_twirl_large_pair_within_range_still_reports(tmp_path):
     code, report = run_report(
         tmp_path, ["twirl", "--o1", "1e100,0,0,0", "--o2", "Z", "--samples", "1000"]
@@ -599,6 +615,59 @@ def test_state_below_the_psd_floor_exits_two(tmp_path, capsys, command):
     path.write_text(json.dumps(state_to_json_dict(low)))
     assert main([command, "--input", str(path)]) == 2
     assert "not PSD" in capsys.readouterr().err
+
+
+def drift_file(tmp_path):
+    """diag(1, -5e-11): its eigenvalue lies inside the PSD floor, so the state loads."""
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(diag_state(1.0, -5e-11)))
+    return path
+
+
+@pytest.mark.parametrize("trials", ["20", "50"])
+def test_drift_inside_the_psd_floor_survives_every_trial(tmp_path, trials):
+    # a trial's congruence can grow the drift past the input's floor; the kernel
+    # trusts the loaded state and drops the sub-cut eigenpair rather than refuse it
+    argv = ["invariants", "--input", str(drift_file(tmp_path)), "--trials", trials]
+    code, report = run_report(tmp_path, argv)
+    assert code == 0
+    assert report["checks"]["lorentz_invariance"]["deviation"] <= 1e-14
+
+
+def _transposed_action(state, factors):
+    """A wrong action: the Hermitian part of M rho M^T, indefinite in general."""
+    m = qlorentz.linalg.kron_all(factors)
+    moved = qlorentz.linalg._hermitize(np.asarray(m @ state.rho @ m.T, complex))
+    return QubitState._adopt(state.n, moved)
+
+
+def _shifted_action(state, factors):
+    """A wrong action: the true moved state minus 0.1 Tr(moved) I/d, indefinite."""
+    moved = qlorentz.states.apply_local(state, factors)
+    shift = 0.1 * moved.trace() / state.dim * np.eye(state.dim)
+    return QubitState._adopt(state.n, moved.rho - shift)
+
+
+@pytest.mark.parametrize("action", [_transposed_action, _shifted_action], ids=["transposed", "shifted"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--random", "mixed", "--n", "3", "--trials", "5"],
+        ["--random", "pure", "--n", "4", "--trials", "5"],
+        ["--trials", "20"],
+    ],
+    ids=["mixed-n3", "pure-n4", "drift"],
+)
+def test_an_indefinite_moved_state_fails_invariance(tmp_path, monkeypatch, action, argv):
+    # positivity is checked once, at load: a wrong action that leaves the PSD cone
+    # is caught by the spectrum comparison (exit 1), not refused (exit 2)
+    if "--random" not in argv:
+        argv = argv + ["--input", str(drift_file(tmp_path))]
+    monkeypatch.setattr(qlorentz.cli, "apply_local", action)
+    code, report = run_report(tmp_path, ["invariants", *argv])
+    assert code == 1
+    assert report["checks"]["lorentz_invariance"]["deviation"] > 0.5
+    assert report["checks"]["subset_vs_trace"]["pass"] is True
 
 
 def test_unknown_preset_exits_two():
@@ -844,11 +913,31 @@ def test_a_shrinking_rewrite_leaves_no_old_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("target", ["--output", "--csv"])
-def test_a_device_path_takes_the_output(tmp_path, target):
-    # /dev/null seeks but refuses a truncate: only a regular file is cut to length
+def test_a_device_path_takes_the_output(tmp_path, monkeypatch, target):
+    # /dev/null seeks but refuses a truncate: only a regular file is cut to length.
+    # The machine's /dev/null is guarded: a writer that renames over or unlinks its
+    # path fails here instead of leaving a regular file in the device's place
+    for name in ("rename", "replace", "unlink", "remove"):
+        real = getattr(os, name)
+
+        def guarded(*paths, _real=real, _name=name, **kwargs):
+            if os.devnull in (os.path.normpath(os.fspath(p)) for p in paths):
+                raise AssertionError(f"os.{_name} called on {os.devnull}")
+            return _real(*paths, **kwargs)
+
+        monkeypatch.setattr(os, name, guarded)
+    # each guard raises; had one not, the real call fails harmlessly (a missing
+    # source, or a trailing slash after a non-directory)
+    for name in ("rename", "replace"):
+        with pytest.raises(AssertionError):
+            getattr(os, name)(tmp_path / "missing", os.devnull)
+    for name in ("unlink", "remove"):
+        with pytest.raises(AssertionError):
+            getattr(os, name)(os.devnull + "/")
     other = {"--output": "--csv", "--csv": "--output"}[target]
     argv = ["oracle", "--n", "2", "--trials", "2", target, os.devnull]
     assert main(argv + [other, str(tmp_path / "other")]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_a_rewrite_keeps_the_file(tmp_path):

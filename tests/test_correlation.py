@@ -70,6 +70,13 @@ def test_singlet_correlation_rejects_non_hermitian():
         singlet_correlation(stack, PAULI_Z)
 
 
+def test_correlation_inputs_outside_their_domain_raise():
+    with pytest.raises(ValueError, match="must be 2x2"):
+        singlet_correlation(np.eye(3), np.eye(3))
+    with pytest.raises(ValueError, match="count must be positive"):
+        haar_unitaries(rng_from_seed(0), 0)
+
+
 def test_polarized_determinant_frozen_values():
     assert abs(polarized_determinant(PAULI_I, PAULI_I) - 1.0) < 1e-12
     assert abs(polarized_determinant(PAULI_X, PAULI_Y)) < 1e-12

@@ -41,6 +41,15 @@ def test_constructor_validates_positivity():
         QubitState(1, np.diag([1.0, -0.5]).astype(complex))
 
 
+def test_repr_names_the_qubit_count_and_trace():
+    assert repr(maximally_mixed(2)) == "QubitState(n=2, trace=1)"
+
+
+def test_split_seed_refuses_a_negative_stream():
+    with pytest.raises(ValueError, match="non-negative"):
+        split_seed(0, -1)
+
+
 def test_constructor_validates_trace():
     with pytest.raises(ContractError):
         QubitState(1, np.zeros((2, 2), dtype=complex))
@@ -156,6 +165,15 @@ def test_apply_local_rejects_an_overflowing_result():
     # a moved entry overflows
     with pytest.raises(ValueError, match="entries must be finite"):
         apply_local(QubitState(1, np.diag([1e10, 1.0])), [np.diag([1e150, 1e-150])])
+
+
+@pytest.mark.filterwarnings("error")
+def test_library_overflow_is_one_value_error():
+    # the product overflows; the finiteness check's ValueError is the only signal, no numpy warning
+    with pytest.raises(ValueError, match="entries must be finite"):
+        apply_local(QubitState(1, np.diag([1e10, 1.0])), [np.diag([1e150, 1e-150])])
+    with pytest.raises(ValueError, match="entries must be finite"):
+        QubitState(1, np.diag([1e10, 1.0])).scaled(1e300)
 
 
 @pytest.mark.filterwarnings("error")
@@ -285,12 +303,6 @@ def test_w_spectrum_rank_one_column_is_the_hermitian_parts(monkeypatch):
     assert w_spectrum(random_state(4, "pure", split_seed(1, 0)))[0] != expected[0]
 
 
-def test_w_spectrum_rejects_invalid_input():
-    # a state adopted past the constructor still meets the kernel's PSD floor
-    with pytest.raises(PositivityError):
-        w_spectrum(QubitState._adopt(1, np.asarray(np.diag([1.0, -0.5]), complex)))
-
-
 def test_w_spectrum_descending_and_clamped():
     s = random_state(3, "mixed", 39)
     lam = w_spectrum(s)
@@ -375,22 +387,27 @@ def _full_rank(n: int, c: float) -> np.ndarray:
 @pytest.mark.parametrize("n", [3, 7])
 @pytest.mark.parametrize("build", [_near_rank1, _full_rank], ids=["near-rank1", "full-rank"])
 def test_w_spectrum_psd_floor(build, n):
-    # an eigenvalue at -2 PSD_TOL * max|rho| is refused, one at -0.5 PSD_TOL accepted;
-    # neither fast branch accepts these (the rank-1 residual is far above 1e-14 |psi|^2,
-    # and Cholesky fails on a negative eigenvalue), so eigh decides, at today's bound
-    with pytest.raises(PositivityError):
-        w_spectrum(QubitState._adopt(n, np.asarray(build(n, 2.0), complex)))
+    # neither fast branch accepts an eigenvalue at -c PSD_TOL * max|rho| (the rank-1
+    # residual is far above 1e-14 |psi|^2, and Cholesky fails on a negative eigenvalue),
+    # so eigh factors it; one at -0.5 PSD_TOL, inside the gate's floor, is accepted
     s = QubitState._adopt(n, np.asarray(build(n, 0.5), complex))
     assert np.isfinite(w_spectrum(s)).all()
+    # the kernel trusts the gate: an eigenpair at -2 PSD_TOL, below the floor, is
+    # dropped, and the spectrum is that of the same state without it
+    exact = QubitState._adopt(n, np.asarray(build(n, 0.0), complex))
+    below = QubitState._adopt(n, np.asarray(build(n, 2.0), complex))
+    assert _rank_factor(below.rho).shape == _rank_factor(exact.rho).shape
+    assert np.abs(w_spectrum(below) - w_spectrum(exact)).max() <= 1e-15 * exact.trace() ** 2
 
 
 # Random n = 7 states, as `invariants` sees them before and after a random local
-# action, never reach the eigh fallback. At d = 1024 a completed Cholesky no
-# longer certifies the PSD_TOL bound, so eigh alone decides there.
+# action, never reach the eigh fallback, and neither does the full-rank state at
+# the d = 1024 cap: Cholesky is tried at every size, since the kernel trusts
+# QubitState's positivity check.
 BRANCHES_BY_SIZE = {
     "pure-n7": (lambda: random_state(7, "pure", 57), []),
     "mixed-n7": (lambda: random_state(7, "mixed", 57), ["cholesky"]),
-    "mixed-n10": (lambda: maximally_mixed(MAX_QUBITS), ["eigh"]),
+    "mixed-n10": (lambda: maximally_mixed(MAX_QUBITS), ["cholesky"]),
 }
 
 
@@ -714,14 +731,11 @@ def test_json_rejects_malformed_payloads():
         )
 
 
-def test_json_loader_shares_the_kernel_psd_floor():
-    # smallest eigenvalue -6e-10 * max|rho|: w_spectrum refuses it, so the loader must too
+def test_json_loader_applies_the_psd_floor():
+    # smallest eigenvalue -6e-10 * max|rho|, below the floor: the loader refuses it
     low = QubitState._adopt(1, np.asarray(np.diag([1.0, -6e-10]), complex))
     with pytest.raises(PositivityError):
-        w_spectrum(low)
-    with pytest.raises(PositivityError):
         state_from_json_dict(state_to_json_dict(low))
-    # drift inside the floor still loads, and the kernel accepts it
+    # drift inside the floor still loads
     drift = QubitState._adopt(1, np.asarray(np.diag([1.0, -5e-11]), complex))
-    drift = state_from_json_dict(state_to_json_dict(drift))
-    assert w_spectrum(drift).shape == (2,)
+    assert state_from_json_dict(state_to_json_dict(drift)).n == 1
