@@ -206,7 +206,7 @@ def cmd_metric(args):
     parity; else each map named by --boost, --rotation or --parity. A named
     map or parity gets sym_trials pairs. One generator from STREAM_SYMMETRY
     draws the sampled maps, then every map's pairs in one correlator_deviations
-    call; a family's check is the max over its maps.
+    call; a family is a run of rows, its check their max, and absent when empty.
     """
     if args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
@@ -237,15 +237,13 @@ def cmd_metric(args):
     else:
         rapidities, angles = ([] if x is None else [x] for x in (args.boost, args.rotation))
         pairs, parity = k, args.parity
-    # one row per map: family, map, pairs
-    spins = iter(spin_images(np.concatenate([boosts_z(rapidities), rotations_z(angles)])))
-    families = (("boost", len(rapidities)), ("rotation", len(angles)))
-    rows = [(name, next(spins), pairs) for name, m in families for _ in range(m)]
-    rows += [("parity", ETA, k)] if parity else []
-    names, lams, counts = zip(*rows)
-    sym_devs = correlator_deviations(np.stack(lams), counts, sym_rng)
-    for name in dict.fromkeys(names):
-        checks[f"{name}_symmetry"] = (sym_devs[np.asarray(names) == name].max(), 1e-8)
+    spins = spin_images(np.concatenate([boosts_z(rapidities), rotations_z(angles)]))
+    lams = np.concatenate([spins, ETA[None]]) if parity else spins
+    sym_devs = correlator_deviations(lams, [pairs] * len(spins) + [k] * parity, sym_rng)
+    bounds = np.cumsum([0, len(rapidities), len(angles), parity])
+    for name, lo, hi in zip(("boost", "rotation", "parity"), bounds, bounds[1:]):
+        if hi > lo:
+            checks[f"{name}_symmetry"] = (sym_devs[lo:hi].max(), 1e-8)
     return None, trials, checks, {"pauli_table": table.tolist()}
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PAULIS, _kron_fold, as_matrix, det, require_hermitian
+from .linalg import PAULIS, _as_square_stack, _det2, _kron_fold, as_matrix, det, require_hermitian
 from .lorentz import herm_from_vector, require_lorentz
 from .seeding import _gaussian, rng_from_seed
 from .states import SINGLET_COEFFS
@@ -34,6 +34,10 @@ SWAP = np.array(
 )
 SWAP.setflags(write=False)
 
+#: S_ij S_kl as a (2, 2, 2, 2) array, and its nonzero terms (i, j, k, l, S_ij S_kl) in C order
+_S_OUTER = np.multiply.outer(SINGLET_COEFFS, SINGLET_COEFFS)
+_SINGLET_TERMS = [(*ijkl, _S_OUTER[tuple(ijkl)]) for ijkl in np.argwhere(_S_OUTER).tolist()]
+
 
 def _check_observable(o, name: str) -> np.ndarray:
     """A Hermitian 2x2 observable, or a (..., 2, 2) stack of them checked element by element."""
@@ -48,16 +52,25 @@ def singlet_correlation(o1, o2):
 
     The inputs may be broadcastable (..., 2, 2) stacks; the result then has
     their broadcast stack shape. With psi- = S / sqrt(2) held as its real,
-    unscaled 2x2 coefficient matrix S, the value is 1/2 sum S_ij o1_ik o2_jl S_kl;
-    on Pauli inputs every term is exact, so the Pauli table is exactly eta.
+    unscaled 2x2 coefficient matrix S, the value is 1/2 sum S_ij o1_ik o2_jl S_kl,
+    summed in real arithmetic over the four (i, j, k, l) where S_ij S_kl != 0;
+    on Pauli inputs every term is exact, so the Pauli table is exactly eta. A product
+    past float64 gives inf or nan without a numpy warning, as the einsum form did.
     """
-    return _singlet_correlation(_check_observable(o1, "o1"), _check_observable(o2, "o2"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _singlet_correlation(_check_observable(o1, "o1"), _check_observable(o2, "o2"))
 
 
 def _singlet_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """singlet_correlation without the input checks, for complex stacks Hermitian by construction."""
-    s = SINGLET_COEFFS
-    return 0.5 * np.einsum("ij,...ik,...jl,kl->...", s, a, b, s).real
+    """singlet_correlation unchecked, for stacks Hermitian by construction. Term by term, in C
+    order from 0.0, it adds the real part of each nonzero term of einsum("ij,...ik,...jl,kl"),
+    exact as S_ij S_kl = +-1 only sets its sign, so it returns that einsum's sum bit for bit."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    total = 0.0
+    for i, j, k, l, c in _SINGLET_TERMS:
+        term = ar[..., i, k] * br[..., j, l] - ai[..., i, k] * bi[..., j, l]
+        total = total + term if c > 0 else total - term
+    return 0.5 * total
 
 
 def polarized_determinant(o1, o2):
@@ -65,9 +78,10 @@ def polarized_determinant(o1, o2):
 
     The inputs may be broadcastable (..., 2, 2) stacks, like singlet_correlation.
     """
-    a = np.asarray(o1, dtype=complex)
-    b = np.asarray(o2, dtype=complex)
-    return (0.5 * (det(a + b) - det(a) - det(b))).real
+    a, b = _as_square_stack(o1), _as_square_stack(o2)
+    if a.shape[-1] != 2 or b.shape[-1] != 2:
+        raise ValueError(f"det is the 2x2 closed form, got shapes {a.shape} and {b.shape}")
+    return (0.5 * (det(a + b) - _det2(a) - _det2(b))).real
 
 
 def pauli_correlation_table() -> np.ndarray:
@@ -148,8 +162,9 @@ def correlator_deviations(lams: np.ndarray, trials, rng: np.random.Generator) ->
     ``lams``, a stack of maps on Pauli coordinates, passes require_lorentz: the
     one Minkowski-form check of a spin image. ``trials`` is one pair count for
     every map or k counts c_j. One rng.standard_normal((sum c_j, 2, 4)) draw
-    holds all pairs, map j owning the c_j rows after those of maps 0..j-1, and
-    one gathered pass moves them; so entry j is, bit for bit, the one-map call
+    holds all pairs, map j owning the c_j rows after those of maps 0..j-1; one
+    gathered product moves them, and one correlator pass takes every pair before
+    and after its map; so entry j is, bit for bit, the one-map call
     on lams[j:j+1] with c_j pairs made in turn on a twin generator: the max over
     its pairs of |C(o1,o2) - C(L o1, L o2)| / max(1, |C(o1,o2)|).
     """
@@ -159,11 +174,10 @@ def correlator_deviations(lams: np.ndarray, trials, rng: np.random.Generator) ->
         raise ValueError(f"need one positive pair count per map, got {counts}")
     # (v1, v2) coordinate pairs, drawn 4-vector by 4-vector, map 0's rows first
     v = rng.standard_normal((sum(counts), 2, 4))
-    h = herm_from_vector(v)
-    moved = herm_from_vector(v @ np.repeat(np.swapaxes(lams, 1, 2), counts, axis=0))
+    moved = v @ np.repeat(np.swapaxes(lams, 1, 2), counts, axis=0)
+    h = herm_from_vector(np.concatenate([v, moved]))
     # herm_from_vector output is Hermitian by construction; skip the public checks
-    before = _singlet_correlation(h[:, 0], h[:, 1])
-    after = _singlet_correlation(moved[:, 0], moved[:, 1])
+    before, after = _singlet_correlation(h[:, 0], h[:, 1]).reshape(2, -1)
     rel = np.abs(before - after) / np.maximum(1.0, np.abs(before))
     return np.maximum.reduceat(rel, np.cumsum([0] + counts[:-1]))
 

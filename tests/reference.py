@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from qlorentz.linalg import as_matrix
-from qlorentz.states import QubitState, spin_flip
+from qlorentz.states import SINGLET_COEFFS, QubitState, spin_flip
 
 
 def char_poly_coeffs(m) -> np.ndarray:
@@ -25,6 +25,13 @@ def char_poly_coeffs(m) -> np.ndarray:
         if k < d:
             mk = a @ (mk + c * eye)
     return coeffs
+
+
+def singlet_correlation_einsum(a, b) -> np.ndarray:
+    """1/2 sum S_ij a_ik b_jl S_kl over the singlet coefficients S, as one complex 4-operand
+    einsum whose real part is taken: the form the package's real-arithmetic kernel reproduces."""
+    s = SINGLET_COEFFS
+    return 0.5 * np.einsum("ij,...ik,...jl,kl->...", s, a, b, s).real
 
 
 def linear_entropy_einsum(s: QubitState) -> float:

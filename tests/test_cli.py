@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: reports, determinism, exit codes, file I/O."""
 
 import csv
+import itertools
 import json
 import os
 import stat
@@ -277,27 +278,52 @@ def test_subset_vs_trace_tolerance_fails_a_route_scaled_by_one_ppm(tmp_path, mon
     assert report["checks"]["lorentz_invariance"]["pass"] is True
 
 
+METRIC_FAMILY_FLAGS = {
+    "boost": ["--boost", "1.5"],
+    "rotation": ["--rotation", "0.9"],
+    "parity": ["--parity"],
+}
+# no named family (the sampled default), then all 7 non-empty subsets in stack order
+METRIC_LAYOUTS = [()] + [
+    f for r in (1, 2, 3) for f in itertools.combinations(METRIC_FAMILY_FLAGS, r)
+]
+
+
 @pytest.mark.parametrize(
-    "flags",
-    [[], ["--boost", "1.5"], ["--rotation", "0.9"], ["--parity"],
-     ["--boost", "1.5", "--rotation", "0.9", "--parity"]],
-    ids=["sampled", "boost", "rotation", "parity", "all-fixed"],
+    "families",
+    METRIC_LAYOUTS,
+    ids=lambda f: {(): "sampled", tuple(METRIC_FAMILY_FLAGS): "all-fixed"}.get(f, "+".join(f)),
 )
-def test_metric_checks_every_map_in_one_correlator_pass(tmp_path, monkeypatch, flags):
-    # every family of the report, parity included, comes from one stacked call;
-    # a second pass through correlator_symmetry_check would count here too
+def test_metric_checks_every_map_in_one_correlator_pass(tmp_path, monkeypatch, families):
+    # every family of the report, parity included, comes from one stacked call (a
+    # second pass through correlator_symmetry_check would count here too) that holds
+    # each named map in stack order, boosts, rotations, parity, with sym_trials pairs;
+    # the report checks exactly the named families, an empty leading or middle run
+    # of the stack among them
     calls = []
     deviations = qlorentz.correlation.correlator_deviations
 
-    def counted(*args):
-        calls.append(args)
-        return deviations(*args)
+    def counted(lams, counts, rng):
+        calls.append((lams, list(counts)))
+        return deviations(lams, counts, rng)
 
     monkeypatch.setattr(qlorentz.cli, "correlator_deviations", counted)
     monkeypatch.setattr(qlorentz.correlation, "correlator_deviations", counted)
-    code, _ = run_report(tmp_path, ["metric", "--trials", "5", "--sym-trials", "3"] + flags)
+    flags = [flag for name in families for flag in METRIC_FAMILY_FLAGS[name]]
+    code, report = run_report(tmp_path, ["metric", "--trials", "5", "--sym-trials", "3"] + flags)
     assert code == 0
-    assert len(calls) == 1
+    [(lams, counts)] = calls
+    symmetry = sorted(name for name in report["checks"] if name.endswith("_symmetry"))
+    assert symmetry == sorted(f"{name}_symmetry" for name in families or METRIC_FAMILY_FLAGS)
+    if families:
+        maps = {"boost": boost_z(1.5), "rotation": rotation_z(0.9)}
+        maps = {name: spin_hom(m) for name, m in maps.items()} | {"parity": ETA}
+        assert counts == [3] * len(families)
+        np.testing.assert_allclose(lams, [maps[name] for name in families], rtol=0, atol=1e-15)
+    else:
+        # 3 sampled boosts, then 3 sampled rotations, at 5 pairs each; parity at sym_trials
+        assert counts == [5] * 6 + [3]
+        np.testing.assert_array_equal(lams[-1], ETA)
 
 
 def test_twirl_zz(tmp_path):

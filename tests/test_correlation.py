@@ -5,7 +5,7 @@ import pytest
 
 import qlorentz.correlation
 from qlorentz import ContractError, apply_local, boost_z, pauli_correlation_table, spin_hom
-from qlorentz.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from qlorentz.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PAULIS
 from qlorentz.lorentz import (
     ETA,
     boosts_z,
@@ -27,6 +27,7 @@ from qlorentz.correlation import (
     singlet_correlation,
 )
 from qlorentz.seeding import rng_from_seed
+from reference import singlet_correlation_einsum
 
 
 def random_pair(rng):
@@ -77,6 +78,14 @@ def test_correlation_inputs_outside_their_domain_raise():
         haar_unitaries(rng_from_seed(0), 0)
 
 
+def test_singlet_correlation_overflows_without_a_warning():
+    # a product past float64 gives inf, as the einsum form did, and no numpy warning,
+    # which the suite's RuntimeWarning filter would raise
+    big = 1e200 * np.eye(2)
+    assert singlet_correlation(big, big) == np.inf
+    assert singlet_correlation(big, -big) == -np.inf
+
+
 def test_polarized_determinant_frozen_values():
     assert abs(polarized_determinant(PAULI_I, PAULI_I) - 1.0) < 1e-12
     assert abs(polarized_determinant(PAULI_X, PAULI_Y)) < 1e-12
@@ -119,6 +128,32 @@ def test_pauli_correlation_table_is_minkowski_metric():
     # exact: the unscaled singlet coefficients make every Pauli-table term exact
     table = pauli_correlation_table()
     np.testing.assert_allclose(table, ETA, atol=0, rtol=0)
+
+
+def _assert_kernel_is_the_einsum():
+    # 10^5 Hermitian pairs whose coordinates span e^-3..e^3, and the broadcast Pauli table
+    rng = np.random.default_rng(300)
+    v = rng.standard_normal((100_000, 2, 4)) * np.exp(rng.uniform(-3.0, 3.0, (100_000, 2, 4)))
+    h = herm_from_vector(v)
+    for a, b in ((h[:, 0], h[:, 1]), (PAULIS[:, None], PAULIS[None, :])):
+        got = qlorentz.correlation._singlet_correlation(a, b)
+        want = singlet_correlation_einsum(a, b)
+        assert got.shape == want.shape
+        differ = np.count_nonzero(got != want)
+        assert differ == 0, f"{differ} of {got.size} values differ from the einsum"
+    assert np.array_equal(pauli_correlation_table(), ETA)
+
+
+def test_kernel_is_the_einsum_bit_for_bit():
+    _assert_kernel_is_the_einsum()
+
+
+def test_kernel_summed_last_term_first_is_not_the_einsum(monkeypatch):
+    # negative control: the same four exact terms in another order round differently
+    terms = qlorentz.correlation._SINGLET_TERMS
+    monkeypatch.setattr(qlorentz.correlation, "_SINGLET_TERMS", terms[-1:] + terms[:-1])
+    with pytest.raises(AssertionError, match="of 100000 values differ from the einsum"):
+        _assert_kernel_is_the_einsum()
 
 
 def test_swap_operator_unit_checks():

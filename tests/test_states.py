@@ -147,7 +147,6 @@ def test_exact_hermiticity_sweep_negative_control(monkeypatch, tmp_path):
     assert any(label.startswith("random pure") for label in bad)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e308])
 def test_scaled_rejects_a_bad_factor_or_an_overflow(c):
     # 1e308 is finite and positive, but 1e308 * 2 overflows
@@ -156,7 +155,6 @@ def test_scaled_rejects_a_bad_factor_or_an_overflow(c):
         s.scaled(c)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_apply_local_rejects_an_overflowing_result():
     # the moved Tr(rho)^2 overflows, though every entry is finite
     s = QubitState(1, np.diag([1e150, 1.0]))
@@ -384,7 +382,18 @@ def _full_rank(n: int, c: float) -> np.ndarray:
     return _with_negative_eigenvalue((u * evals) @ u.conj().T, u[:, 0], c)
 
 
-@pytest.mark.parametrize("n", [3, 7])
+def _assert_sub_floor_eigenpair_is_dropped(build, n):
+    # the kernel trusts the gate: an eigenpair at -2 PSD_TOL, below the floor, is
+    # dropped, and the spectrum is that of the same state without it
+    exact = QubitState._adopt(n, np.asarray(build(n, 0.0), complex))
+    below = QubitState._adopt(n, np.asarray(build(n, 2.0), complex))
+    assert _rank_factor(below.rho).shape == _rank_factor(exact.rho).shape
+    assert np.abs(w_spectrum(below) - w_spectrum(exact)).max() <= 1e-15 * exact.trace() ** 2
+
+
+# the near-rank-1 builder is a pure state, whose W-spectrum vanishes at odd n: only
+# the even sizes give that case a spectrum comparison that can fail
+@pytest.mark.parametrize("n", [3, 4, 6, 7])
 @pytest.mark.parametrize("build", [_near_rank1, _full_rank], ids=["near-rank1", "full-rank"])
 def test_w_spectrum_psd_floor(build, n):
     # neither fast branch accepts an eigenvalue at -c PSD_TOL * max|rho| (the rank-1
@@ -392,12 +401,17 @@ def test_w_spectrum_psd_floor(build, n):
     # so eigh factors it; one at -0.5 PSD_TOL, inside the gate's floor, is accepted
     s = QubitState._adopt(n, np.asarray(build(n, 0.5), complex))
     assert np.isfinite(w_spectrum(s)).all()
-    # the kernel trusts the gate: an eigenpair at -2 PSD_TOL, below the floor, is
-    # dropped, and the spectrum is that of the same state without it
-    exact = QubitState._adopt(n, np.asarray(build(n, 0.0), complex))
-    below = QubitState._adopt(n, np.asarray(build(n, 2.0), complex))
-    assert _rank_factor(below.rho).shape == _rank_factor(exact.rho).shape
-    assert np.abs(w_spectrum(below) - w_spectrum(exact)).max() <= 1e-15 * exact.trace() ** 2
+    _assert_sub_floor_eigenpair_is_dropped(build, n)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_w_spectrum_psd_floor_sees_a_near_rank1_spectrum_move(monkeypatch, n):
+    # negative control: eigenvalues 2% high from the eigh fallback, which only the
+    # sub-floor state takes, fail the spectrum comparison at even n
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (1.02 * eigh(m)[0], eigh(m)[1]))
+    with pytest.raises(AssertionError):
+        _assert_sub_floor_eigenpair_is_dropped(_near_rank1, n)
 
 
 # Random n = 7 states, as `invariants` sees them before and after a random local
