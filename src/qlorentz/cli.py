@@ -11,11 +11,12 @@ Five subcommands exercise the library end to end:
 Each command returns its checks as (deviation, tolerance) pairs, each judged
 against the tolerance its command states; one report path times it, echoes
 its flags as the config and assembles the report with the one verdict.
-Reports are byte-identical for identical configs and seeds, except for the
-wall_time_s field, and are strict JSON on one line: the text is
-json.dumps(report, sort_keys=True, allow_nan=False) plus a newline, written by
-json's C encoder; `python -m json.tool` shows it indented. invariants, oracle
-and metric also write their per-trial records with --csv.
+Reports are byte-identical for identical configs and seeds on one numpy build
+and BLAS thread count, except for the wall_time_s field, and are strict JSON
+on one line: the text is json.dumps(report, sort_keys=True, allow_nan=False)
+plus a newline, written by json's C encoder; `python -m json.tool` shows it
+indented. invariants, oracle and metric also write their per-trial records
+with --csv.
 Exit code 0 means every check passed, 1 means a property check failed, 2 means
 the inputs were unusable, the report or CSV could not be written, or the report
 held a non-finite value. An exit 2 writes no report, no CSV and nothing to
@@ -134,13 +135,13 @@ def _parse_observable(text: str, rng: np.random.Generator) -> np.ndarray:
 def cmd_invariants(args):
     """Invariants of one state, and their invariance under random local actions.
 
-    The state's W-spectrum is computed once: the reported e_k and, at n = 2,
-    the concurrence are read off it, and it is each trial's reference. A
-    trial moves the state by one sampled SL(2,C)^(x)n action and computes the
-    moved state's W-spectrum once; its deviation is the worst _rel_dev of
-    the trace route of I_L and of the sorted spectra, entry by entry. The
-    e_k and the concurrence are functions of the spectrum, so they are not
-    compared again.
+    The state's W-spectrum is computed once: it is reported, its sum trace_w
+    and, at n = 2, the concurrence are read off it, and it is each trial's
+    reference. A trial moves the state by one sampled SL(2,C)^(x)n action and
+    computes the moved state's W-spectrum once; its deviation is the worst
+    _rel_dev of the trace route of I_L and of the sorted spectra, entry by
+    entry. trace_w and the concurrence are functions of the spectrum, so
+    they are not compared again.
     """
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")

@@ -37,34 +37,19 @@ def linear_entropy(s: QubitState) -> float:
     return float(tr * tr - np.vdot(s.rho, s.rho).real)
 
 
-def _symmetric_polys(lam: np.ndarray) -> np.ndarray:
-    """e_1..e_d of a non-negative spectrum: the coefficients of prod_i (x + l_i).
-
-    np.poly's update e_j += l_i e_(j-1), in place over the nonzero l_i (a zero
-    one changes none); every l_i is non-negative, so no term cancels another.
-    An e_k past float64 comes out inf, without a warning, for the report to refuse.
-    """
-    c = np.zeros(len(lam) + 1)
-    c[0] = 1.0
-    with np.errstate(over="ignore"):
-        for k, x in enumerate(lam[lam > 0.0]):
-            c[1 : k + 2] += x * c[: k + 1]
-    return c[1:]
-
-
 def _concurrence(lam: np.ndarray) -> float:
     roots = np.sqrt(lam)
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
 def spectral_invariants(s: QubitState) -> np.ndarray:
-    """Elementary symmetric polynomials e_1..e_d of the W-spectrum.
+    """The W-spectrum, descending: every spectral invariant of W is a function of it.
 
-    e_1 is Tr(W) and e_d is det(W). Each entry is separately invariant under
-    local SL(2,C) actions. One w_spectrum call; invariant_report shares its
-    spectrum with the concurrence instead.
+    Kept because perfbench/tracer.py wraps this name. It is its own def, not
+    an alias of w_spectrum, because that tracer keys its wrappers by function
+    identity: an alias would book every w_spectrum call under this name.
     """
-    return _symmetric_polys(w_spectrum(s))
+    return w_spectrum(s)
 
 
 def concurrence(s: QubitState) -> float:
@@ -72,7 +57,7 @@ def concurrence(s: QubitState) -> float:
 
     Defined for two qubits only, and deliberately for un-normalized states:
     the underlying spectrum is what local SL(2,C) actions preserve. One
-    w_spectrum call; invariant_report shares its spectrum with the e_k instead.
+    w_spectrum call; invariant_report reads it off the spectrum it reports.
     """
     if s.n != 2:
         raise ValueError(f"concurrence is defined for 2 qubits, got n={s.n}")
@@ -155,32 +140,32 @@ class InvariantSet:
 
     linear_entropy: float
     trace_w: float
-    spectral_invariants: tuple[float, ...]
+    w_spectrum: tuple[float, ...]
     concurrence: Optional[float]
     i_l_subset: float
     i_l_trace: float
 
     def to_json_dict(self) -> dict:
         # shallow: asdict would deep-copy the d-float tuple entry by entry
-        return {**vars(self), "spectral_invariants": list(self.spectral_invariants)}
+        return {**vars(self), "w_spectrum": list(self.w_spectrum)}
 
 
 def invariant_report(s: QubitState) -> InvariantSet:
-    """Full invariant summary; trace_w and i_l_trace are the same number.
+    """Full invariant summary; trace_w = Tr(W) is read off the spectrum, i_l_trace is not.
 
-    The e_k and, at n = 2, the concurrence are read off one w_spectrum call.
+    The descending W-spectrum, its sum and, at n = 2, the concurrence come
+    from one w_spectrum call.
     """
     return _invariant_report(s, w_spectrum(s))
 
 
 def _invariant_report(s: QubitState, lam: np.ndarray) -> InvariantSet:
     """invariant_report of s, given its W-spectrum lam."""
-    i_l_trace = linear_mutual_info_trace(s)
     return InvariantSet(
         linear_entropy=linear_entropy(s),
-        trace_w=i_l_trace,
-        spectral_invariants=tuple(_symmetric_polys(lam).tolist()),
+        trace_w=float(lam.sum()),
+        w_spectrum=tuple(lam.tolist()),
         concurrence=_concurrence(lam) if s.n == 2 else None,
         i_l_subset=linear_mutual_info_subsets(s),
-        i_l_trace=i_l_trace,
+        i_l_trace=linear_mutual_info_trace(s),
     )

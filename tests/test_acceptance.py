@@ -25,13 +25,13 @@ from qlorentz.states import (
     product_of_singlets,
     random_state,
     singlet,
+    w_spectrum,
     wstate,
 )
 from qlorentz.invariants import (
     linear_entropy,
     linear_mutual_info_subsets,
     linear_mutual_info_trace,
-    spectral_invariants,
 )
 from qlorentz.correlation import (
     SWAP,
@@ -76,7 +76,9 @@ def test_criterion_01_trace_formula_oracle():
 
 
 def test_criterion_02_lorentz_invariance():
-    worst = 0.0
+    # the W-spectrum entry by entry; the control depolarizes each moved state by
+    # 1e-4, which must move its spectrum past the tolerance on every pair
+    worst, control = 0.0, np.inf
     for n in range(1, 6):
         for i in range(100):
             s = random_state(n, "pure" if i % 2 == 0 else "mixed",
@@ -85,15 +87,19 @@ def test_criterion_02_lorentz_invariance():
             factors = [sample_sl2c(rng, 2.0) for _ in range(n)]
             moved = apply_local(s, factors)
             dev = rel_dev(linear_mutual_info_trace(s), linear_mutual_info_trace(moved))
-            for a, b in zip(spectral_invariants(s), spectral_invariants(moved)):
+            lam = w_spectrum(s)
+            for a, b in zip(lam, w_spectrum(moved)):
                 dev = max(dev, rel_dev(a, b))
             if n == 2:
                 dev = max(dev, rel_dev(concurrence(s), concurrence(moved)))
             worst = max(worst, dev)
+            noisy = w_spectrum(depolarize(moved, 1e-4))
+            control = min(control, max(rel_dev(a, b) for a, b in zip(lam, noisy)))
     report(
         "criterion 02 invariance under local SL(2,C)",
-        worst <= 1e-7,
-        f"100 pairs per n in 1..5, rapidity clamp 2.0; worst deviation {worst:.3e} (tol 1e-7)",
+        worst <= 1e-7 and control > 1e-7,
+        f"100 pairs per n in 1..5, rapidity clamp 2.0; worst deviation {worst:.3e} (tol 1e-7); "
+        f"depolarizing control moved every spectrum by at least {control:.3e}",
     )
 
 

@@ -72,7 +72,8 @@ def test_invariants_random_odd_pure_e1_is_exactly_zero(tmp_path):
         ["invariants", "--random", "pure", "--n", "5", "--trials", "2", "--seed", "0"],
     )
     assert code == 0
-    assert report["invariants"]["spectral_invariants"][0] == 0.0
+    assert report["invariants"]["w_spectrum"] == [0.0] * 32
+    assert report["invariants"]["trace_w"] == 0.0
 
 
 def test_oracle_runs_and_reports(tmp_path):
@@ -545,37 +546,30 @@ def test_near_pure_state_file_is_lorentz_invariant(tmp_path):
     code, report = run_report(tmp_path, ["invariants", "--input", str(path)])
     assert code == 0
     assert all(c["deviation"] <= 1e-12 for c in report["checks"].values())
-    assert report["invariants"]["spectral_invariants"][0] > 0.0
+    assert report["invariants"]["w_spectrum"] == pytest.approx([4e-11, 4e-11], rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [2, 7])
 def test_invariants_computes_one_w_spectrum_per_state(tmp_path, monkeypatch, n):
-    # the base state's spectrum feeds the e_k, the concurrence and every
-    # trial's reference; a trial computes its moved state's spectrum and
-    # nothing else spectral, so 1 + trials spectra and one e_k expansion
-    counts = {"w_spectrum": 0, "_symmetric_polys": 0}
+    # the base state's spectrum is reported, feeds trace_w, the concurrence
+    # and every trial's reference; a trial computes its moved state's spectrum
+    # and nothing else spectral, so 1 + trials spectra
+    calls = []
+    real = qlorentz.states.w_spectrum
 
-    def counted(name, func):
-        def wrapper(*args):
-            counts[name] += 1
-            return func(*args)
+    def counted(s):
+        calls.append(s)
+        return real(s)
 
-        return wrapper
-
-    spectrum = counted("w_spectrum", qlorentz.states.w_spectrum)
     for module in (qlorentz.states, qlorentz.invariants, qlorentz.cli):
         if hasattr(module, "w_spectrum"):
-            monkeypatch.setattr(module, "w_spectrum", spectrum)
-    monkeypatch.setattr(
-        qlorentz.invariants,
-        "_symmetric_polys",
-        counted("_symmetric_polys", qlorentz.invariants._symmetric_polys),
-    )
+            monkeypatch.setattr(module, "w_spectrum", counted)
     code, report = run_report(
         tmp_path, ["invariants", "--random", "mixed", "--n", str(n), "--trials", "4", "--seed", "2"]
     )
     assert code == 0
-    assert counts == {"w_spectrum": 5, "_symmetric_polys": 1}
+    assert len(calls) == 5
+    assert len(report["invariants"]["w_spectrum"]) == 2**n
     assert (report["invariants"]["concurrence"] is None) == (n != 2)
 
 
@@ -998,32 +992,44 @@ def diag_state(a: float, b: float) -> dict:
     return {"n": 1, "matrix": [[[a, 0], [0, 0]], [[0, 0], [b, 0]]]}
 
 
+TOO_LARGE = "is too large: Tr(rho)^2 is not finite\n"
+
+
 @pytest.mark.parametrize(
-    "state, argv",
+    "state, argv, message",
     [
         # finite entries, but Tr(rho)^2 overflows: refused where the state is loaded
-        (diag_state(1e300, 1e300), ["invariants", "--trials", "0"]),
-        (diag_state(1e300, 1e300), ["boost", "--rapidity=0.1"]),
-        (diag_state(1e155, 5e154), ["invariants", "--trials", "3"]),
-        (diag_state(1e155, 5e154), ["invariants", "--trials", "0"]),
-        (diag_state(1e155, 5e154), ["boost"]),
-        # a loadable state whose moved Tr(rho)^2 overflows: refused by apply_local
-        (diag_state(1e150, 5e149), ["boost", "--rapidity", "20"]),
-        (diag_state(1e150, 5e149), ["invariants", "--trials", "5", "--max-rapidity", "20"]),
-        # Tr(rho)^2 is finite, but e_2 overflows: refused by the report's allow_nan=False
-        (diag_state(1e100, 5e99), ["invariants", "--trials", "0"]),
+        (diag_state(1e300, 1e300), ["invariants", "--trials", "0"], "state trace 2.000e+300 " + TOO_LARGE),
+        (diag_state(1e300, 1e300), ["boost", "--rapidity=0.1"], "state trace 2.000e+300 " + TOO_LARGE),
+        (diag_state(1e155, 5e154), ["invariants", "--trials", "3"], "state trace 1.500e+155 " + TOO_LARGE),
+        (diag_state(1e155, 5e154), ["invariants", "--trials", "0"], "state trace 1.500e+155 " + TOO_LARGE),
+        (diag_state(1e155, 5e154), ["boost"], "state trace 1.500e+155 " + TOO_LARGE),
+        # a loadable state whose moved Tr(rho)^2 overflows: refused by apply_local,
+        # which names the moved trace: e^20 times the first entry under the boost, and
+        # about 12 times the loaded trace under the first of seed 0's five sampled maps
+        (diag_state(1e150, 5e149), ["boost", "--rapidity", "20"], "state trace 4.852e+158 " + TOO_LARGE),
+        (
+            diag_state(1.5e153, 7.5e152),
+            ["invariants", "--trials", "5", "--max-rapidity", "20"],
+            "state trace 2.786e+154 " + TOO_LARGE,
+        ),
         # entries at the float64 limit: the Hermitian gate forms neither m + m^dag nor
         # m - m^dag unhalved, so it overflows nothing ahead of the refusal
-        (diag_state(1.7e308, 1.7e308), ["invariants"]),
-        (diag_state(1.7e308, 1.7e308), ["boost"]),
-        ({"n": 1, "matrix": [[[1, 0], [1e308, 0]], [[-1e308, 0], [1, 0]]]}, ["invariants"]),
+        (diag_state(1.7e308, 1.7e308), ["invariants"], "state trace inf " + TOO_LARGE),
+        (diag_state(1.7e308, 1.7e308), ["boost"], "state trace inf " + TOO_LARGE),
+        (
+            {"n": 1, "matrix": [[[1, 0], [1e308, 0]], [[-1e308, 0], [1, 0]]]},
+            ["invariants"],
+            "state is not Hermitian: max asymmetry inf exceeds atol 1.0e-10\n",
+        ),
     ],
     ids=["invariants", "boost", "1e155-invariants-trials3", "1e155-invariants-trials0",
-         "1e155-boost", "1e150-boost-rapidity20", "1e150-invariants-rapidity20",
-         "1e100-invariants", "1.7e308-invariants", "1.7e308-boost", "1e308-asymmetric"],
+         "1e155-boost", "1e150-boost-rapidity20", "1.5e153-invariants-rapidity20",
+         "1.7e308-invariants", "1.7e308-boost", "1e308-asymmetric"],
 )
-def test_non_finite_report_exits_two(tmp_path, capsys, state, argv):
-    # exactly one error line, and no numpy warning, which the console would print ahead of it
+def test_non_finite_report_exits_two(tmp_path, capsys, state, argv, message):
+    # exactly one error line, from the gate named in it, and no numpy warning,
+    # which the console would print ahead of it
     path = tmp_path / "big.json"
     path.write_text(json.dumps(state))
     out = tmp_path / "r.json"
@@ -1031,9 +1037,66 @@ def test_non_finite_report_exits_two(tmp_path, capsys, state, argv):
         warnings.simplefilter("always")
         assert main(argv + ["--input", str(path), "--output", str(out)]) == 2
     assert [str(w.message) for w in caught] == []
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert capsys.readouterr().err == "error: " + message
     assert not out.exists()
+
+
+def scaled_mixed_state(n, c):
+    return state_to_json_dict(random_state(n, "mixed", 7).scaled(c))
+
+
+#: valid states: each W-spectrum entry is at most Tr(rho)^2, which is finite,
+#: while their product det(W) overflows float64
+LARGE_STATES = {
+    "n6-1e10": (scaled_mixed_state(6, 1e10), ["--trials", "20"]),
+    "n4-1e20": (scaled_mixed_state(4, 1e20), ["--trials", "20"]),
+    "n3-1e40": (scaled_mixed_state(3, 1e40), ["--trials", "20"]),
+    "1e100-invariants": (diag_state(1e100, 5e99), ["--trials", "0"]),
+    # seed 0's five sampled maps grow the trace at most 32 times, so Tr(rho)^2 stays finite
+    "1e150-invariants-rapidity20": (diag_state(1e150, 5e149), ["--trials", "5", "--max-rapidity", "20"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_STATES))
+def test_large_valid_state_reports_its_spectrum(tmp_path, case):
+    state, argv = LARGE_STATES[case]
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(state))
+    code, report = run_report(tmp_path, ["invariants", "--input", str(path), *argv])
+    assert code == 0
+    spectrum = report["invariants"]["w_spectrum"]
+    assert len(spectrum) == 2 ** state["n"]
+    assert all(np.isfinite(spectrum)) and spectrum[0] > 0.0
+    assert "spectral_invariants" not in report["invariants"]
+    assert all(c["pass"] for c in report["checks"].values())
+
+
+@pytest.mark.parametrize(
+    "case", sorted(k for k, (_, argv) in LARGE_STATES.items() if argv[:2] != ["--trials", "0"])
+)
+def test_large_valid_state_fails_a_moved_spectrum_off_by_one_ppm(tmp_path, monkeypatch, case):
+    # negative control: the first spectrum is the loaded state's; every later one
+    # is a moved state's, and its largest entry is scaled by 1 + 1e-6
+    state, argv = LARGE_STATES[case]
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(state))
+    calls = []
+    real = qlorentz.cli.w_spectrum
+
+    def skewed(s):
+        lam = real(s)
+        if calls:
+            lam[0] *= 1.0 + 1e-6
+        calls.append(s)
+        return lam
+
+    monkeypatch.setattr(qlorentz.cli, "w_spectrum", skewed)
+    code, report = run_report(tmp_path, ["invariants", "--input", str(path), *argv])
+    assert code == 1
+    check = report["checks"]["lorentz_invariance"]
+    assert check["pass"] is False
+    assert check["deviation"] == pytest.approx(1e-6, rel=1e-3)
+    assert report["checks"]["subset_vs_trace"]["pass"] is True
 
 
 def test_csv_projection(tmp_path):

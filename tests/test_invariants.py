@@ -70,19 +70,19 @@ def test_spectral_invariants_frozen_cases():
     np.testing.assert_allclose(
         spectral_invariants(singlet()), [1.0, 0.0, 0.0, 0.0], atol=1e-9
     )
-    from math import comb
-
-    expected = [comb(4, k) / 16.0**k for k in range(1, 5)]
     np.testing.assert_allclose(
-        spectral_invariants(maximally_mixed(2)), expected, atol=1e-12
+        spectral_invariants(maximally_mixed(2)), [1.0 / 16.0] * 4, atol=1e-12
     )
+    # its own def, so a wrapper keyed by function identity books it apart from w_spectrum
+    assert spectral_invariants is not w_spectrum
 
 
 def test_spectral_invariants_match_char_poly_route():
-    # e_k = (-1)^k * c_{d-k} for the characteristic polynomial of W
+    # the coefficients of prod_i (x + l_i), formed from the spectrum, against
+    # the Faddeev-LeVerrier route: c_(d-k) = (-1)^k e_k of W's characteristic polynomial
     for trial in range(10):
         s = random_state(2, "mixed", split_seed(64, trial))
-        elem = spectral_invariants(s)
+        elem = np.poly(-spectral_invariants(s))[1:]
         coeffs = char_poly_coeffs(w_matrix(s))
         d = len(elem)
         assert np.abs(np.imag(coeffs)).max() < 1e-9
@@ -91,56 +91,52 @@ def test_spectral_invariants_match_char_poly_route():
             assert abs(elem[k - 1] - expected) < 1e-8
 
 
-def newton_elementary(lam):
-    """e_1..e_d from the power sums by Newton's identities, which cancel catastrophically."""
-    powers = [np.sum(lam**k) for k in range(1, lam.size + 1)]
-    elem = [1.0]
-    for k in range(1, lam.size + 1):
-        elem.append(sum((-1.0) ** (i - 1) * elem[k - i] * powers[i - 1] for i in range(1, k + 1)) / k)
-    return np.array(elem[1:])
+#: Budget of the dense route, in units of eps * l_1: np.linalg.eigvals of the
+#: non-normal W = rho * spin_flip(rho), formed by a dense product, against the
+#: spectrum. Measured at most 96 on 48 states per n = 1..8 (pure and mixed, at
+#: scales 1, 4.7 and 1e-100); the dense route's rounding dominates.
+DENSE_EIGVALS_C = 256
+
+
+def dense_w_spectrum(s):
+    """Real parts of the eigenvalues of the dense W-matrix, descending."""
+    return np.sort(np.linalg.eigvals(w_matrix(s)).real)[::-1]
+
+
+def dense_budget(s, lam):
+    """DENSE_EIGVALS_C eps l_1; an odd-n pure state has l = 0 exactly, so there Tr(rho)^2 is the scale."""
+    scale = lam[0] if lam[0] > 0.0 else np.trace(s.rho).real ** 2
+    return DENSE_EIGVALS_C * np.finfo(float).eps * scale
 
 
 def test_spectral_invariants_match_eigvals_route():
-    # Independent of w_spectrum: eigenvalues of the non-Hermitian W itself.
-    # Error model: e_k is a sum of products of k non-negative l_i, so its
-    # relative error is at most the sum of the relative errors of the l_i
-    # (the expansion cancels nothing). An eigensolver gets each l_i to about
-    # eps * l_1 absolute, so the budget is eps * sum(l_1 / l_i), taken with a
-    # factor 16 of margin: 1e-10 to 2e-8 on these states.
-    eps = np.finfo(float).eps
+    # The reference is independent of w_spectrum: eigenvalues of the non-Hermitian W itself.
+    # Negative control: the spectrum read back off its elementary symmetric
+    # polynomials (the roots of np.poly(-l)) misses the same budget by a factor
+    # 600 to 1e15 on these states: the e_k do not carry the spectrum in float64
     for n in (4, 5, 6):
         for trial in range(3):
             s = random_state(n, "mixed", split_seed(72, 10 * n + trial))
-            lam = np.clip(np.linalg.eigvals(w_matrix(s)).real, 0.0, None)
-            assert lam.min() > 0.0, (n, trial)
-            rtol = 16 * eps * np.sum(lam.max() / lam)
-            reference = np.poly(-lam)[1:]
-            rel = np.abs(spectral_invariants(s) - reference) / reference
-            assert rel.max() <= rtol, (n, trial)
-            # negative control: Newton's identities on the same spectrum miss it
-            newton = np.abs(newton_elementary(lam) - reference) / reference
-            assert newton.max() > rtol, (n, trial)
+            lam = spectral_invariants(s)
+            reference = dense_w_spectrum(s)
+            bound = dense_budget(s, lam)
+            assert np.abs(lam - reference).max() <= bound, (n, trial)
+            from_e_k = np.sort(-np.roots(np.poly(-lam)).real)[::-1]
+            assert np.abs(from_e_k - reference).max() > bound, (n, trial)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_spectral_invariants_reproduce_np_poly(n):
-    # The in-place update is np.poly's two-term convolution, run over the r
-    # nonzero l only. Both are the recursion e_k += l e_(k-1), whose every term
-    # takes at most k multiplications and r additions with nothing cancelling,
-    # so each lies within (k + r) eps e_k of the exact value, plus a subnormal
-    # per rounding once e_k underflows: a numpy whose convolve fuses the
-    # multiply-add may differ that far. Scaled by 1e-100, the e_k underflow.
-    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    # np.poly(W) expands the roots np.linalg.eigvals finds for the dense W: the
+    # spectrum must reproduce those roots, not their expansion, whose entries
+    # underflowed at scale 1e-100 where the spectrum does not
     for kind in ("pure", "mixed"):
         for scale in (1.0, 1e-100):
             s = random_state(n, kind, split_seed(331, n)).scaled(scale)
-            lam = w_spectrum(s)
-            reference = np.poly(-lam)[1:]
-            roundings = np.arange(1, lam.size + 1) + np.count_nonzero(lam)
-            bound = 2 * roundings * (eps * reference + tiny)
-            assert (np.abs(spectral_invariants(s) - reference) <= bound).all(), (kind, scale)
-            if kind == "mixed" and scale < 1.0:
-                assert (reference == 0.0).any() and reference[0] > 0.0
+            lam = spectral_invariants(s)
+            assert np.abs(lam - dense_w_spectrum(s)).max() <= dense_budget(s, lam), (kind, scale)
+            if kind == "mixed":
+                assert lam[-1] > 0.0
 
 
 def test_spectral_invariants_under_local_actions():
@@ -415,21 +411,32 @@ def test_wstate_vanishing_survives_local_unitaries():
         assert abs(linear_mutual_info_trace(moved)) < 1e-9
 
 
+#: trace_w = sum(l) against i_l_trace = Tr(rho * spin_flip(rho)), in units of
+#: eps Tr(rho)^2: measured at most 1.39 on 96 states, n = 1..8, pure and mixed,
+#: at scales 0.3 to 4.7
+TRACE_W_C = 4
+
+
+def trace_w_budget(s):
+    return TRACE_W_C * np.finfo(float).eps * np.trace(s.rho).real ** 2
+
+
 def test_invariant_report_singlet_frozen():
     rep = invariant_report(singlet())
     assert abs(rep.linear_entropy) < 1e-12
     assert abs(rep.trace_w - 1.0) < 1e-9
     assert abs(rep.concurrence - 1.0) < 1e-9
     assert abs(rep.i_l_subset - 1.0) < 1e-9
-    assert rep.i_l_trace == rep.trace_w
+    assert abs(rep.trace_w - rep.i_l_trace) <= trace_w_budget(singlet())
+    np.testing.assert_allclose(rep.w_spectrum, [1.0, 0.0, 0.0, 0.0], atol=1e-9)
     payload = rep.to_json_dict()
     assert sorted(payload) == [
         "concurrence",
         "i_l_subset",
         "i_l_trace",
         "linear_entropy",
-        "spectral_invariants",
         "trace_w",
+        "w_spectrum",
     ]
 
 
@@ -439,10 +446,10 @@ def test_invariant_report_json_dict_matches_the_field_copy(state):
     s = random_state(4, "mixed", 55) if state == "random-mixed4" else preset(state)
     rep = invariant_report(s)
     payload = rep.to_json_dict()
-    expected = {**dataclasses.asdict(rep), "spectral_invariants": list(rep.spectral_invariants)}
+    expected = {**dataclasses.asdict(rep), "w_spectrum": list(rep.w_spectrum)}
     assert list(payload) == list(expected)
     assert payload == expected
-    assert type(payload["spectral_invariants"]) is list
+    assert type(payload["w_spectrum"]) is list
     assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
@@ -464,7 +471,24 @@ def test_invariant_report_internal_consistency():
     for trial in range(10):
         s = random_state(2, "mixed", split_seed(80, trial)).scaled(1.0 + trial / 5.0)
         rep = invariant_report(s)
-        assert rep.trace_w == rep.i_l_trace
+        assert abs(rep.trace_w - rep.i_l_trace) <= trace_w_budget(s)
         assert abs(rep.i_l_subset - rep.i_l_trace) <= 1e-8 * max(1.0, abs(rep.i_l_trace))
         assert rep.i_l_trace >= -1e-9
-        assert abs(rep.spectral_invariants[0] - rep.trace_w) < 1e-8
+        assert rep.trace_w == float(np.sum(rep.w_spectrum))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_trace_w_is_i_l_within_its_error_model(monkeypatch, n):
+    # Negative control: a spectrum taken without the parity signs s_x of Y^(x)n
+    # misses the budget by a factor 1e9 or more, except on odd-n pure states, whose
+    # spectrum is zero by its imposed symmetry either way
+    for kind in ("pure", "mixed"):
+        for t in range(6):
+            s = random_state(n, kind, split_seed(81, 10 * n + t)).scaled(0.3 + 0.88 * t)
+            rep = invariant_report(s)
+            assert abs(rep.trace_w - rep.i_l_trace) <= trace_w_budget(s), (kind, t)
+            if kind == "mixed" or n % 2 == 0:
+                with monkeypatch.context() as m:
+                    m.setattr(qlorentz.states, "_parity_signs", lambda n: np.ones(2**n))
+                    unsigned = float(w_spectrum(s).sum())
+                assert abs(unsigned - rep.i_l_trace) > 1e9 * trace_w_budget(s), (kind, t)
