@@ -48,7 +48,7 @@ from .correlation import (
     polarized_determinant,
 )
 from .invariants import (
-    _invariant_report,
+    invariant_report,
     linear_entropy,
     linear_mutual_info_subsets,
     linear_mutual_info_trace,
@@ -135,21 +135,20 @@ def _parse_observable(text: str, rng: np.random.Generator) -> np.ndarray:
 def cmd_invariants(args):
     """Invariants of one state, and their invariance under random local actions.
 
-    The state's W-spectrum is computed once: it is reported, its sum trace_w
-    and, at n = 2, the concurrence are read off it, and it is each trial's
-    reference. A trial moves the state by one sampled SL(2,C)^(x)n action and
-    computes the moved state's W-spectrum once; its deviation is the worst
-    _rel_dev of the trace route of I_L and of the sorted spectra, entry by
-    entry. trace_w and the concurrence are functions of the spectrum, so
-    they are not compared again.
+    The report's invariants block is vars() of invariant_report(state), whose
+    W-spectrum is each trial's reference. A trial moves the state by one
+    sampled SL(2,C)^(x)n action and computes the moved state's W-spectrum
+    once; its deviation is the worst _rel_dev of the trace route of I_L and
+    of the sorted spectra, entry by entry. trace_w and the concurrence are
+    functions of the spectrum, so they are not compared again.
     """
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
     if not 0.0 < args.max_rapidity <= MAX_RAPIDITY:
         raise ValueError(f"max_rapidity must lie in (0, {MAX_RAPIDITY}]")
     state, source = _load_state(args)
-    lam = w_spectrum(state)
-    base = _invariant_report(state, lam)
+    base = invariant_report(state)
+    lam = np.array(base.w_spectrum)
 
     checks = {
         "subset_vs_trace": (_rel_dev(base.i_l_subset, base.i_l_trace), 1e-8),
@@ -170,7 +169,7 @@ def cmd_invariants(args):
         trials.append({"trial": i, "deviation": dev})
     if args.trials:
         checks["lorentz_invariance"] = (worst, 1e-7)
-    return source, trials, checks, {"invariants": base.to_json_dict()}
+    return source, trials, checks, {"invariants": vars(base)}
 
 
 def cmd_oracle(args):
@@ -381,8 +380,8 @@ def _emit(report: dict, args) -> None:
         raise
 
 
-def _report(args) -> tuple[dict, bool]:
-    """Run the chosen command and assemble its report, with the pass verdict.
+def _report(args) -> dict:
+    """Run the chosen command and assemble its report, whose "pass" is the verdict.
 
     The config echoes every flag but the output paths; for a command that
     loads a state, the source echo stands in for the state flags. This is
@@ -407,7 +406,6 @@ def _report(args) -> tuple[dict, bool]:
             "tolerance": float(tolerance),
             "pass": bool(deviation <= tolerance),
         }
-    ok = all(c["pass"] for c in checks.values())
     report = {
         "command": args.command,
         "config": dict(config, seed_split=SEED_SPLIT_NAME),
@@ -418,22 +416,22 @@ def _report(args) -> tuple[dict, bool]:
             "checks_passed": sum(1 for c in checks.values() if c["pass"]),
             "checks_total": len(checks),
         },
-        "pass": ok,
+        "pass": all(c["pass"] for c in checks.values()),
         "wall_time_s": time.perf_counter() - started,
         **extra,
     }
-    return report, ok
+    return report
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report, ok = _report(args)
+        report = _report(args)
         _emit(report, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0 if ok else 1
+    return 0 if report["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PAULIS, _as_square_stack, _det2, _kron_fold, as_matrix, det, require_hermitian
+from .linalg import PAULIS, _as_square_stack, _det2, _kron_fold, as_matrix, require_hermitian
 from .lorentz import herm_from_vector, require_lorentz
 from .seeding import _gaussian, rng_from_seed
 from .states import SINGLET_COEFFS
@@ -76,12 +76,15 @@ def _singlet_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def polarized_determinant(o1, o2):
     """(det(o1 + o2) - det(o1) - det(o2)) / 2: the bilinear form whose diagonal is det.
 
-    The inputs may be broadcastable (..., 2, 2) stacks, like singlet_correlation.
+    The inputs may be broadcastable (..., 2, 2) stacks, like singlet_correlation,
+    each coerced and checked finite once. A sum or a determinant past float64
+    gives inf or nan without a numpy warning, as singlet_correlation does.
     """
     a, b = _as_square_stack(o1), _as_square_stack(o2)
     if a.shape[-1] != 2 or b.shape[-1] != 2:
         raise ValueError(f"det is the 2x2 closed form, got shapes {a.shape} and {b.shape}")
-    return (0.5 * (det(a + b) - _det2(a) - _det2(b))).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (0.5 * (_det2(a + b) - _det2(a) - _det2(b))).real
 
 
 def pauli_correlation_table() -> np.ndarray:

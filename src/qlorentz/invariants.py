@@ -8,6 +8,7 @@ random states is the package's central cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Optional
@@ -115,13 +116,16 @@ def linear_mutual_info_subsets(s: QubitState) -> float:
     M = Re rho + Im rho and Q = P with each Y replaced by the real iY, so the
     expansion runs in real arithmetic. No spin flip, Y^(x)n or parity
     sign enters, and the purities are summed subset by subset, so the route
-    shares no kernel with the trace formula it checks.
+    shares no kernel with the trace formula it checks. Every term is at most
+    Tr(rho)^2 < 4^k, with k the binary exponent of Tr(rho), so the terms are
+    summed scaled by the exact 4^-k, and their sum is finite where Tr(rho)^2 is.
     """
     n = s.n
     tr = np.trace(s.rho).real
     terms = _subset_signs(n) * (tr * tr - _subset_purities(s.rho, n))
-    # flat index 0 is the empty set, -1 the full set
-    proper = float(terms.ravel()[1:-1].sum())
+    k = max(math.frexp(tr)[1], 0)
+    # flat index 0 is the empty set, -1 the full set; 4.0 ** 512 overflows, so ldexp scales back
+    proper = math.ldexp(float((terms.ravel()[1:-1] * 2.0 ** (-2 * k)).sum()), 2 * k)
     return linear_entropy(s) * (1.0 if n % 2 == 1 else -1.0) + proper
 
 
@@ -136,7 +140,7 @@ def linear_mutual_info_trace(s: QubitState) -> float:
 
 @dataclass(frozen=True)
 class InvariantSet:
-    """All scalar invariants of one state, computed consistently in one pass."""
+    """All scalar invariants of one state; vars() of it is a report's invariants block."""
 
     linear_entropy: float
     trace_w: float
@@ -145,22 +149,15 @@ class InvariantSet:
     i_l_subset: float
     i_l_trace: float
 
-    def to_json_dict(self) -> dict:
-        # shallow: asdict would deep-copy the d-float tuple entry by entry
-        return {**vars(self), "w_spectrum": list(self.w_spectrum)}
-
 
 def invariant_report(s: QubitState) -> InvariantSet:
-    """Full invariant summary; trace_w = Tr(W) is read off the spectrum, i_l_trace is not.
+    """Every invariant of s; one w_spectrum call gives w_spectrum, trace_w and the concurrence.
 
-    The descending W-spectrum, its sum and, at n = 2, the concurrence come
-    from one w_spectrum call.
+    w_spectrum is descending, trace_w = Tr(W) is its sum, and the concurrence
+    is None unless n = 2. trace_w and i_l_trace = Tr(rho spin_flip(rho)) are
+    one quantity by two roundings.
     """
-    return _invariant_report(s, w_spectrum(s))
-
-
-def _invariant_report(s: QubitState, lam: np.ndarray) -> InvariantSet:
-    """invariant_report of s, given its W-spectrum lam."""
+    lam = w_spectrum(s)
     return InvariantSet(
         linear_entropy=linear_entropy(s),
         trace_w=float(lam.sum()),

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qlorentz.states import QubitState, random_state, state_to_json_dict
+from qlorentz.states import QubitState, preset, random_state, state_to_json_dict
 from qlorentz.cli import main
 import qlorentz.cli
 import qlorentz.correlation
@@ -551,23 +551,30 @@ def test_near_pure_state_file_is_lorentz_invariant(tmp_path):
 
 @pytest.mark.parametrize("n", [2, 7])
 def test_invariants_computes_one_w_spectrum_per_state(tmp_path, monkeypatch, n):
-    # the base state's spectrum is reported, feeds trace_w, the concurrence
-    # and every trial's reference; a trial computes its moved state's spectrum
-    # and nothing else spectral, so 1 + trials spectra
-    calls = []
-    real = qlorentz.states.w_spectrum
+    # one public invariant_report call computes the base state's spectrum, which
+    # is reported, feeds trace_w, the concurrence and every trial's reference; a
+    # trial computes its moved state's spectrum and nothing else spectral, so
+    # 1 + trials spectra
+    calls, reports = [], []
+    real, real_report = qlorentz.states.w_spectrum, qlorentz.invariants.invariant_report
 
     def counted(s):
         calls.append(s)
         return real(s)
 
+    def counted_report(s):
+        reports.append(s)
+        return real_report(s)
+
     for module in (qlorentz.states, qlorentz.invariants, qlorentz.cli):
         if hasattr(module, "w_spectrum"):
             monkeypatch.setattr(module, "w_spectrum", counted)
+    monkeypatch.setattr(qlorentz.cli, "invariant_report", counted_report)
     code, report = run_report(
         tmp_path, ["invariants", "--random", "mixed", "--n", str(n), "--trials", "4", "--seed", "2"]
     )
     assert code == 0
+    assert len(reports) == 1
     assert len(calls) == 5
     assert len(report["invariants"]["w_spectrum"]) == 2**n
     assert (report["invariants"]["concurrence"] is None) == (n != 2)
@@ -1054,16 +1061,23 @@ LARGE_STATES = {
     "1e100-invariants": (diag_state(1e100, 5e99), ["--trials", "0"]),
     # seed 0's five sampled maps grow the trace at most 32 times, so Tr(rho)^2 stays finite
     "1e150-invariants-rapidity20": (diag_state(1e150, 5e149), ["--trials", "5", "--max-rapidity", "20"]),
+    # Tr(rho)^2 = 1.69e308, just under the float64 limit: every subset-route term
+    # is finite, and so must be their sum
+    "maximally_mixed8-1.3e154": (
+        state_to_json_dict(preset("maximally_mixed8").scaled(1.3e154)), ["--trials", "0"]
+    ),
+    "n6-1.3e154": (scaled_mixed_state(6, 1.3e154), ["--trials", "0"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LARGE_STATES))
-def test_large_valid_state_reports_its_spectrum(tmp_path, case):
+def test_large_valid_state_reports_its_spectrum(tmp_path, capsys, case):
     state, argv = LARGE_STATES[case]
     path = tmp_path / "large.json"
     path.write_text(json.dumps(state))
     code, report = run_report(tmp_path, ["invariants", "--input", str(path), *argv])
     assert code == 0
+    assert capsys.readouterr().err == ""
     spectrum = report["invariants"]["w_spectrum"]
     assert len(spectrum) == 2 ** state["n"]
     assert all(np.isfinite(spectrum)) and spectrum[0] > 0.0

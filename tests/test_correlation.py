@@ -86,6 +86,14 @@ def test_singlet_correlation_overflows_without_a_warning():
     assert singlet_correlation(big, -big) == -np.inf
 
 
+def test_polarized_determinant_overflows_without_a_warning():
+    # a determinant past float64 gives a non-finite value, as the correlator
+    # does, and no numpy warning, which the suite's RuntimeWarning filter would raise
+    big = 1e200 * np.eye(2)
+    assert not np.isfinite(polarized_determinant(big, big))
+    assert not np.isfinite(polarized_determinant(big, -big))
+
+
 def test_polarized_determinant_frozen_values():
     assert abs(polarized_determinant(PAULI_I, PAULI_I) - 1.0) < 1e-12
     assert abs(polarized_determinant(PAULI_X, PAULI_Y)) < 1e-12

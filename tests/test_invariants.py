@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qlorentz import apply_local, concurrence, invariant_report, preset, random_sl2c
+from qlorentz.cli import STREAM_STATE, main
 from qlorentz.linalg import kron_all
 from qlorentz.states import (
     QubitState,
@@ -187,6 +188,35 @@ def test_subset_sum_at_the_qubit_cap():
     assert abs(linear_mutual_info_subsets(ghz(MAX_QUBITS)) - 1.0) < 1e-12
     s = random_state(MAX_QUBITS, "pure", split_seed(324, 0))
     assert abs(linear_mutual_info_subsets(s) - linear_mutual_info_trace(s)) < 1e-12
+
+
+#: loadable states whose Tr(rho)^2 = 1.69e308 is just under the float64 limit
+NEAR_LIMIT_STATES = {
+    "maximally_mixed8": lambda: preset("maximally_mixed8").scaled(1.3e154),
+    "random-mixed6": lambda: random_state(6, "mixed", 7).scaled(1.3e154),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_LIMIT_STATES))
+def test_subset_sum_is_finite_near_the_float64_limit(case):
+    # every term is at most Tr(rho)^2, but their plain sum overflowed, with a
+    # RuntimeWarning that the suite's filter raises
+    s = NEAR_LIMIT_STATES[case]()
+    subset, trace = linear_mutual_info_subsets(s), linear_mutual_info_trace(s)
+    assert np.isfinite(subset)
+    assert abs(subset - trace) <= 1e-8 * trace
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_subset_sum_scales_exactly_by_powers_of_two(n):
+    # I_L has degree 2 in rho, and scaling by 2^j is exact, so the route must
+    # give 4^j times its value bit for bit; at j = 511, Tr(rho)^2 = 1.62e308,
+    # where the plain sum of the terms overflowed from n = 4 on
+    for kind in ("pure", "mixed"):
+        s = random_state(n, kind, split_seed(325, n)).scaled(1.9)
+        base = linear_mutual_info_subsets(s)
+        for j in [*range(-480, 511, 31), 511]:
+            assert linear_mutual_info_subsets(s.scaled(2.0**j)) == 4.0**j * base, (kind, j)
 
 
 def subset_sum_reference(s, flipped_mask=0):
@@ -421,7 +451,15 @@ def trace_w_budget(s):
     return TRACE_W_C * np.finfo(float).eps * np.trace(s.rho).real ** 2
 
 
-def test_invariant_report_singlet_frozen():
+def invariants_block(tmp_path, argv):
+    """The invariants block of an invariants report on argv, and the report's text."""
+    out = tmp_path / "report.json"
+    assert main(["invariants", *argv, "--output", str(out)]) == 0
+    text = out.read_text()
+    return json.loads(text)["invariants"], text
+
+
+def test_invariant_report_singlet_frozen(tmp_path):
     rep = invariant_report(singlet())
     assert abs(rep.linear_entropy) < 1e-12
     assert abs(rep.trace_w - 1.0) < 1e-9
@@ -429,8 +467,8 @@ def test_invariant_report_singlet_frozen():
     assert abs(rep.i_l_subset - 1.0) < 1e-9
     assert abs(rep.trace_w - rep.i_l_trace) <= trace_w_budget(singlet())
     np.testing.assert_allclose(rep.w_spectrum, [1.0, 0.0, 0.0, 0.0], atol=1e-9)
-    payload = rep.to_json_dict()
-    assert sorted(payload) == [
+    block, _ = invariants_block(tmp_path, ["--preset", "singlet"])
+    assert sorted(block) == [
         "concurrence",
         "i_l_subset",
         "i_l_trace",
@@ -441,16 +479,20 @@ def test_invariant_report_singlet_frozen():
 
 
 @pytest.mark.parametrize("state", ["singlet", "ghz3", "random-mixed4"])
-def test_invariant_report_json_dict_matches_the_field_copy(state):
-    # the shallow dict holds the same values, in field order, as a deep dataclass copy
-    s = random_state(4, "mixed", 55) if state == "random-mixed4" else preset(state)
+def test_invariant_report_json_dict_matches_the_field_copy(tmp_path, state):
+    # the CLI's invariants block is the InvariantSet's fields, w_spectrum as a
+    # list, written byte for byte as json writes that dict
+    if state == "random-mixed4":
+        argv = ["--random", "mixed", "--n", "4"]
+        s = random_state(4, "mixed", split_seed(0, STREAM_STATE))
+    else:
+        argv, s = ["--preset", state], preset(state)
     rep = invariant_report(s)
-    payload = rep.to_json_dict()
     expected = {**dataclasses.asdict(rep), "w_spectrum": list(rep.w_spectrum)}
-    assert list(payload) == list(expected)
-    assert payload == expected
-    assert type(payload["w_spectrum"]) is list
-    assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    block, text = invariants_block(tmp_path, argv)
+    assert block == expected
+    assert type(block["w_spectrum"]) is list
+    assert '"invariants": ' + json.dumps(expected, sort_keys=True) in text
 
 
 def test_invariant_report_maximally_mixed_single_qubit():
