@@ -25,7 +25,9 @@ MAX_DIM = 2**MAX_QUBITS
 #: The one validity policy for states and observables: a matrix is Hermitian
 #: when no entry of m - m† exceeds HERMITIAN_TOL (require_hermitian), and
 #: positive semidefinite when no eigenvalue lies below -PSD_TOL * max|m|
-#: (require_psd). QubitState applies both where a state enters; mat_sqrt_psd, the floor too.
+#: (require_psd). QubitState applies both where a state enters, the floor as one Cholesky
+#: of m + PSD_TOL max|m| I scaled by a power of two, taking the spectrum only to refuse;
+#: mat_sqrt_psd applies the floor to its eigenvalues.
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 
@@ -167,15 +169,7 @@ def mat_sqrt_psd(m) -> np.ndarray:
     return _hermitize((vecs * roots) @ vecs.conj().T)
 
 
-def det(m):
-    """Closed form ad - bc of a 2x2 matrix, or of each matrix in a (..., 2, 2) stack."""
-    a = _as_square_stack(m)
-    if a.shape[-1] != 2:
-        raise ValueError(f"det is the 2x2 closed form, got shape {a.shape}")
-    return _det2(a)
-
-
 def _det2(a: np.ndarray) -> np.ndarray:
-    """det unchecked, for a (..., 2, 2) array, as require_sl2c and the sampler run it."""
+    """ad - bc of each matrix in a (..., 2, 2) array, unchecked: require_sl2c and the sampler's."""
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
 

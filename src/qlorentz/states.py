@@ -16,16 +16,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ContractError
-from .linalg import (
-    MAX_QUBITS,
-    _EIG_CUT,
-    _hermitize,
-    _kron_fold,
-    kron_all,
-    partial_trace,
-    require_hermitian,
-    require_psd,
-)
+from .linalg import MAX_QUBITS, PSD_TOL, _EIG_CUT, _hermitize, _kron_fold, kron_all, max_abs
+from .linalg import partial_trace, require_hermitian, require_psd
 from .lorentz import require_sl2c
 from .seeding import _gaussian, rng_from_seed
 
@@ -40,11 +32,15 @@ class QubitState:
     """A possibly un-normalized n-qubit density matrix.
 
     The constructor is the one validity gate: it checks the qubit count
-    (at most MAX_QUBITS), Hermiticity (require_hermitian), positive
-    semidefiniteness (require_psd, which raises PositivityError), a positive
-    trace and a finite Tr(rho)^2, then stores the Hermitian part (rho + rho^dag)/2
-    that require_hermitian returns, read-only. Internal builders whose output is
-    valid by construction hand a fresh matrix over, uncopied, to ``_adopt``.
+    (at most MAX_QUBITS), Hermiticity (require_hermitian), positive semidefiniteness,
+    a positive trace and a finite Tr(rho)^2, then stores the Hermitian part h = (rho + rho^dag)/2
+    that require_hermitian returns, read-only. Positivity is one Cholesky factorization of
+    h + PSD_TOL max|h| I, h scaled exactly by a power of two to max|h| in [0.5, 1) so that no state
+    under- or overflows in it (backward stable: Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 10). Only if it fails are the eigenvalues taken, for require_psd's
+    verdict (PositivityError): a verdict differs from theirs only for a least eigenvalue
+    within the factorization's rounding, O(d eps max|h|), of the floor. Internal builders whose
+    output is valid by construction hand a fresh matrix over, uncopied, to ``_adopt``.
     Either way rho is exactly Hermitian, rho == rho^dag bit for bit, and the
     kernels trust every QubitState they are given: none re-derives its Hermitian part or
     re-checks positivity, since a congruence by an invertible M keeps the inertia (Sylvester;
@@ -59,7 +55,14 @@ class QubitState:
         h = require_hermitian(rho, what="state")
         if h.shape != (2**n, 2**n):
             raise ValueError(f"matrix dimension {h.shape[0]} does not match n={n} qubits")
-        require_psd(np.linalg.eigvalsh(h), h, what="state")
+        top = max_abs(h)
+        f = math.ldexp(1.0, -max(math.frexp(top)[1], -1021))  # 2**-e, finite at a subnormal top
+        g = h * f
+        g.flat[:: len(g) + 1] += PSD_TOL * (top * f)
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            require_psd(np.linalg.eigvalsh(h), h, what="state")
         # the Hermitian part's trace is real by construction
         tr = _check_scale(h)
         if tr <= 0.0:
@@ -356,15 +359,17 @@ def state_from_json_dict(payload: dict) -> QubitState:
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"state JSON field 'n' must be an integer, got {n!r}")
     raw = payload["matrix"]
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+    try:  # one flat pass: rows -> [re, im] entries -> numbers, each level's length checked
+        d = len(raw)
+        entries = list(chain.from_iterable(raw))
+        if set(map(len, raw)) != {d} or set(map(len, entries)) != {2}:
+            raise ValueError("state matrix must be a square list of rows of [re, im] entries")
+        flat = list(chain.from_iterable(entries))
+        if bad := set(map(type, flat)) - {int, float}:
+            names = ", ".join(sorted(t.__name__ for t in bad))
+            raise ValueError(f"state matrix entries must be JSON numbers, got {names}")
+        arr = np.array(flat, dtype=float).reshape(d, d, 2)
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed state matrix: {exc}") from None
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"state matrix must be square with [re, im] entries, got shape {arr.shape}")
-    # asarray also takes numeric strings, booleans and null (as NaN): refuse them by type
-    if bad := set(map(type, chain.from_iterable(chain.from_iterable(raw)))) - {int, float}:
-        names = ", ".join(sorted(t.__name__ for t in bad))
-        raise ValueError(f"state matrix entries must be JSON numbers, got {names}")
-    rho = arr[:, :, 0] + 1j * arr[:, :, 1]
-    return QubitState(n, rho)
+    # not a complex view: the sum turns an imaginary -0.0 into 0.0, as the report expects
+    return QubitState(n, arr[:, :, 0] + 1j * arr[:, :, 1])

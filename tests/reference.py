@@ -27,6 +27,14 @@ def char_poly_coeffs(m) -> np.ndarray:
     return coeffs
 
 
+def det(m) -> np.ndarray:
+    """Closed form ad - bc of a 2x2 matrix, or of each matrix in a (..., 2, 2) stack."""
+    a = np.asarray(m, dtype=complex)
+    if a.shape[-2:] != (2, 2):
+        raise ValueError(f"det is the 2x2 closed form, got shape {a.shape}")
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
 def singlet_correlation_einsum(a, b) -> np.ndarray:
     """1/2 sum S_ij a_ik b_jl S_kl over the singlet coefficients S, as one complex 4-operand
     einsum whose real part is taken: the form the package's real-arithmetic kernel reproduces."""

@@ -23,6 +23,7 @@ from qlorentz.correlation import correlator_symmetry_check
 from qlorentz.linalg import MAX_QUBITS
 from qlorentz.lorentz import ETA, boost_z, rotation_z, spin_hom
 from qlorentz.seeding import rng_from_seed, split_seed
+from test_states import MALFORMED_MATRICES
 
 
 def run_report(tmp_path, args, name="report.json"):
@@ -519,6 +520,19 @@ def test_malformed_state_file_exits_two(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["invariants", "--input", str(path)]) == 2
     assert main(["invariants", "--input", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("matrix", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES.keys())
+def test_malformed_state_matrix_exits_two_with_one_line(tmp_path, capsys, matrix):
+    # a non-sequence or a wrongly shaped nesting is one error line, never a traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 1, "matrix": matrix}))
+    out = tmp_path / "r.json"
+    assert main(["invariants", "--input", str(path), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "state matrix" in captured.err
+    assert not captured.out and not out.exists()
 
 
 @pytest.mark.parametrize(

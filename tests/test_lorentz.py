@@ -5,7 +5,7 @@ import pytest
 
 from qlorentz import ContractError, boost_z, random_sl2c, spin_hom
 from qlorentz.correlation import correlator_deviations
-from qlorentz.linalg import PAULIS, det
+from qlorentz.linalg import PAULIS
 from qlorentz.lorentz import (
     ETA,
     SL2C_TOL_FACTOR,
@@ -20,6 +20,7 @@ from qlorentz.lorentz import (
     spin_images,
 )
 from qlorentz.seeding import rng_from_seed, split_seed
+from reference import det
 
 
 def test_herm_from_vector_frozen():

@@ -1,6 +1,8 @@
 """State construction, the spin flip, W-matrices, local actions, serialization."""
 
 import json
+import re
+from functools import cache
 from functools import reduce as fold
 
 import numpy as np
@@ -83,7 +85,7 @@ def test_constructor_validates_dimension():
     # refused by the qubit cap, without forming 2**n
     with pytest.raises(ValueError, match=f"qubit count {10**12} outside 1..{MAX_QUBITS}"):
         QubitState(10**12, np.eye(2, dtype=complex))
-    # the cap is checked before the matrix is read: no 2**11-dimensional eigvalsh runs
+    # the cap is checked before the matrix is read: no 2**11-dimensional factorization runs
     for n in (0, MAX_QUBITS + 1):
         with pytest.raises(ValueError, match=f"qubit count {n} outside 1..{MAX_QUBITS}"):
             QubitState(n, object())
@@ -753,3 +755,84 @@ def test_json_loader_applies_the_psd_floor():
     # drift inside the floor still loads
     drift = QubitState._adopt(1, np.asarray(np.diag([1.0, -5e-11]), complex))
     assert state_from_json_dict(state_to_json_dict(drift)).n == 1
+
+
+@cache
+def floor_basis(n):
+    """Eigenpairs of a seeded mixed state, with its least eigenvalue set to 0, and its max|rho|."""
+    evals, vecs = np.linalg.eigh(random_state(n, "mixed", 60 + n).rho)
+    evals[0] = 0.0
+    return evals, vecs, max_abs((vecs * evals) @ vecs.conj().T)
+
+
+@pytest.mark.parametrize("c", [0.5, 0.9, 1.1, 2.0])
+@pytest.mark.parametrize("n", [1, 3, 6, 8])
+def test_positivity_gate_at_the_psd_floor(n, c):
+    # least eigenvalue -c * PSD_TOL * max|rho|: c < 1 loads, c > 1 is refused with the
+    # eigenvalue named; the same at 2**-500 and 2**500, where the gate's power-of-two
+    # scaling keeps the factorization clear of under- and overflow
+    evals, vecs, top = floor_basis(n)
+    evals = evals.copy()
+    evals[0] = -c * PSD_TOL * top
+    rho = require_hermitian((vecs * evals) @ vecs.conj().T)
+    assert np.linalg.eigvalsh(rho)[0] == pytest.approx(-c * PSD_TOL * max_abs(rho), rel=1e-3)
+    for scale in (1.0, 2.0**-500, 2.0**500):
+        if c < 1.0:
+            assert QubitState(n, scale * rho).n == n
+        else:
+            low = np.linalg.eigvalsh(scale * rho)[0]
+            with pytest.raises(PositivityError, match=re.escape(f"eigenvalue {low:.3e} below")):
+                QubitState(n, scale * rho)
+
+
+def test_a_valid_state_loads_without_its_spectrum(monkeypatch):
+    # the spectrum is taken only to word a refusal: a valid state never reaches eigvalsh
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh ran on a valid state")
+
+    payload = state_to_json_dict(random_state(6, "mixed", 64))
+    monkeypatch.setattr(qlorentz.states.np.linalg, "eigvalsh", refuse)
+    assert state_from_json_dict(payload).n == 6
+    assert QubitState(6, random_state(6, "pure", 64).rho).n == 6
+
+
+#: Matrices that are no [[[re, im], ...], ...] list of a square's rows.
+MALFORMED_MATRICES = {
+    "int": 5,
+    "string": "ab",
+    "object": {"a": 1},
+    "empty": [],
+    "empty-row": [[]],
+    "flat": [1, 2],
+    "2-d": [[1, 0], [0, 1]],
+    "ragged-row": [[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]],
+    "entry-of-1": [[[0.5], [0.0]], [[0.0], [0.5]]],
+    "entry-of-3": [[[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]],
+    "4-deep": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+               [[[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]],
+}
+
+
+@pytest.mark.parametrize("matrix", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES.keys())
+def test_json_loader_refuses_a_malformed_matrix(matrix):
+    with pytest.raises(ValueError, match="state matrix"):
+        state_from_json_dict({"n": 1, "matrix": matrix})
+
+
+def test_json_loader_takes_tuples_and_object_rows():
+    # library callers may pass any sequences of Python numbers, not only JSON lists
+    s = random_state(2, "mixed", 65)
+    matrix = state_to_json_dict(s)["matrix"]
+    as_tuples = tuple(tuple(tuple(entry) for entry in row) for row in matrix)
+    as_rows = [np.array(row, dtype=object) for row in matrix]
+    for m in (as_tuples, as_rows, np.array(matrix, dtype=object)):
+        assert state_from_json_dict({"n": 2, "matrix": m}).rho.tobytes() == s.rho.tobytes()
+
+
+def test_json_loader_clears_the_sign_of_a_zero_imaginary_part():
+    # re + 1j * im turns an imaginary -0.0 into 0.0, so a loaded state and the report
+    # written from it carry no -0.0 that a complex view of the file would keep
+    matrix = [[[0.5, -0.0], [0.25, -0.0]], [[0.25, -0.0], [0.5, -0.0]]]
+    rho = state_from_json_dict({"n": 1, "matrix": matrix}).rho
+    assert rho.tobytes() == np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex).tobytes()
+    assert not np.signbit(rho.imag).any()
