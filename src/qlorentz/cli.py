@@ -411,11 +411,6 @@ def _report(args) -> dict:
         "config": dict(config, seed_split=SEED_SPLIT_NAME),
         "trials": trials,
         "checks": checks,
-        "aggregate": {
-            "max_deviation": max((c["deviation"] for c in checks.values()), default=0.0),
-            "checks_passed": sum(1 for c in checks.values() if c["pass"]),
-            "checks_total": len(checks),
-        },
         "pass": all(c["pass"] for c in checks.values()),
         "wall_time_s": time.perf_counter() - started,
         **extra,

@@ -17,16 +17,6 @@ import numpy as np
 
 from .states import QubitState, spin_flip, w_spectrum
 
-__all__ = [
-    "InvariantSet",
-    "linear_entropy",
-    "spectral_invariants",
-    "concurrence",
-    "linear_mutual_info_subsets",
-    "linear_mutual_info_trace",
-    "invariant_report",
-]
-
 
 def linear_entropy(s: QubitState) -> float:
     """Tr(rho)^2 - Tr(rho^2), without normalizing; zero iff pure up to scale.

@@ -23,8 +23,8 @@ MAX_QUBITS = 10
 MAX_DIM = 2**MAX_QUBITS
 
 #: The one validity policy for states and observables: a matrix is Hermitian
-#: when no entry of m - m† exceeds HERMITIAN_TOL (require_hermitian), and
-#: positive semidefinite when no eigenvalue lies below -PSD_TOL * max|m|
+#: when no entry of m - m† exceeds HERMITIAN_TOL * max(1, max|m|) (require_hermitian),
+#: and positive semidefinite when no eigenvalue lies below -PSD_TOL * max|m|
 #: (require_psd). QubitState applies both where a state enters, the floor as one Cholesky
 #: of m + PSD_TOL max|m| I scaled by a power of two, taking the spectrum only to refuse;
 #: mat_sqrt_psd applies the floor to its eigenvalues.
@@ -65,19 +65,23 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def require_hermitian(m, what: str = "matrix") -> np.ndarray:
-    """Check Hermiticity within HERMITIAN_TOL and return the Hermitian part (m + m^dag)/2.
+    """Check Hermiticity and return the Hermitian part (m + m^dag)/2.
 
-    ``m`` may be a (..., d, d) stack; every matrix in it is checked. Raises ContractError
-    naming the max asymmetry max|m - m^dag|, inf past float64, when the check fails. The
-    input is halved first, exactly, so neither that nor the Hermitian part overflows.
+    A matrix passes when max|m - m^dag| <= HERMITIAN_TOL * max(1, max|m|). ``m`` may be a
+    (..., d, d) stack; each matrix in it is held to its own tolerance. Raises ContractError
+    naming the max asymmetry, inf past float64, and the tolerance of the worst matrix. The
+    input is halved first, exactly, so neither the tolerance nor the Hermitian part overflows.
     """
     h = 0.5 * _as_square_stack(m)
     adj = np.swapaxes(h, -1, -2).conj()
-    defect = 2.0 * max_abs(h - adj)
-    if defect > HERMITIAN_TOL:
-        raise ContractError(
-            f"{what} is not Hermitian: max asymmetry {defect:.3e} exceeds atol {HERMITIAN_TOL:.1e}"
-        )
+    # each matrix's asymmetry and tolerance, both halved: HERMITIAN_TOL / 2 up to unit scale
+    defect = np.abs(h - adj).max(axis=(-2, -1), initial=0.0)
+    tol = HERMITIAN_TOL * np.maximum(0.5, np.abs(h).max(axis=(-2, -1), initial=0.0))
+    bad = defect > tol
+    if bad.any():
+        i = np.argmax(np.where(bad, defect / tol, 0.0))
+        d, t = 2.0 * float(defect.flat[i]), 2.0 * float(tol.flat[i])
+        raise ContractError(f"{what} is not Hermitian: max asymmetry {d:.3e} exceeds tol {t:.3e}")
     h += adj
     return h
 
@@ -155,7 +159,7 @@ def mat_sqrt_psd(m) -> np.ndarray:
 
     Eigenvalues down to the require_psd floor are treated as floating-point
     drift and clamped to zero; anything lower raises PositivityError, and
-    non-Hermitian input beyond HERMITIAN_TOL raises ContractError. The tests
+    input past the Hermitian tolerance raises ContractError. The tests
     build their reference W-spectrum, sqrt(rho) rho* sqrt(rho), on it.
     """
     h = require_hermitian(as_matrix(m))

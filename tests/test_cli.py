@@ -1041,7 +1041,7 @@ TOO_LARGE = "is too large: Tr(rho)^2 is not finite\n"
         (
             {"n": 1, "matrix": [[[1, 0], [1e308, 0]], [[-1e308, 0], [1, 0]]]},
             ["invariants"],
-            "state is not Hermitian: max asymmetry inf exceeds atol 1.0e-10\n",
+            "state is not Hermitian: max asymmetry inf exceeds tol 1.000e+298\n",
         ),
     ],
     ids=["invariants", "boost", "1e155-invariants-trials3", "1e155-invariants-trials0",
@@ -1157,6 +1157,24 @@ def test_stdout_default(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == "invariants"
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["invariants", "--trials", "1"], {"invariants"}),
+        (["oracle", "--n", "2", "--trials", "2"], set()),
+        (["metric", "--trials", "2", "--sym-trials", "1"], {"pauli_table"}),
+        (["twirl", "--samples", "1000"], {"twirl"}),
+        (["boost"], {"state", "linear_entropy_before", "linear_entropy_after",
+                     "trace_before", "trace_after"}),
+    ],
+    ids=["invariants", "oracle", "metric", "twirl", "boost"],
+)
+def test_report_top_level_keys(tmp_path, argv, extra):
+    # the verdict is stated per check and once for the report, with no summary beside them
+    _, report = run_report(tmp_path, argv)
+    assert set(report) == {"command", "config", "trials", "checks", "pass", "wall_time_s"} | extra
 
 
 COMMON = {"command", "seed", "seed_split"}

@@ -94,6 +94,13 @@ def test_polarized_determinant_overflows_without_a_warning():
     assert not np.isfinite(polarized_determinant(big, -big))
 
 
+@pytest.mark.parametrize("shapes", [(3, 3), (2, 3)], ids=["3x3", "2x2-with-3x3"])
+def test_polarized_determinant_refuses_a_non_2x2_input(shapes):
+    o1, o2 = (np.eye(k) for k in shapes)
+    with pytest.raises(ValueError, match="det is the 2x2 closed form"):
+        polarized_determinant(o1, o2)
+
+
 def test_polarized_determinant_frozen_values():
     assert abs(polarized_determinant(PAULI_I, PAULI_I) - 1.0) < 1e-12
     assert abs(polarized_determinant(PAULI_X, PAULI_Y)) < 1e-12

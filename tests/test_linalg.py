@@ -139,6 +139,9 @@ def test_require_hermitian():
     assert max_abs(h - h.conj().T) == 0.0
     with pytest.raises(ContractError):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # each matrix of a stack is held to its own tolerance, which a larger one does not widen
+    with pytest.raises(ContractError, match=r"max asymmetry 1\.000e-09 exceeds tol 1\.000e-10"):
+        require_hermitian(np.stack([1e8 * np.eye(2), [[0.0, 1e-9], [0.0, 0.0]]]))
     # at the float64 limit: unhalved, m - m^dag and m + m^dag would overflow with a warning
     with pytest.raises(ContractError, match="max asymmetry inf exceeds"):
         require_hermitian(np.array([[1.0, 1e308], [-1e308, 1.0]]))
@@ -150,7 +153,7 @@ def test_require_hermitian():
 @pytest.mark.filterwarnings("error")
 def test_hermitian_gate_keeps_the_old_formulas_bit_for_bit():
     # halving first is exact away from underflow, so it changes no bit of (a + a^dag)/2,
-    # and the asymmetry it reports is max|a - a^dag|
+    # and the asymmetry it reports is max|a - a^dag|, refused past 1e-10 * max(1, max|a|)
     rng = np.random.default_rng(26)
     accepted = refused = 0
     for d in (1, 2, 3, 8):
@@ -160,7 +163,7 @@ def test_hermitian_gate_keeps_the_old_formulas_bit_for_bit():
         ref = (a + np.swapaxes(a, -1, -2).conj()) / 2
         assert _hermitize(a.copy()).tobytes() == ref.tobytes()
         defects = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(1, 2))
-        ok = defects <= 1e-10
+        ok = defects <= 1e-10 * np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
         assert require_hermitian(a[ok]).tobytes() == ref[ok].tobytes()
         for m, defect in zip(a[~ok], defects[~ok]):
             with pytest.raises(ContractError) as info:

@@ -61,6 +61,20 @@ def test_constructor_validates_trace():
     # an imaginary diagonal of 1e-9 is a Hermiticity defect of 2e-9
     with pytest.raises(ContractError, match="not Hermitian"):
         QubitState(1, np.eye(2) / 2 + 1e-9j * np.eye(2))
+    # and so is an asymmetry of 1e-9 max|m| at max|m| = 1e8, whose tolerance is 1e-10 max|m|
+    m = np.diag([1e8, 5e7]).astype(complex)
+    m[0, 1] = 0.1
+    with pytest.raises(ContractError, match=r"max asymmetry 1\.000e-01 exceeds tol 1\.000e-02"):
+        QubitState(1, m)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e10, 1e150])
+def test_hermiticity_tolerance_scales_with_the_matrix(scale):
+    # HERMITIAN_TOL * max(1, max|m|): a state rebuilt from its eigenpairs, asymmetric by
+    # rounding alone, loads at every scale (an absolute 1e-10 refused it from 1e8 on)
+    evals, vecs = np.linalg.eigh(random_state(6, "mixed", 7).rho)
+    m = (vecs * evals) @ vecs.conj().T * scale
+    assert np.array_equal(QubitState(6, m).rho, require_hermitian(m))
 
 
 @pytest.mark.parametrize("n", [1, 6])
