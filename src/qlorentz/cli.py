@@ -14,9 +14,10 @@ its flags as the config and assembles the report with the one verdict.
 Reports are byte-identical for identical configs and seeds on one numpy build
 and BLAS thread count, except for the wall_time_s field, and are strict JSON
 on one line: the text is json.dumps(report, sort_keys=True, allow_nan=False)
-plus a newline, written by json's C encoder; `python -m json.tool` shows it
-indented. invariants, oracle and metric also write their per-trial records
-with --csv.
+plus a newline, written by json's C encoder but for boost's state matrix, whose
+text is built from the reprs of its upper triangle alone: exact, since every
+QubitState is exactly Hermitian. `python -m json.tool` shows it indented.
+invariants, oracle and metric also write their per-trial records with --csv.
 Exit code 0 means every check passed, 1 means a property check failed, 2 means
 the inputs were unusable, the report or CSV could not be written, or the report
 held a non-finite value. An exit 2 writes no report, no CSV and nothing to
@@ -71,7 +72,6 @@ from .states import (
     preset,
     random_state,
     state_from_json_dict,
-    state_to_json_dict,
     w_spectrum,
 )
 
@@ -270,7 +270,7 @@ def cmd_boost(args):
     if state.n == 1:
         checks["entropy_preserved"] = (_rel_dev(s_before, s_after), 1e-9)
     extra = {
-        "state": state_to_json_dict(moved),
+        "state": moved,
         "linear_entropy_before": s_before,
         "linear_entropy_after": s_after,
         "trace_before": state.trace(),
@@ -351,17 +351,44 @@ def _write_over(path, text: str) -> None:
             fh.truncate()
 
 
+def _matrix_text(rho: np.ndarray) -> str:
+    """json.dumps(state_to_json_dict(s)["matrix"]) for rho = s.rho, from its upper triangle.
+
+    rho is exactly Hermitian, so below the diagonal Re repeats its upper partner's text
+    and Im negates it; a zero is written from its own sign bit, since both halves of an
+    entry that cancels are +0.0, where a negated text would read -0.0.
+    """
+    left = [[] for _ in rho]  # left[j]: row j's entries below the diagonal, filled row by row
+    rows = []
+    for i in range(len(rho)):
+        reals, imags = (list(map(repr, part[i, i:].tolist())) for part in (rho.real, rho.imag))
+        partners = (part[i + 1 :, i].tolist() for part in (rho.real, rho.imag))
+        for below, a, b, x, y in zip(left[i + 1 :], reals[1:], imags[1:], *partners):
+            b = (b[1:] if b[0] == "-" else "-" + b) if y else repr(y)
+            below.append(f"[{a if x else repr(x)}, {b}]")
+        row, left[i] = left[i], None
+        row += map("[{}, {}]".format, reals, imags)
+        rows.append("[" + ", ".join(row) + "]")
+    return "[" + ", ".join(rows) + "]"
+
+
 def _emit(report: dict, args) -> None:
     """Write the report as one line of sorted-key JSON from json's C encoder.
 
-    The CSV, on the commands that offer --csv, is written before the report
-    and deleted again if the report cannot be written, so a path that cannot
-    be opened (exit 2) leaves neither behind; a write that fails partway can
-    leave a partial one: the new text's prefix over the old file's bytes. A
-    NaN or an infinity in the report raises ValueError before either is written.
+    boost's state is encoded as a stub with its _matrix_text spliced in, the
+    bytes json.dumps writes for state_to_json_dict(state). The CSV, on the
+    commands that offer --csv, is written before the report and deleted again
+    if the report cannot be written, so a path that cannot be opened (exit 2)
+    leaves neither behind; a write that fails partway can leave a partial one:
+    the new text's prefix over the old file's bytes. A NaN or an infinity in
+    the report raises ValueError before either is written (a state is finite).
     """
     # _report builds a fresh tree, which cannot hold a cycle
-    text = json.dumps(report, sort_keys=True, allow_nan=False, check_circular=False) + "\n"
+    # boost's state goes in as a stub, U+0000 (in no string from argv), replaced by its text
+    text = json.dumps(report, sort_keys=True, allow_nan=False, check_circular=False,
+                      default=lambda s: {"n": s.n, "matrix": "\0"}) + "\n"
+    if isinstance(state := report.get("state"), QubitState):
+        text = text.replace('"\\u0000"', _matrix_text(state.rho), 1)
     csv_path = getattr(args, "csv", None)
     if csv_path:
         rows, buf = report["trials"], io.StringIO()

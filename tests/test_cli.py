@@ -11,7 +11,14 @@ import warnings
 import numpy as np
 import pytest
 
-from qlorentz.states import QubitState, preset, random_state, state_to_json_dict
+from qlorentz.states import (
+    QubitState,
+    apply_local,
+    preset,
+    random_state,
+    state_from_json_dict,
+    state_to_json_dict,
+)
 from qlorentz.cli import main
 import qlorentz.cli
 import qlorentz.correlation
@@ -497,6 +504,60 @@ def test_boost_fails_a_non_unimodular_factor(tmp_path, monkeypatch, n):
     assert code == 1
     assert report["checks"]["i_l_preserved"]["pass"] is False
     assert ("entropy_preserved" in report["checks"]) == (n == 1)
+
+
+# real presets: a z-boost cancels every imaginary part to +0.0 on both sides of the diagonal
+REAL_PRESETS = ["singlet", "singlets2", "ghz4", "maximally_mixed3", "basis0_5"]
+
+
+def boost_case(tmp_path, case):
+    """(argv, moved state computed in-process) of a boost report, by case name."""
+    source, _, rest = case.partition("-")
+    if source == "preset":
+        flags, state, rapidity = ["--preset", rest], preset(rest), 0.5
+    elif source == "random":
+        kind, n = rest.split("-")
+        flags = ["--random", kind, "--n", n, "--seed", n]
+        state = random_state(int(n), kind, split_seed(int(n), qlorentz.cli.STREAM_STATE))
+        rapidity = -1.1
+    else:
+        path = tmp_path / "wstate3.json"
+        path.write_text(json.dumps(state_to_json_dict(preset("wstate3"))))
+        flags, rapidity = ["--input", str(path)], 0.9
+        state = state_from_json_dict(json.loads(path.read_text()))
+    moved = apply_local(state, [boost_z(rapidity)] * state.n)
+    return ["boost", *flags, f"--rapidity={rapidity!r}"], moved
+
+
+def writes_state_block(tmp_path, argv, moved):
+    """Whether the report's state block is, as text, what json.dumps writes for the moved state."""
+    out = tmp_path / "boost.json"
+    main(argv + ["--output", str(out)])
+    matrix = json.dumps(state_to_json_dict(moved)["matrix"])
+    return f'"state": {{"matrix": {matrix}, "n": {moved.n}}}, ' in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [f"preset-{name}" for name in REAL_PRESETS + ["singlets5"]]
+    + [f"random-{kind}-{n}" for n in range(1, 8) for kind in ("pure", "mixed")]
+    + ["input"],
+)
+def test_boost_writes_the_state_block_json_dumps_writes(tmp_path, case):
+    assert writes_state_block(tmp_path, *boost_case(tmp_path, case))
+
+
+def test_state_block_negative_control(tmp_path, monkeypatch):
+    # mirroring a zero too writes -0.0 below the diagonal where the state holds 0.0;
+    # a random state has no zero off the diagonal, so there the mirror is right
+    def naive_matrix_text(rho):
+        mirrored = np.where(np.tri(len(rho), k=-1, dtype=bool), rho.conj().T, rho)
+        return json.dumps(np.stack([mirrored.real, mirrored.imag], -1).tolist())
+
+    monkeypatch.setattr(qlorentz.cli, "_matrix_text", naive_matrix_text)
+    assert not any(writes_state_block(tmp_path, *boost_case(tmp_path, f"preset-{name}"))
+                   for name in REAL_PRESETS)
+    assert writes_state_block(tmp_path, *boost_case(tmp_path, "random-mixed-3"))
 
 
 def test_state_file_round_trip(tmp_path):

@@ -134,6 +134,10 @@ def built_states(tmp_path):
                           ("wstate", [2, 3, 8]), ("maximally_mixed", [1, 4]), ("basis0", [1, 5])]:
         for size in sizes:
             yield f"{family}{size}", preset(f"{family}{size}")
+    # z-boosted real states, whose imaginary parts cancel to +0.0 on both sides of the diagonal
+    for name in ("singlets2", "ghz4"):
+        s = preset(name)
+        yield f"z-boosted {name}", apply_local(s, [boost_z(0.5)] * s.n)
     for n in range(1, 9):
         for kind in ("pure", "mixed"):
             for seed in range(3):
