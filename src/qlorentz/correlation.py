@@ -38,6 +38,11 @@ SWAP.setflags(write=False)
 _S_OUTER = np.multiply.outer(SINGLET_COEFFS, SINGLET_COEFFS)
 _SINGLET_TERMS = [(*ijkl, _S_OUTER[tuple(ijkl)]) for ijkl in np.argwhere(_S_OUTER).tolist()]
 
+#: The 16 Pauli pairs (P_a, P_b), a major, as two contiguous (16, 2, 2) stacks made once: on
+#: broadcast (4, 1) x (1, 4) views each of the correlator's ~36 small ufunc calls is 2-D
+_PAULI_PAIRS = np.array(np.broadcast_arrays(PAULIS[:, None], PAULIS[None, :])).reshape(2, 16, 2, 2)
+_PAULI_PAIRS.setflags(write=False)
+
 
 def _check_observable(o, name: str) -> np.ndarray:
     """A Hermitian 2x2 observable, or a (..., 2, 2) stack of them checked element by element."""
@@ -89,7 +94,7 @@ def polarized_determinant(o1, o2):
 
 def pauli_correlation_table() -> np.ndarray:
     """The 4x4 matrix of correlators between Pauli observables; diag(1,-1,-1,-1)."""
-    return _singlet_correlation(PAULIS[:, None], PAULIS[None, :])
+    return _singlet_correlation(*_PAULI_PAIRS).reshape(4, 4)
 
 
 def haar_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:

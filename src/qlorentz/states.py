@@ -178,10 +178,17 @@ def w_spectrum(s: QubitState) -> np.ndarray:
     Any factor rho = A A^dag gives spin_flip(rho) = C C^dag with C = Y^(x)n conj(A),
     so the nonzero spectrum of W is that of (A^dag C)(A^dag C)^dag: the squared
     singular values of the r x r matrix A^T Y^(x)n A, up to a phase. Y^(x)n
-    maps |x> to i^n s_x |~x>, so that matrix is A^T (s * A[::-1]), with
-    s_x = (-1)^popcount(x) as in spin_flip; s_~x = (-1)^n s_x makes it (-1)^n
-    times its transpose, imposed exactly so that odd-n pure states give 0.
-    The squares are non-negative by construction; the rest are exact zeros.
+    maps |x> to i^n s_x |~x>, so that matrix is B = sum_x a_x^T s_x a_~x over
+    the rows a_x of A, with s_x = (-1)^popcount(x) as in spin_flip. The spin
+    flip pairs x with ~x = d - 1 - x, and s_~x = (-1)^n s_x makes the term of
+    ~x the transpose of the term of x times (-1)^n. So B = Y + s_{d-1} Y^T, with
+    Y summed over x < d/2 only: r^2 d/2 complex multiply-adds, half of the full
+    sum, and B is exactly (-1)^n times its transpose, so odd-n pure states
+    give 0. The factor (-1)^n is read from the sign table, s_{d-1}, not from n:
+    spin_flip, and with it the trace route, uses the same table, so the two
+    share the parity-sign convention, and a sign error common to both would
+    still pass sum(lambda) = I_L. The squares are non-negative by
+    construction; the rest are exact zeros.
 
     The factor is taken from the first of three branches that applies:
 
@@ -201,8 +208,9 @@ def w_spectrum(s: QubitState) -> np.ndarray:
     Hermiticity and positivity are QubitState's checks, made once where a state enters.
     """
     a = _rank_factor(s.rho)
-    b = a.T @ (_parity_signs(s.n)[:, None] * a[::-1])
-    b = 0.5 * (b + (-1) ** s.n * b.T)
+    sign, h = _parity_signs(s.n), s.dim // 2
+    y = a[:h].T @ (sign[:h, None] * a[h:][::-1])
+    b = y + sign[-1] * y.T
     lam = np.zeros(s.dim)
     lam[: b.shape[0]] = np.linalg.svd(b, compute_uv=False) ** 2
     return lam

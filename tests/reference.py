@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from qlorentz.invariants import _PAULI_MAP, _SUBSET_WEIGHT
 from qlorentz.linalg import as_matrix
 from qlorentz.states import SINGLET_COEFFS, QubitState, spin_flip
 
@@ -51,6 +52,22 @@ def linear_entropy_einsum(s: QubitState) -> float:
 def trace_route_einsum(s: QubitState) -> float:
     """Tr(rho * spin_flip(rho)), contracted as sum_ij rho_ij spin_flip(rho)_ji."""
     return float(np.einsum("ij,ji->", s.rho, spin_flip(s).rho).real)
+
+
+def subset_purities_transpose(rho: np.ndarray, n: int) -> np.ndarray:
+    """invariants._subset_purities with its qubit-pair order taken by a 2n-axis transpose copy.
+
+    The same Pauli steps on the same values, so the package's gather must match it byte for byte.
+    """
+    m = rho.real + rho.imag
+    # (r1..rn, c1..cn) -> (r1, c1, ..., rn, cn): one 4-valued axis per qubit
+    t = m.reshape((2,) * (2 * n)).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
+    for _ in range(n):
+        t = t.reshape(4, -1).T @ _PAULI_MAP.T
+    t *= t
+    for _ in range(n):
+        t = t.reshape(4, -1).T @ _SUBSET_WEIGHT.T
+    return t.reshape((2,) * n)
 
 
 def w_matrix(s: QubitState) -> np.ndarray:

@@ -25,6 +25,7 @@ import qlorentz.invariants
 import qlorentz.linalg
 import qlorentz.states
 from qlorentz.invariants import (
+    _pair_order,
     _subset_purities,
     linear_entropy,
     linear_mutual_info_subsets,
@@ -38,6 +39,7 @@ from reference import (
     char_poly_coeffs,
     depolarize,
     linear_entropy_einsum,
+    subset_purities_transpose,
     trace_route_einsum,
     w_matrix,
 )
@@ -296,6 +298,31 @@ def test_subset_purities_real_map_negative_control(monkeypatch):
         assert purity_deviation(s) > 1e-13, (s.n, s.trace())
 
 
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+def test_subset_purities_gather_matches_the_transpose_reference(n):
+    # the cached gather only moves data: the purities equal the transpose form's byte for byte,
+    # at unit scale, near both ends of the float64 range, and on moved states
+    _pair_order.cache_clear()
+    rng = rng_from_seed(split_seed(330, n))
+    for kind in ("pure", "mixed"):
+        base = random_state(n, kind, split_seed(331, n))
+        moved = apply_local(base, sample_sl2c_stack(rng, n))
+        for s in (base, base.scaled(1e-150), base.scaled(1e150), moved):
+            expected = subset_purities_transpose(s.rho, n)
+            assert _subset_purities(s.rho, n).tobytes() == expected.tobytes()
+    order = _pair_order(n)
+    assert order.dtype == np.intp and order.shape == (4**n,) and not order.flags.writeable
+    assert _pair_order.cache_info().misses == 1  # built once for n, then reused
+
+
+def test_subset_purities_qubit_order_negative_control(monkeypatch):
+    # an order that puts qubit 2's pair first and qubit 1's second mislabels the subsets
+    s = random_state(3, "mixed", split_seed(332, 3))
+    swapped = _pair_order(3).reshape(4, 4, 4).transpose(1, 0, 2).ravel()
+    monkeypatch.setattr(qlorentz.invariants, "_pair_order", lambda n: swapped)
+    assert purity_deviation(s) > 1e-13
+
+
 def test_subset_route_expands_the_hermitian_part(monkeypatch):
     # the route expands Re rho + Im rho of rho as stored, with no symmetrized copy;
     # every state is stored exactly Hermitian, so it matches the constructor's
@@ -381,6 +408,38 @@ def test_trace_route_nonnegative():
     for trial in range(40):
         s = random_state(1 + trial % 4, "mixed", split_seed(71, trial))
         assert linear_mutual_info_trace(s) >= -1e-9
+
+
+def rank_factor_cases(n):
+    """One state per _rank_factor branch: rank 1, Cholesky, and eigh on a rank-3 mixture.
+
+    At n = 1 no rank-3 state exists; weights 1 and 1e-13 drop the last Cholesky pivot
+    below 1e-12 of the first, which sends the full-rank mixture to eigh as well.
+    """
+    yield "rank 1", random_state(n, "pure", split_seed(340, n))
+    yield "cholesky", random_state(n, "mixed", split_seed(341, n))
+    weights = (1.0, 1e-13) if n == 1 else (0.5, 0.3, 0.2)
+    kets = [random_state(n, "pure", split_seed(342, 10 * n + k)) for k in range(len(weights))]
+    yield "eigh", QubitState(n, sum(w * ket.rho for w, ket in zip(weights, kets)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_w_spectrum_b_is_exactly_signed_symmetric(monkeypatch, n):
+    # B = Y + s_{d-1} Y^T is (-1)^n times its transpose in every bit, on every factor branch
+    seen, eigh_calls = [], []
+    svd, eigh = np.linalg.svd, np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "svd", lambda b, **kw: seen.append(b) or svd(b, **kw))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(a) or eigh(a))
+    sign = qlorentz.states._parity_signs(n)[-1]
+    assert sign == (-1) ** n
+    for branch, s in rank_factor_cases(n):
+        seen.clear()
+        eigh_calls.clear()
+        w_spectrum(s)
+        (b,) = seen
+        rank = {"rank 1": 1, "cholesky": 2**n, "eigh": min(3, 2**n)}[branch]
+        assert b.shape == (rank, rank) and bool(eigh_calls) == (branch == "eigh"), branch
+        assert np.array_equal(b, sign * b.T), branch
 
 
 def test_odd_n_pure_states_vanish():
