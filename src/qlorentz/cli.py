@@ -1,4 +1,4 @@
-"""Command-line front end: seeded experiments with JSON/CSV reports.
+"""Command-line front end: seeded experiments with one JSON report each.
 
 Five subcommands exercise the library end to end:
 
@@ -17,19 +17,16 @@ on one line: the text is json.dumps(report, sort_keys=True, allow_nan=False)
 plus a newline, written by json's C encoder but for boost's state matrix, whose
 text is built from the reprs of its upper triangle alone: exact, since every
 QubitState is exactly Hermitian. `python -m json.tool` shows it indented.
-invariants, oracle and metric also write their per-trial records with --csv.
-Exit code 0 means every check passed, 1 means a property check failed, 2 means
-the inputs were unusable, the report or CSV could not be written, or the report
-held a non-finite value. An exit 2 writes no report, no CSV and nothing to
-stdout, unless a write fails partway (a full disk, a closed pipe), which can
-leave a partial report or CSV: the new text's prefix over the old file's bytes.
+Per-trial records are the report's "trials" list. Exit code 0 means every
+check passed, 1 a property check failed, 2 unusable inputs, an unwritable
+report or a non-finite value in it. An exit 2 writes nothing, unless a write
+fails partway (a full disk, a closed pipe), which can leave a partial report:
+the new text's prefix over the old file's bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import stat
@@ -336,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_inv, p_orc, p_met, p_twl, p_bst):
         p.add_argument("--seed", type=int, default=0, help="master seed, 0..2**64 - 1")
         p.add_argument("--output", default=None, help="write the JSON report here (default stdout)")
-    for p in (p_inv, p_orc, p_met):
-        p.add_argument("--csv", default=None, help="write per-trial records as CSV here")
 
     return parser
 
@@ -376,12 +371,10 @@ def _emit(report: dict, args) -> None:
     """Write the report as one line of sorted-key JSON from json's C encoder.
 
     boost's state is encoded as a stub with its _matrix_text spliced in, the
-    bytes json.dumps writes for state_to_json_dict(state). The CSV, on the
-    commands that offer --csv, is written before the report and deleted again
-    if the report cannot be written, so a path that cannot be opened (exit 2)
-    leaves neither behind; a write that fails partway can leave a partial one:
-    the new text's prefix over the old file's bytes. A NaN or an infinity in
-    the report raises ValueError before either is written (a state is finite).
+    bytes json.dumps writes for state_to_json_dict(state). A NaN or an infinity
+    raises ValueError before the one write, to --output or stdout (a state is
+    finite); a write that fails partway can leave the new text's prefix over
+    the old file's bytes.
     """
     # _report builds a fresh tree, which cannot hold a cycle
     # boost's state goes in as a stub, U+0000 (in no string from argv), replaced by its text
@@ -389,28 +382,16 @@ def _emit(report: dict, args) -> None:
                       default=lambda s: {"n": s.n, "matrix": "\0"}) + "\n"
     if isinstance(state := report.get("state"), QubitState):
         text = text.replace('"\\u0000"', _matrix_text(state.rho), 1)
-    csv_path = getattr(args, "csv", None)
-    if csv_path:
-        rows, buf = report["trials"], io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=sorted({k for row in rows for k in row}))
-        writer.writeheader()
-        writer.writerows(rows)
-        _write_over(csv_path, buf.getvalue())
-    try:
-        if args.output:
-            _write_over(args.output, text)
-        else:
-            sys.stdout.write(text)
-    except OSError:
-        if csv_path:
-            Path(csv_path).unlink()
-        raise
+    if args.output:
+        _write_over(args.output, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _report(args) -> dict:
     """Run the chosen command and assemble its report, whose "pass" is the verdict.
 
-    The config echoes every flag but the output paths; for a command that
+    The config echoes every flag but --output; for a command that
     loads a state, the source echo stands in for the state flags. This is
     the one place a verdict is formed: each check passes when its deviation
     is within the tolerance its command states. It is also the one place
@@ -421,7 +402,7 @@ def _report(args) -> dict:
     if not 0 <= args.seed <= MASK64:
         raise ValueError(f"--seed must lie in 0..2**64 - 1, got {args.seed}")
     source, trials, pairs, extra = args.func(args)
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "output", "csv")}
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "output")}
     if source is not None:
         for flag in STATE_FLAGS:
             del config[flag]

@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: reports, determinism, exit codes, file I/O."""
 
-import csv
 import itertools
 import json
 import os
@@ -975,26 +974,20 @@ def test_parser_is_built_once_and_survives_a_bad_flag(tmp_path):
     assert qlorentz.cli.build_parser() is qlorentz.cli.build_parser()
 
 
-@pytest.mark.parametrize("target", ["--output", "--csv"])
+@pytest.mark.parametrize("target", ["--output"])
 def test_unwritable_output_exits_two(tmp_path, capsys, target):
-    # exit 2 leaves no usable output: not the other file, and nothing on stdout
+    # exit 2 leaves no usable output: no file anywhere, and nothing on stdout
     argv = ["metric", "--trials", "2", "--sym-trials", "1"]
-    unwritable = [target, str(tmp_path / "missing" / "out")]
-    other = tmp_path / "other"
-    code = main(argv + unwritable + [{"--output": "--csv", "--csv": "--output"}[target], str(other)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert not other.exists()
-    if target == "--csv":
-        assert main(argv + unwritable) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
+    assert main(argv + [target, str(tmp_path / "missing" / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_shrinking_rewrite_leaves_no_old_bytes(tmp_path):
-    # a long report then a short one into one --output, and a long CSV then a short
-    # one into one --csv: a writer that skips the cut leaves the first one's tail
+    # a long report then a short one into one --output: a writer that skips the cut
+    # leaves the first one's tail
     out, fresh = tmp_path / "r.json", tmp_path / "fresh.json"
     assert main(["metric", "--trials", "200", "--output", str(out)]) == 0
     long_size = out.stat().st_size
@@ -1005,20 +998,14 @@ def test_a_shrinking_rewrite_leaves_no_old_bytes(tmp_path):
     text = out.read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
     assert strip_wall_time(json.loads(text)) == strip_wall_time(json.loads(fresh.read_text()))
-    table, fresh_table = tmp_path / "t.csv", tmp_path / "fresh.csv"
-    argv = ["oracle", "--n", "2", "--output", str(out)]
-    for trials in ("50", "2"):
-        assert main(argv + ["--trials", trials, "--csv", str(table)]) == 0
-    assert main(argv + ["--trials", "2", "--csv", str(fresh_table)]) == 0
-    assert table.read_bytes() == fresh_table.read_bytes()
-    assert table.read_bytes().count(b"\r\n") == 3
 
 
-@pytest.mark.parametrize("target", ["--output", "--csv"])
-def test_a_device_path_takes_the_output(tmp_path, monkeypatch, target):
-    # /dev/null seeks but refuses a truncate: only a regular file is cut to length.
-    # The machine's /dev/null is guarded: a writer that renames over or unlinks its
-    # path fails here instead of leaving a regular file in the device's place
+def guard_devnull(monkeypatch, tmp_path):
+    """Make os.rename, replace, unlink and remove raise AssertionError on os.devnull.
+
+    A writer that renames over or unlinks a path it was given then fails its test
+    instead of leaving a regular file in the place of the machine's /dev/null.
+    """
     for name in ("rename", "replace", "unlink", "remove"):
         real = getattr(os, name)
 
@@ -1036,10 +1023,40 @@ def test_a_device_path_takes_the_output(tmp_path, monkeypatch, target):
     for name in ("unlink", "remove"):
         with pytest.raises(AssertionError):
             getattr(os, name)(os.devnull + "/")
-    other = {"--output": "--csv", "--csv": "--output"}[target]
-    argv = ["oracle", "--n", "2", "--trials", "2", target, os.devnull]
-    assert main(argv + [other, str(tmp_path / "other")]) == 0
+
+
+@pytest.mark.parametrize("target", ["--output"])
+def test_a_device_path_takes_the_output(tmp_path, monkeypatch, target):
+    # /dev/null seeks but refuses a truncate: only a regular file is cut to length
+    guard_devnull(monkeypatch, tmp_path)
+    assert main(["oracle", "--n", "2", "--trials", "2", target, os.devnull]) == 0
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert list(tmp_path.iterdir()) == []
+
+
+def exit_code(argv) -> int:
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command", ["invariants", "oracle", "metric", "twirl", "boost"])
+def test_a_csv_flag_exits_two_and_keeps_its_file(tmp_path, monkeypatch, capsys, command):
+    # no command takes --csv: it is refused before anything runs, so the file it
+    # names keeps its bytes, /dev/null stays a device, and no other file appears
+    guard_devnull(monkeypatch, tmp_path)
+    table, kept = tmp_path / "keep.csv", b"trial,deviation\r\n0,0.5\r\n"
+    table.write_bytes(kept)
+    unopenable = ["--output", str(tmp_path / "missing" / "r.json")]
+    for path in (table, os.devnull):
+        assert exit_code([command, "--csv", str(path)] + unopenable) == 2
+        assert table.exists() and table.read_bytes() == kept
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert list(tmp_path.iterdir()) == [table]
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--csv" in captured.err
 
 
 def test_a_rewrite_keeps_the_file(tmp_path):
@@ -1061,12 +1078,11 @@ def test_a_rewrite_keeps_the_file(tmp_path):
 
 
 def test_a_directory_output_exits_two(tmp_path, capsys):
-    table = tmp_path / "t.csv"
-    argv = ["metric", "--trials", "2", "--sym-trials", "1", "--csv", str(table)]
+    argv = ["metric", "--trials", "2", "--sym-trials", "1"]
     assert main(argv + ["--output", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert captured.out == "" and not table.exists()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 def diag_state(a: float, b: float) -> dict:
@@ -1121,6 +1137,27 @@ def test_non_finite_report_exits_two(tmp_path, capsys, state, argv, message):
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == "error: " + message
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("{not json", ["invariants"]),
+        # loaded, then refused by apply_local once the boost overflows Tr(rho)^2
+        (json.dumps(diag_state(1e150, 5e149)), ["boost", "--rapidity", "20"]),
+    ],
+    ids=["malformed-invariants", "1e150-boost-rapidity20"],
+)
+def test_an_exit_two_keeps_an_existing_output(tmp_path, capsys, text, argv):
+    # refused before the one write: the old report keeps its bytes, and nothing is printed
+    path, out = tmp_path / "in.json", tmp_path / "r.json"
+    path.write_text(text)
+    old = b'{"command": "old"}\n'
+    out.write_bytes(old)
+    assert main(argv + ["--input", str(path), "--output", str(out)]) == 2
+    assert out.read_bytes() == old
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def scaled_mixed_state(n, c):
@@ -1188,31 +1225,6 @@ def test_large_valid_state_fails_a_moved_spectrum_off_by_one_ppm(tmp_path, monke
     assert report["checks"]["subset_vs_trace"]["pass"] is True
 
 
-def test_csv_projection(tmp_path):
-    csv_path = tmp_path / "trials.csv"
-    code = main(
-        ["oracle", "--n", "2", "--trials", "10", "--seed", "2",
-         "--output", str(tmp_path / "r.json"), "--csv", str(csv_path)]
-    )
-    assert code == 0
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 10
-    assert "deviation" in rows[0]
-    assert "i_l_trace" in rows[0]
-
-
-@pytest.mark.parametrize("command", ["twirl", "boost"])
-def test_csv_is_refused_without_trial_records(tmp_path, capsys, command):
-    # twirl and boost have no per-trial records, so they offer no --csv
-    csv_path = tmp_path / "t.csv"
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--csv", str(csv_path)])
-    assert exc.value.code == 2
-    assert "--csv" in capsys.readouterr().err
-    assert not csv_path.exists()
-
-
 def test_stdout_default(capsys):
     code = main(["invariants", "--preset", "singlet", "--trials", "0"])
     assert code == 0
@@ -1258,12 +1270,10 @@ COMMON = {"command", "seed", "seed_split"}
          "boost-preset", "boost-input"],
 )
 def test_config_echo_keys(tmp_path, argv, keys):
-    # every flag but --output and --csv, with a state command's source echo for its state flags
+    # every flag but --output, with a state command's source echo for its state flags
     state = tmp_path / "state.json"
     state.write_text(json.dumps(state_to_json_dict(random_state(1, "mixed", 4))))
     argv = [str(state) if a == "STATE" else a for a in argv]
-    if argv[0] in ("invariants", "oracle", "metric"):
-        argv += ["--csv", str(tmp_path / "t.csv")]
     _, report = run_report(tmp_path, argv)
     assert set(report["config"]) == COMMON | keys
     assert report["config"]["command"] == report["command"] == argv[0]
