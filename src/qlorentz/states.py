@@ -181,10 +181,11 @@ def w_spectrum(s: QubitState) -> np.ndarray:
     maps |x> to i^n s_x |~x>, so that matrix is B = sum_x a_x^T s_x a_~x over
     the rows a_x of A, with s_x = (-1)^popcount(x) as in spin_flip. The spin
     flip pairs x with ~x = d - 1 - x, and s_~x = (-1)^n s_x makes the term of
-    ~x the transpose of the term of x times (-1)^n. So B = Y + s_{d-1} Y^T, with
-    Y summed over x < d/2 only: r^2 d/2 complex multiply-adds, half of the full
-    sum, and B is exactly (-1)^n times its transpose, so odd-n pure states
-    give 0. The factor (-1)^n is read from the sign table, s_{d-1}, not from n:
+    ~x the transpose of the term of x times (-1)^n. So B = Y + Y^T when
+    s_{d-1} = +1 and Y - Y^T when it is -1, with Y summed over x < d/2 only:
+    r^2 d/2 complex multiply-adds, half of the full sum, and B is exactly
+    (-1)^n times its transpose, so odd-n pure states give 0. The sum or the
+    difference is chosen by the sign table's s_{d-1}, not by n:
     spin_flip, and with it the trace route, uses the same table, so the two
     share the parity-sign convention, and a sign error common to both would
     still pass sum(lambda) = I_L. The squares are non-negative by
@@ -210,7 +211,7 @@ def w_spectrum(s: QubitState) -> np.ndarray:
     a = _rank_factor(s.rho)
     sign, h = _parity_signs(s.n), s.dim // 2
     y = a[:h].T @ (sign[:h, None] * a[h:][::-1])
-    b = y + sign[-1] * y.T
+    b = y + y.T if sign[-1] > 0 else y - y.T
     lam = np.zeros(s.dim)
     lam[: b.shape[0]] = np.linalg.svd(b, compute_uv=False) ** 2
     return lam

@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: reports, determinism, exit codes, file I/O."""
 
+import ctypes
 import itertools
 import json
 import os
 import stat
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1277,3 +1281,58 @@ def test_config_echo_keys(tmp_path, argv, keys):
     _, report = run_report(tmp_path, argv)
     assert set(report["config"]) == COMMON | keys
     assert report["config"]["command"] == report["command"] == argv[0]
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# cli.main on an n = 7 invariants report, twice to warm up, then five times
+# counting the process's minor page faults
+FAULT_CHILD = """
+import resource, sys
+from qlorentz.cli import main
+argv = ["invariants", "--random", "mixed", "--n", "7", "--trials", "4", "--output", sys.argv[1]]
+for _ in range(2):
+    assert main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs glibc's mallopt")
+def test_an_n7_report_loop_does_not_refault_its_heap(tmp_path):
+    # A fresh process: in this one an earlier n = 10 test has raised glibc's
+    # dynamic mmap threshold, which hides the churn. Without the pinned
+    # thresholds each trial's 256 KiB arrays are trimmed from the heap's top and
+    # faulted in again by the next trial: about 4,000 faults over the five reports.
+    src = str(Path(qlorentz.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FAULT_CHILD, str(tmp_path / "r.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 100
+
+
+@pytest.fixture
+def fresh_pin():
+    qlorentz.cli._pin_malloc_thresholds.cache_clear()
+    yield
+    qlorentz.cli._pin_malloc_thresholds.cache_clear()
+
+
+def _refuse(_):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_refuse, lambda _: object()], ids=["oserror", "no-symbol"])
+def test_a_missing_mallopt_is_a_no_op(tmp_path, monkeypatch, fresh_pin, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert qlorentz.cli._pin_malloc_thresholds.__wrapped__() is None
+    code, _ = run_report(tmp_path, ["metric", "--trials", "2", "--sym-trials", "1"])
+    assert code == 0
