@@ -115,10 +115,10 @@ def linear_mutual_info_subsets(s: QubitState) -> float:
     """Alternating sum of linear entropies over all nonempty qubit subsets.
 
     Odd-sized subsets enter with +, even-sized with -: the definitional route
-    that linear_mutual_info_trace must reproduce. The full set's term is
-    linear_entropy; every proper subset's purity comes from one Pauli
-    expansion of rho, Tr(rho_S^2) = 2^-|S| sum of Tr(rho P)^2 over the Pauli
-    strings P supported in S, in O(n 4^n) time, hence the qubit cap. The
+    that linear_mutual_info_trace must reproduce. Every subset's purity,
+    the full set's included, comes from one Pauli expansion of rho,
+    Tr(rho_S^2) = 2^-|S| sum of Tr(rho P)^2 over the Pauli strings P
+    supported in S, in O(n 4^n) time, hence the qubit cap. The
     coefficients Tr(rho P) are real and equal Tr(M Q) up to sign, with
     M = Re rho + Im rho and Q = P with each Y replaced by the real iY, so the
     expansion runs in real arithmetic. No spin flip, Y^(x)n or parity
@@ -131,9 +131,8 @@ def linear_mutual_info_subsets(s: QubitState) -> float:
     tr = np.trace(s.rho).real
     terms = _subset_signs(n) * (tr * tr - _subset_purities(s.rho, n))
     k = max(math.frexp(tr)[1], 0)
-    # flat index 0 is the empty set, -1 the full set; 4.0 ** 512 overflows, so ldexp scales back
-    proper = math.ldexp(float((terms.ravel()[1:-1] * 2.0 ** (-2 * k)).sum()), 2 * k)
-    return linear_entropy(s) * (1.0 if n % 2 == 1 else -1.0) + proper
+    # flat index 0 is the empty set; 4.0 ** 512 overflows, so ldexp scales back
+    return math.ldexp(float((terms.ravel()[1:] * 2.0 ** (-2 * k)).sum()), 2 * k)
 
 
 def linear_mutual_info_trace(s: QubitState) -> float:

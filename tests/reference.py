@@ -9,6 +9,11 @@ from qlorentz.linalg import as_matrix
 from qlorentz.states import SINGLET_COEFFS, QubitState, spin_flip
 
 
+def rel_dev(a: float, b: float) -> float:
+    """|a - b| / max(1, |a|, |b|): the floor-1 relative deviation the test criteria read."""
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
 def char_poly_coeffs(m) -> np.ndarray:
     """Coefficients c_0..c_{d-1} of det(lambda*I - m), leading coefficient 1.
 

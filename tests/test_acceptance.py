@@ -43,7 +43,7 @@ from qlorentz.correlation import (
 )
 from qlorentz.cli import main
 from qlorentz.seeding import rng_from_seed, split_seed
-from reference import depolarize
+from reference import depolarize, rel_dev
 
 MASTER_SEED = 20240915
 
@@ -51,10 +51,6 @@ MASTER_SEED = 20240915
 def report(name: str, ok: bool, detail: str):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def rel_dev(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
 def test_criterion_01_trace_formula_oracle():

@@ -290,6 +290,60 @@ def test_subset_vs_trace_tolerance_fails_a_route_scaled_by_one_ppm(tmp_path, mon
     assert report["checks"]["lorentz_invariance"]["pass"] is True
 
 
+def test_trace_nonnegative_fails_a_negated_spin_flip(tmp_path, monkeypatch):
+    # negative control: a negated sign table negates the trace route, so the
+    # singlet's I_L = 1 reads -1
+    real = qlorentz.states._flip_signs
+    monkeypatch.setattr(qlorentz.states, "_flip_signs", lambda n: -real(n))
+    code, report = run_report(tmp_path, ["invariants", "--preset", "singlet", "--trials", "2"])
+    assert code == 1
+    check = report["checks"]["trace_nonnegative"]
+    assert check["pass"] is False
+    assert check["deviation"] == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("factor, deviation", [(-1.0, 2.0), (1.0 + 1e-6, 1e-6)], ids=["negated", "ppm"])
+def test_pauli_table_fails_a_wrong_y(tmp_path, monkeypatch, factor, deviation):
+    # negative control: P_a = Y scaled in the first stack of the Pauli pairs moves
+    # the table's Y row; the ppm scale pins the 1e-12 tolerance, which 1e-5 would pass
+    pairs = qlorentz.correlation._PAULI_PAIRS.copy()
+    pairs[0, 8:12] *= factor
+    monkeypatch.setattr(qlorentz.correlation, "_PAULI_PAIRS", pairs)
+    code, report = run_report(tmp_path, ["metric", "--trials", "5", "--sym-trials", "2"])
+    assert code == 1
+    check = report["checks"]["pauli_table"]
+    assert check["pass"] is False
+    assert check["deviation"] == pytest.approx(deviation, rel=1e-6)
+    assert report["checks"]["correlator_vs_determinant"]["pass"] is True
+
+
+def test_correlator_vs_determinant_fails_a_determinant_scaled_by_one_ppm(tmp_path, monkeypatch):
+    # negative control pinning the 1e-10 tolerance: the determinant side scaled
+    # by 1 + 1e-6 reads about 1e-6, which a tolerance loosened to 1e-5 would pass
+    real = qlorentz.cli.polarized_determinant
+    monkeypatch.setattr(qlorentz.cli, "polarized_determinant", lambda a, b: (1.0 + 1e-6) * real(a, b))
+    code, report = run_report(tmp_path, ["metric", "--trials", "5", "--sym-trials", "2"])
+    assert code == 1
+    check = report["checks"]["correlator_vs_determinant"]
+    assert check["pass"] is False
+    assert check["deviation"] == pytest.approx(1e-6, rel=1e-3)
+    assert report["checks"]["pauli_table"]["pass"] is True
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="trace_nonnegative's absolute 1e-9 floor and the floor-1 relative tolerances fail "
+    "on rounding at Tr(rho) = 1e6, where eps * Tr(rho)^2 = 2.2e-4",
+)
+def test_a_scaled_odd_n_pure_state_passes_invariants(tmp_path):
+    # a valid state: I_L = Tr(W) = 0 for an odd-n pure state, and every check's
+    # deviation here is rounding of order eps * Tr(rho)^2
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json_dict(random_state(3, "pure", 2).scaled(1e6))))
+    code, _ = run_report(tmp_path, ["invariants", "--input", str(path), "--trials", "3"])
+    assert code == 0
+
+
 METRIC_FAMILY_FLAGS = {
     "boost": ["--boost", "1.5"],
     "rotation": ["--rotation", "0.9"],

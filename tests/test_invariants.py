@@ -39,14 +39,11 @@ from reference import (
     char_poly_coeffs,
     depolarize,
     linear_entropy_einsum,
+    rel_dev,
     subset_purities_transpose,
     trace_route_einsum,
     w_matrix,
 )
-
-
-def rel_dev(a, b):
-    return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
 def test_linear_entropy_frozen_cases():
@@ -180,8 +177,36 @@ def test_concurrence_requires_two_qubits():
 def test_subset_sum_frozen_cases():
     assert abs(linear_mutual_info_subsets(singlet()) - 1.0) < 1e-12
     assert abs(linear_mutual_info_subsets(ghz(3))) < 1e-12
-    s = random_state(1, "mixed", 69)
-    assert linear_mutual_info_subsets(s) == linear_entropy(s)
+
+
+#: |subset route - linear_entropy| at n = 1, in units of eps * Tr(rho)^2; 200 states read 1.85
+ONE_QUBIT_IDENTITY_C = 4.0
+
+
+def one_qubit_identity_error() -> float:
+    """Worst |linear_mutual_info_subsets - linear_entropy| / (eps Tr(rho)^2) over 200 one-qubit
+    states, pure and mixed alternately, scaled by 0.2..5; the two are one quantity at n = 1."""
+    worst = 0.0
+    for i in range(200):
+        s = random_state(1, "pure" if i % 2 == 0 else "mixed", split_seed(69, i))
+        s = s.scaled(float(rng_from_seed(split_seed(70, i)).uniform(0.2, 5.0)))
+        tr = np.trace(s.rho).real
+        err = abs(linear_mutual_info_subsets(s) - linear_entropy(s))
+        worst = max(worst, err / (np.finfo(float).eps * tr * tr))
+    return worst
+
+
+def test_subset_sum_is_linear_entropy_at_one_qubit():
+    # one nonempty subset, so the route's one Pauli-expansion term is S_L up to rounding
+    assert one_qubit_identity_error() <= ONE_QUBIT_IDENTITY_C
+
+
+def test_subset_sum_at_one_qubit_negative_control(monkeypatch):
+    # negative control: the full set's term with its sign flipped reads -S_L, 2 S_L off,
+    # which exceeds the bound on every mixed state
+    signs = np.array([-1.0, -1.0])
+    monkeypatch.setattr(qlorentz.invariants, "_subset_signs", lambda n: signs)
+    assert one_qubit_identity_error() > ONE_QUBIT_IDENTITY_C
 
 
 def test_subset_sum_at_the_qubit_cap():
