@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .states import QubitState, spin_flip, w_spectrum
+from .states import QubitState, _spin_flip_dot, w_spectrum
 
 
 def linear_entropy(s: QubitState) -> float:
@@ -80,26 +80,34 @@ def _pair_order(n: int) -> np.ndarray:
     return order
 
 
+#: Both maps for two qubits, in (first, second) qubit order; entries exact: 0, +-1, 1/4, 1/2, 1.
+_PAULI_MAP2 = np.kron(_PAULI_MAP, _PAULI_MAP)
+_SUBSET_WEIGHT2 = np.kron(_SUBSET_WEIGHT, _SUBSET_WEIGHT)
+
+
+def _blocked_steps(t: np.ndarray, one: np.ndarray, two: np.ndarray, n: int) -> np.ndarray:
+    """Contract t's leading qubits, two per step through two, the last at odd n through one."""
+    for p in [two] * (n // 2) + [one] * (n % 2):
+        t = t.reshape(p.shape[1], -1).T @ p.T  # the result's axes go last
+    return t
+
+
 def _subset_purities(rho: np.ndarray, n: int) -> np.ndarray:
     """Tr(rho_S^2) for every qubit subset S, as a (2,)*n tensor; axis q is 1 when qubit q+1 is in S.
 
     The Pauli coefficients of the Hermitian rho are real. For P = (-i)^m Q with
     Q real, Tr(rho P) real makes Tr(Re rho Q) vanish for odd m and Tr(Im rho Q)
-    for even m, so Tr(rho P)^2 = Tr(M Q)^2 with M = Re rho + Im rho: 2n real
-    matrix products, after one gather through the cached perfect shuffle
-    _pair_order(n) puts M in qubit-pair order; its 4**n indices take as much
-    memory as M, and it is 4-5x faster than a 2n-axis transpose copy, which
-    cost more than all n Pauli steps. The squares are formed in place.
+    for even m, so Tr(rho P)^2 = Tr(M Q)^2 with M = Re rho + Im rho. One gather
+    through the cached perfect shuffle _pair_order(n) puts M in qubit-pair order
+    (4-5x faster than a 2n-axis transpose copy). Each step then contracts two
+    qubits: ceil(n/2) Pauli products of at most 16 * 4**n multiply-adds, squared in
+    place, and ceil(n/2) weight products on a tensor that shrinks 4x per step: 3 + 3
+    passes at n = 6 where per-qubit steps took 6 + 6, but twice their multiply-adds,
+    which made n = 8, whose M stays in cache, about 30% slower.
     """
-    m = rho.real + rho.imag
-    t = m.ravel()[_pair_order(n)]
-    # each product contracts the leading axis and appends its result axis last
-    for _ in range(n):
-        t = t.reshape(4, -1).T @ _PAULI_MAP.T
+    t = _blocked_steps((rho.real + rho.imag).ravel()[_pair_order(n)], _PAULI_MAP, _PAULI_MAP2, n)
     t *= t
-    for _ in range(n):
-        t = t.reshape(4, -1).T @ _SUBSET_WEIGHT.T
-    return t.reshape((2,) * n)
+    return _blocked_steps(t, _SUBSET_WEIGHT, _SUBSET_WEIGHT2, n).reshape((2,) * n)
 
 
 @cache
@@ -126,6 +134,8 @@ def linear_mutual_info_subsets(s: QubitState) -> float:
     shares no kernel with the trace formula it checks. Every term is at most
     Tr(rho)^2 < 4^k, with k the binary exponent of Tr(rho), so the terms are
     summed scaled by the exact 4^-k, and their sum is finite where Tr(rho)^2 is.
+    Its forward error scales with eps sum_S |Tr(rho)^2 - Tr(rho_S^2)|, the terms'
+    magnitudes, not with eps Tr(rho)^2: on c I / 2^n at n = 10 it is 78 to 178 of the latter.
     """
     n = s.n
     tr = np.trace(s.rho).real
@@ -136,12 +146,8 @@ def linear_mutual_info_subsets(s: QubitState) -> float:
 
 
 def linear_mutual_info_trace(s: QubitState) -> float:
-    """Tr(rho * spin_flip(rho)): the closed-form route to the same quantity.
-
-    Computed as Re Tr(spin_flip(rho)^dagger rho), one contiguous dot; both
-    matrices are Hermitian, so the adjoint changes nothing.
-    """
-    return float(np.vdot(spin_flip(s).rho, s.rho).real)
+    """Tr(rho * spin_flip(rho)), the closed-form route: flip-paired entries, d^2/2 multiply-adds."""
+    return _spin_flip_dot(s)
 
 
 @dataclass(frozen=True)

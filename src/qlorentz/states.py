@@ -147,6 +147,13 @@ def spin_flip(s: QubitState) -> QubitState:
     return QubitState._adopt(s.n, flipped)
 
 
+def _spin_flip_dot(s: QubitState) -> float:
+    """Tr(rho spin_flip(rho)) = sum_f t_f rho_f rho_(d^2-1-f), f = x d + y, t = _flip_signs raveled;
+    t_f = t_(d^2-1-f), so it is twice the sum over f < d^2/2: d^2/2 products, no flipped copy."""
+    flat, h = s.rho.ravel(), s.dim * s.dim // 2
+    return 2.0 * float(np.dot(_flip_signs(s.n).ravel()[:h], (flat[:h] * flat[: h - 1 : -1]).real))
+
+
 def _rank_factor(rho: np.ndarray) -> np.ndarray:
     """A factor A of the Hermitian matrix rho = A A^dag, chosen by case; see w_spectrum."""
     diag = rho.diagonal().real
@@ -186,9 +193,9 @@ def w_spectrum(s: QubitState) -> np.ndarray:
     r^2 d/2 complex multiply-adds, half of the full sum, and B is exactly
     (-1)^n times its transpose, so odd-n pure states give 0. The sum or the
     difference is chosen by the sign table's s_{d-1}, not by n:
-    spin_flip, and with it the trace route, uses the same table, so the two
-    share the parity-sign convention, and a sign error common to both would
-    still pass sum(lambda) = I_L. The squares are non-negative by
+    spin_flip and the trace route's _spin_flip_dot read the same table, so all
+    three share the parity-sign convention, and a sign error common to them
+    would still pass sum(lambda) = I_L. The squares are non-negative by
     construction; the rest are exact zeros.
 
     The factor is taken from the first of three branches that applies:

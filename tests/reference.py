@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from qlorentz.invariants import _PAULI_MAP, _SUBSET_WEIGHT
+from qlorentz.invariants import (
+    _PAULI_MAP,
+    _PAULI_MAP2,
+    _SUBSET_WEIGHT,
+    _SUBSET_WEIGHT2,
+    _blocked_steps,
+    _pair_order,
+)
 from qlorentz.linalg import as_matrix
 from qlorentz.states import SINGLET_COEFFS, QubitState, spin_flip
 
@@ -59,14 +66,32 @@ def trace_route_einsum(s: QubitState) -> float:
     return float(np.einsum("ij,ji->", s.rho, spin_flip(s).rho).real)
 
 
+def trace_route_vdot(s: QubitState) -> float:
+    """Tr(rho * spin_flip(rho)) as Re Tr(spin_flip(rho)^dagger rho): one full conjugated dot
+    with the spin-flipped copy, where the package takes a half-length signed dot off rho alone."""
+    return float(np.vdot(spin_flip(s).rho, s.rho).real)
+
+
 def subset_purities_transpose(rho: np.ndarray, n: int) -> np.ndarray:
     """invariants._subset_purities with its qubit-pair order taken by a 2n-axis transpose copy.
 
-    The same Pauli steps on the same values, so the package's gather must match it byte for byte.
+    The package's blocked Pauli steps on the same values, so the package's gather must match it
+    byte for byte.
     """
     m = rho.real + rho.imag
     # (r1..rn, c1..cn) -> (r1, c1, ..., rn, cn): one 4-valued axis per qubit
     t = m.reshape((2,) * (2 * n)).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
+    t = _blocked_steps(t, _PAULI_MAP, _PAULI_MAP2, n)
+    t *= t
+    return _blocked_steps(t, _SUBSET_WEIGHT, _SUBSET_WEIGHT2, n).reshape((2,) * n)
+
+
+def subset_purities_per_qubit(rho: np.ndarray, n: int) -> np.ndarray:
+    """invariants._subset_purities with one qubit per step through the 4x4 maps: 2n products.
+
+    The same gather and the same exact maps, summed in another order.
+    """
+    t = (rho.real + rho.imag).ravel()[_pair_order(n)]
     for _ in range(n):
         t = t.reshape(4, -1).T @ _PAULI_MAP.T
     t *= t

@@ -104,7 +104,7 @@ def test_oracle_runs_and_reports(tmp_path):
 )
 def test_oracle_fails_a_wrong_spin_flip_sign(tmp_path, monkeypatch, argv):
     # negative control: entry (0, 0) of the spin flip's sign table negated
-    # moves the trace route by 2 rho_00 rho_dd, and leaves the subset route
+    # moves the trace route by 4 rho_00 rho_dd, and leaves the subset route
     real = qlorentz.states._flip_signs
 
     def wrong(n):

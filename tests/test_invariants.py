@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,8 +42,10 @@ from reference import (
     depolarize,
     linear_entropy_einsum,
     rel_dev,
+    subset_purities_per_qubit,
     subset_purities_transpose,
     trace_route_einsum,
+    trace_route_vdot,
     w_matrix,
 )
 
@@ -305,11 +309,15 @@ def test_subset_purities_match_reduced_states():
         assert purity_deviation(s, masks) <= 1e-13, kind
 
 
+def patch_map(monkeypatch, name, wrong):
+    """Patch a one-qubit map and its two-qubit Kronecker square, the two tables the route reads."""
+    monkeypatch.setattr(qlorentz.invariants, name, wrong)
+    monkeypatch.setattr(qlorentz.invariants, name + "2", np.kron(wrong, wrong))
+
+
 def test_subset_purities_negative_control(monkeypatch):
     # weight 1 in place of 1/2 inside S counts each Pauli string 2^|S| times too often
-    monkeypatch.setattr(
-        qlorentz.invariants, "_SUBSET_WEIGHT", np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-    )
+    patch_map(monkeypatch, "_SUBSET_WEIGHT", np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]]))
     for s in purity_cases():
         assert purity_deviation(s) > 1e-13, (s.n, s.trace())
 
@@ -318,9 +326,78 @@ def test_subset_purities_real_map_negative_control(monkeypatch):
     # the iY row read as a second X row drops every Y coefficient's own value
     wrong = qlorentz.invariants._PAULI_MAP.copy()
     wrong[2] = wrong[1]
-    monkeypatch.setattr(qlorentz.invariants, "_PAULI_MAP", wrong)
+    patch_map(monkeypatch, "_PAULI_MAP", wrong)
     for s in purity_cases():
         assert purity_deviation(s) > 1e-13, (s.n, s.trace())
+
+
+def test_subset_purities_swapped_pair_weight_negative_control(monkeypatch):
+    # the two-qubit weight map with its output qubits swapped labels subset {1} as {2}
+    # and {1, 3} as {2, 3}; at n = 3 the one-qubit step is the last, and it is right
+    swapped = qlorentz.invariants._SUBSET_WEIGHT2[[0, 2, 1, 3]]
+    monkeypatch.setattr(qlorentz.invariants, "_SUBSET_WEIGHT2", swapped)
+    assert purity_deviation(random_state(3, "mixed", split_seed(333, 3))) > 1e-13
+
+
+def kernel_cases(n, salt):
+    """Pure and mixed states at n, scaled by 1e-150, 1e150 and 3.7, and moved by apply_local."""
+    rng = rng_from_seed(split_seed(salt + 1, n))
+    for kind in ("pure", "mixed"):
+        base = random_state(n, kind, split_seed(salt, n))
+        yield from (base, base.scaled(1e-150), base.scaled(1e150), base.scaled(3.7))
+        yield apply_local(base, sample_sl2c_stack(rng, n))
+
+
+#: The two-qubit steps against the per-qubit 4x4 steps, per subset purity, in units of
+#: eps Tr(rho)^2: measured at most 4.64 (a moved pure n = 4 state) over kernel_cases at 40
+#: salts for n = 1..8 and 3 for n = 9, 10, and 2.72 on the salt below. Both sum the same
+#: exact products in another order.
+BLOCKED_STEPS_C = 8
+
+
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+def test_blocked_subset_purities_match_the_per_qubit_reference(n):
+    eps = np.finfo(float).eps
+    for s in kernel_cases(n, 334):
+        got, expected = _subset_purities(s.rho, n), subset_purities_per_qubit(s.rho, n)
+        if n == 1:  # the same single 4x4 step on the same values
+            assert got.tobytes() == expected.tobytes()
+        worst = np.abs(got - expected).max() / np.trace(s.rho).real ** 2
+        assert worst <= BLOCKED_STEPS_C * eps, (s.n, s.trace())
+
+
+#: The half-length signed dot against the spin-flipped copy and its full vdot, in units of
+#: eps Tr(rho)^2: measured at most 1.0 (a pure n = 2 state) over the same 43 salts, and 0.29
+#: on the salt below.
+HALF_DOT_C = 4
+
+
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+def test_half_dot_trace_route_matches_the_vdot_reference(n):
+    eps = np.finfo(float).eps
+    for s in kernel_cases(n, 336):
+        worst = abs(linear_mutual_info_trace(s) - trace_route_vdot(s)) / np.trace(s.rho).real ** 2
+        assert worst <= HALF_DOT_C * eps, (s.n, s.trace())
+
+
+#: The subset route on c * I / 2^n against the exact c^2 / 2^n, in units of
+#: eps sum over nonempty S of |Tr(rho)^2 - Tr(rho_S^2)|, the magnitudes of the terms it sums:
+#: measured at most 0.22 at n = 4..10 (0.195 at c = 1.3e154), where eps Tr(rho)^2 read up to 178.
+SUBSET_ROUTE_C = 1
+
+
+@pytest.mark.parametrize("n", range(4, MAX_QUBITS + 1))
+def test_subset_route_error_scales_with_its_terms(n):
+    # Fractions make the reference and the deviation exact; every Tr(rho_S^2) is Tr(rho)^2 / 2^|S|
+    eps = Fraction(np.finfo(float).eps)
+    terms = sum(math.comb(n, k) * (1 - Fraction(1, 2**k)) for k in range(1, n + 1))
+    for c in (3.7, 0.3, 1e-100, 1.3e154):
+        s = preset(f"maximally_mixed{n}").scaled(c)
+        tr2 = Fraction(np.trace(s.rho).real) ** 2
+        error = abs(Fraction(linear_mutual_info_subsets(s)) - tr2 / 2**n)
+        assert error <= SUBSET_ROUTE_C * eps * terms * tr2, c
+        if n == MAX_QUBITS:  # pinned: no small multiple of eps Tr(rho)^2 bounds it (78 to 178 here)
+            assert error > 64 * eps * tr2, c
 
 
 @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
@@ -372,7 +449,8 @@ def test_subset_route_shares_no_kernel_with_the_trace_route(monkeypatch):
         raise AssertionError("the subset route reached a forbidden kernel")
 
     for module, name in [
-        (qlorentz.invariants, "spin_flip"),
+        (qlorentz.invariants, "_spin_flip_dot"),
+        (qlorentz.states, "_spin_flip_dot"),
         (qlorentz.states, "spin_flip"),
         (qlorentz.states, "_parity_signs"),
         (qlorentz.states, "_flip_signs"),
@@ -381,7 +459,7 @@ def test_subset_route_shares_no_kernel_with_the_trace_route(monkeypatch):
     ]:
         monkeypatch.setattr(module, name, forbidden)
     assert [linear_mutual_info_subsets(s) for s in states] == expected
-    # the guard bites: the trace route goes through the patched spin flip
+    # the guard bites: the trace route goes through the patched spin-flip dot
     with pytest.raises(AssertionError):
         linear_mutual_info_trace(states[0])
 
@@ -409,9 +487,9 @@ def dot_route_cases():
 
 
 def test_dot_forms_match_the_einsum_contractions():
-    # linear_entropy and the trace route contract rho as one conjugated dot,
-    # Re Tr(A^dagger B); the references contract sum_ij A_ij B_ji. The two
-    # agree to rounding
+    # linear_entropy contracts rho as one conjugated dot, Re Tr(A^dagger B), and the
+    # trace route as a half-length signed dot of paired entries; the references
+    # contract sum_ij A_ij B_ji. The two agree to rounding
     eps = np.finfo(float).eps
     for s in dot_route_cases():
         tol = 16.0 * eps * s.trace() ** 2
